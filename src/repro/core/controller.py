@@ -6,7 +6,10 @@ direct SNR below the handoff threshold, the AP steers onto the best
 calibrated reflector, which amplifies-and-forwards to the headset.
 The controller owns calibration (gain control per reflector, beam
 angles from the backscatter search or from VR tracking geometry) and
-exposes per-instant link decisions for the experiments.
+exposes per-instant link decisions for the experiments.  It is the one
+owner of per-headset serving: the :class:`LinkDecision` record and its
+rate rule, relay ranking and reflector lookup, which
+:mod:`repro.core.multiuser` reuses for every headset in a room.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro import telemetry
 from repro.telemetry.slo import SERVING_MODE_CODES
@@ -48,17 +51,45 @@ class RelayMeasurement:
 
 @dataclass(frozen=True)
 class LinkDecision:
-    """The controller's choice for one instant."""
+    """One headset's serving decision for one instant."""
 
-    mode: str  # "los" | "reflector" | "outage"
+    #: ``los`` | ``reflector`` | ``nlos`` (multi-user contention or
+    #: coverage fallback onto the best environmental reflection) |
+    #: ``outage``.
+    mode: str
     snr_db: float
     rate_mbps: float
     via: Optional[str] = None
     direct_snr_db: float = -math.inf
+    #: The headset's index in a multi-user room (0 when serving one).
+    user: int = 0
+    #: True when this user wanted a reflector but lost it to a
+    #: higher-priority user this instant.
+    contended: bool = False
 
     @property
     def connected(self) -> bool:
         return self.mode != "outage"
+
+    @classmethod
+    def serving(
+        cls,
+        mode: str,
+        snr_db: float,
+        direct_snr_db: float,
+        via: Optional[str] = None,
+        user: int = 0,
+        contended: bool = False,
+    ) -> "LinkDecision":
+        """Serve over ``mode`` at the rate ``snr_db`` decodes.
+
+        A path that decodes nothing is an outage, whatever it was
+        meant to be, and an outage is served by no reflector.
+        """
+        rate = data_rate_mbps_for_snr(snr_db)
+        if rate <= 0.0:
+            mode, via = "outage", None
+        return cls(mode, snr_db, rate, via, direct_snr_db, user, contended)
 
 
 class MoVRSystem:
@@ -98,10 +129,6 @@ class MoVRSystem:
         self._last_mode: Optional[str] = None
         self._last_via: Optional[str] = None
         self._blockage_active = False
-        #: Cadence of the QoE time-series sampler: decide() offers
-        #: link state (SNR, rate, mode, amplifier gain) to the active
-        #: scope's series at most this often in simulation time.
-        self.sample_period_s = 0.005
         self._last_decide_t: Optional[float] = None
         # Reflectors whose BLE control plane is currently down: the AP
         # cannot push beam updates to them, so they are excluded from
@@ -261,17 +288,19 @@ class MoVRSystem:
             stable=stable,
         )
 
-    def best_relay(
+    def relay_candidates(
         self,
         headset_radio: Radio,
         extra_occluders: Sequence[Occluder] = (),
-    ) -> Optional[RelayMeasurement]:
-        """The serving reflector candidate with the highest SNR.
+    ) -> List[RelayMeasurement]:
+        """Every reflector that could serve the headset, best SNR first.
 
         Reflectors whose control plane is down are not candidates: the
         AP cannot steer them, so handing off to one would serve the
         headset with stale beams.  They rejoin automatically when
-        :meth:`mark_control_recovered` is called.
+        :meth:`mark_control_recovered` is called.  Reflectors that
+        cannot steer at both the AP and the headset are skipped too.
+        Equal SNRs keep reflector order (the sort is stable).
         """
         candidates = [
             self.relay_link(r, headset_radio, extra_occluders)
@@ -279,9 +308,25 @@ class MoVRSystem:
             if r.name not in self._control_down
             and r.can_serve(self.ap.position, headset_radio.position)
         ]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda m: m.end_to_end_snr_db)
+        candidates.sort(key=lambda m: -m.end_to_end_snr_db)
+        return candidates
+
+    def best_relay(
+        self,
+        headset_radio: Radio,
+        extra_occluders: Sequence[Occluder] = (),
+    ) -> Optional[RelayMeasurement]:
+        """The serving reflector candidate with the highest SNR."""
+        candidates = self.relay_candidates(headset_radio, extra_occluders)
+        return candidates[0] if candidates else None
+
+    def reflector(self, name: str) -> MoVRReflector:
+        """The reflector called ``name``; unknown names are rejected."""
+        for reflector in self.reflectors:
+            if reflector.name == name:
+                return reflector
+        known = ", ".join(r.name for r in self.reflectors)
+        raise ValueError(f"unknown reflector {name!r}; known: {known}")
 
     # ------------------------------------------------------------------
     # Control-plane availability (graceful degradation)
@@ -299,7 +344,7 @@ class MoVRSystem:
         event itself is emitted by the coordinator that detected the
         loss — this is the data-plane reaction.
         """
-        self._require_reflector(reflector_name)
+        self.reflector(reflector_name)
         if reflector_name in self._control_down:
             return
         self._control_down[reflector_name] = t_s
@@ -309,7 +354,7 @@ class MoVRSystem:
         self, reflector_name: str, t_s: Optional[float] = None
     ) -> None:
         """Re-admit a reflector whose control plane recovered."""
-        self._require_reflector(reflector_name)
+        self.reflector(reflector_name)
         if reflector_name not in self._control_down:
             return
         del self._control_down[reflector_name]
@@ -322,18 +367,11 @@ class MoVRSystem:
         """Wire a :class:`ReflectorCoordinator`'s loss/recovery
         callbacks to this system's handoff exclusion set."""
         name = coordinator.reflector.name
-        self._require_reflector(name)
+        self.reflector(name)
         coordinator.on_control_lost = lambda t_s: self.mark_control_lost(name, t_s)
         coordinator.on_control_recovered = lambda t_s: self.mark_control_recovered(
             name, t_s
         )
-
-    def _require_reflector(self, reflector_name: str) -> None:
-        if all(r.name != reflector_name for r in self.reflectors):
-            known = ", ".join(r.name for r in self.reflectors)
-            raise ValueError(
-                f"unknown reflector {reflector_name!r}; known: {known}"
-            )
 
     def decide(
         self,
@@ -352,34 +390,14 @@ class MoVRSystem:
         detected/cleared, AP<->reflector handoff, outage begin/end.
         """
         started = time.perf_counter()
-        direct = self.direct_link(headset_radio, extra_occluders)
-        if direct.snr_db >= self.handoff_snr_db:
-            decision = LinkDecision(
-                mode="los",
-                snr_db=direct.snr_db,
-                rate_mbps=data_rate_mbps_for_snr(direct.snr_db),
-                direct_snr_db=direct.snr_db,
-            )
-        else:
+        direct = self.direct_link(headset_radio, extra_occluders).snr_db
+        mode, snr, via = "los", direct, None
+        if direct < self.handoff_snr_db:
             relay = self.best_relay(headset_radio, extra_occluders)
-            if relay is not None and relay.end_to_end_snr_db > direct.snr_db:
+            if relay is not None and relay.end_to_end_snr_db > direct:
+                mode, via = "reflector", relay.reflector_name
                 snr = relay.end_to_end_snr_db
-                rate = data_rate_mbps_for_snr(snr)
-                decision = LinkDecision(
-                    mode="reflector" if rate > 0.0 else "outage",
-                    snr_db=snr,
-                    rate_mbps=rate,
-                    via=relay.reflector_name,
-                    direct_snr_db=direct.snr_db,
-                )
-            else:
-                rate = data_rate_mbps_for_snr(direct.snr_db)
-                decision = LinkDecision(
-                    mode="los" if rate > 0.0 else "outage",
-                    snr_db=direct.snr_db,
-                    rate_mbps=rate,
-                    direct_snr_db=direct.snr_db,
-                )
+        decision = LinkDecision.serving(mode, snr, direct, via=via)
         telemetry.inc("controller.decisions")
         telemetry.observe(
             "controller.decide_ms", (time.perf_counter() - started) * 1000.0
@@ -396,34 +414,17 @@ class MoVRSystem:
 
         Dark-link SNRs are legitimately ``-inf`` and are skipped (the
         ``link.mode_code`` series carries the outage signal); every
-        series shares the controller's sampling cadence.
+        series uses the default 200 Hz cadence gate.
         """
-        period = self.sample_period_s
-        telemetry.sample(
-            "link.mode_code",
-            t_s,
-            SERVING_MODE_CODES[decision.mode],
-            min_interval_s=period,
-        )
-        telemetry.sample(
-            "link.rate_mbps", t_s, decision.rate_mbps, min_interval_s=period
-        )
+        telemetry.sample("link.mode_code", t_s, SERVING_MODE_CODES[decision.mode])
+        telemetry.sample("link.rate_mbps", t_s, decision.rate_mbps)
         if math.isfinite(decision.snr_db):
-            telemetry.sample("link.snr_db", t_s, decision.snr_db, min_interval_s=period)
+            telemetry.sample("link.snr_db", t_s, decision.snr_db)
         if math.isfinite(decision.direct_snr_db):
-            telemetry.sample(
-                "link.direct_snr_db", t_s, decision.direct_snr_db, min_interval_s=period
-            )
+            telemetry.sample("link.direct_snr_db", t_s, decision.direct_snr_db)
         if decision.via is not None:
-            for reflector in self.reflectors:
-                if reflector.name == decision.via:
-                    telemetry.sample(
-                        "link.amp_gain_db",
-                        t_s,
-                        reflector.amplifier.gain_db,
-                        min_interval_s=period,
-                    )
-                    break
+            gain_db = self.reflector(decision.via).amplifier.gain_db
+            telemetry.sample("link.amp_gain_db", t_s, gain_db)
 
     # ------------------------------------------------------------------
     # Control-plane event log
@@ -446,7 +447,15 @@ class MoVRSystem:
         self._degraded_emitted = False
 
     def _emit_transitions(self, decision: LinkDecision, t_s: Optional[float]) -> None:
-        """Emit typed events for every state change this decision made."""
+        """Emit typed events for every state change this decision made.
+
+        A change of mode *or* via is a handoff here: with one headset,
+        ``los`` <-> ``reflector`` is the paper's handoff.
+        :meth:`MultiUserSystem._emit_transitions` counts a change of
+        via only, and its ``multiuser.handoffs`` counter is pinned by
+        the serving benchmark's traced run, so the two logs stay
+        separate rather than share one transition rule.
+        """
         if self._control_down and decision.connected and not self._degraded_emitted:
             # Serving with a shrunken candidate set: flag it once per
             # degraded episode so reports show the exposure window.

@@ -39,13 +39,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro import telemetry
 from repro.baselines.nlos_relay import OptNlosBaseline
 from repro.control.scheduler import AirtimeScheduler, SharedWindowImpact
-from repro.core.controller import MoVRSystem, RelayMeasurement
+from repro.core.controller import LinkDecision, MoVRSystem, RelayMeasurement
 from repro.geometry.bodies import PersonModel
 from repro.geometry.mobility import PoseSample
 from repro.geometry.room import Occluder
 from repro.link.radios import HEADSET_RADIO_CONFIG, Radio
 from repro.rate.adaptation import RateAdapter
-from repro.rate.mcs import data_rate_mbps_for_snr
 from repro.telemetry.slo import SERVING_MODE_CODES
 
 #: Probes one beam search costs when a user's serving path changes —
@@ -54,25 +53,8 @@ from repro.telemetry.slo import SERVING_MODE_CODES
 DEFAULT_PROBES_PER_SEARCH = 234
 
 
-@dataclass(frozen=True)
-class UserDecision:
-    """One headset's serving decision for one instant."""
-
-    user: int
-    #: ``los`` | ``reflector`` | ``nlos`` (contention/coverage
-    #: fallback onto the best environmental reflection) | ``outage``.
-    mode: str
-    snr_db: float
-    rate_mbps: float
-    via: Optional[str] = None
-    direct_snr_db: float = -math.inf
-    #: True when this user wanted a reflector but lost it to a
-    #: higher-priority user this instant.
-    contended: bool = False
-
-    @property
-    def connected(self) -> bool:
-        return self.mode != "outage"
+#: A multi-user decision is a :class:`LinkDecision` with ``user`` set.
+UserDecision = LinkDecision
 
 
 @dataclass(frozen=True)
@@ -80,7 +62,7 @@ class MultiUserTick:
     """Everything one multi-user scheduling instant produced."""
 
     t_s: float
-    decisions: Tuple[UserDecision, ...]
+    decisions: Tuple[LinkDecision, ...]
     #: The shared TDD window this tick's frames competed for.
     window: SharedWindowImpact
 
@@ -88,36 +70,26 @@ class MultiUserTick:
     def frames_lost(self) -> int:
         return self.window.frames_lost
 
-    def decision_for(self, user: int) -> UserDecision:
+    def decision_for(self, user: int) -> LinkDecision:
         return self.decisions[user]
 
 
 class MultiUserSystem:
     """One room, one AP, a shared reflector fleet, N headsets.
 
-    Wraps a calibrated single-user :class:`MoVRSystem` (link budgets,
-    reflector models, scene cache) and adds the joint decisions the
+    Wraps a calibrated single-user :class:`MoVRSystem`, which owns every
+    per-headset piece (link budgets, relay ranking, reflector lookup,
+    the :class:`LinkDecision` record), and adds the joint decisions the
     single-user controller cannot make: reflector arbitration, shared
     airtime, and cross-player blockage.
     """
 
-    def __init__(
-        self,
-        system: MoVRSystem,
-        num_users: int,
-        scheduler: Optional[AirtimeScheduler] = None,
-        probes_per_search: int = DEFAULT_PROBES_PER_SEARCH,
-        sample_period_s: float = 0.005,
-    ) -> None:
+    def __init__(self, system: MoVRSystem, num_users: int) -> None:
         if num_users < 1:
             raise ValueError("num_users must be >= 1")
-        if probes_per_search < 0:
-            raise ValueError("probes_per_search must be non-negative")
         self.system = system
         self.num_users = num_users
-        self.scheduler = scheduler if scheduler is not None else AirtimeScheduler()
-        self.probes_per_search = probes_per_search
-        self.sample_period_s = sample_period_s
+        self.scheduler = AirtimeScheduler()
         self.nlos = OptNlosBaseline(system.budget)
         self.adapters = [
             RateAdapter(series_prefix=f"user{i}.") for i in range(num_users)
@@ -192,20 +164,14 @@ class MultiUserSystem:
 
         # Pass 1: direct links; users clearing the handoff threshold
         # keep the AP and never enter the arbitration.
-        decisions: List[Optional[UserDecision]] = [None] * self.num_users
+        decisions: List[Optional[LinkDecision]] = [None] * self.num_users
         blocked: List[int] = []
         directs: List[float] = []
         for i, radio in enumerate(radios):
-            direct = system.direct_link(radio, occluders[i])
-            directs.append(direct.snr_db)
-            if direct.snr_db >= system.handoff_snr_db:
-                decisions[i] = UserDecision(
-                    user=i,
-                    mode="los",
-                    snr_db=direct.snr_db,
-                    rate_mbps=data_rate_mbps_for_snr(direct.snr_db),
-                    direct_snr_db=direct.snr_db,
-                )
+            direct = system.direct_link(radio, occluders[i]).snr_db
+            directs.append(direct)
+            if direct >= system.handoff_snr_db:
+                decisions[i] = LinkDecision.serving("los", direct, direct, user=i)
             else:
                 blocked.append(i)
 
@@ -216,7 +182,7 @@ class MultiUserSystem:
         for i in blocked:
             bids[i] = [
                 c
-                for c in self._relay_candidates(radios[i], occluders[i])
+                for c in system.relay_candidates(radios[i], occluders[i])
                 if c.end_to_end_snr_db > directs[i]
             ]
 
@@ -242,16 +208,17 @@ class MultiUserSystem:
             if won is not None:
                 # Re-steer the awarded reflector at its winner (bids
                 # were evaluated sequentially and left stale beams).
-                reflector = self._reflector_by_name(won.reflector_name)
-                final = system.relay_link(reflector, radios[i], occluders[i])
-                rate = data_rate_mbps_for_snr(final.end_to_end_snr_db)
-                decisions[i] = UserDecision(
+                # The bid was measured with the beams aimed exactly so,
+                # so it stands as the winner's link budget.
+                system.reflector(won.reflector_name).point_at(
+                    system.ap.position, radios[i].position
+                )
+                decisions[i] = LinkDecision.serving(
+                    "reflector",
+                    won.end_to_end_snr_db,
+                    directs[i],
+                    via=won.reflector_name,
                     user=i,
-                    mode="reflector" if rate > 0.0 else "outage",
-                    snr_db=final.end_to_end_snr_db,
-                    rate_mbps=rate,
-                    via=won.reflector_name if rate > 0.0 else None,
-                    direct_snr_db=directs[i],
                 )
             else:
                 contended = bool(bids[i])  # wanted reflectors, got none
@@ -285,7 +252,7 @@ class MultiUserSystem:
                 decision.mode != self._last_mode[i]
                 or decision.via != self._last_via[i]
             )
-            probe_counts.append(self.probes_per_search if searched else 0)
+            probe_counts.append(DEFAULT_PROBES_PER_SEARCH if searched else 0)
             self._emit_transitions(i, decision, t_s)
         rates = [a.current_rate_mbps for a in self.adapters]
         window = self.scheduler.share_frame_window(
@@ -309,27 +276,6 @@ class MultiUserSystem:
     # Internals
     # ------------------------------------------------------------------
 
-    def _reflector_by_name(self, name: str):
-        for reflector in self.system.reflectors:
-            if reflector.name == name:
-                return reflector
-        raise KeyError(name)
-
-    def _relay_candidates(
-        self, radio: Radio, occluders: Sequence[Occluder]
-    ) -> List[RelayMeasurement]:
-        """Usable reflectors for this user, best SNR first."""
-        system = self.system
-        candidates = [
-            system.relay_link(r, radio, occluders)
-            for r in system.reflectors
-            if r.name not in system.control_down
-            and r.can_serve(system.ap.position, radio.position)
-        ]
-        candidates = [c for c in candidates if math.isfinite(c.end_to_end_snr_db)]
-        candidates.sort(key=lambda m: (-m.end_to_end_snr_db, m.reflector_name))
-        return candidates
-
     def _nlos_fallback(
         self,
         user: int,
@@ -337,51 +283,36 @@ class MultiUserSystem:
         occluders: Sequence[Occluder],
         direct_snr_db: float,
         contended: bool,
-    ) -> UserDecision:
+    ) -> LinkDecision:
         """Best environmental reflection (or the weak direct path)."""
         result = self.nlos.evaluate(self.system.ap, radio, occluders)
-        snr = max(result.snr_db, direct_snr_db)
-        rate = data_rate_mbps_for_snr(snr)
-        if rate <= 0.0:
-            return UserDecision(
-                user=user,
-                mode="outage",
-                snr_db=snr,
-                rate_mbps=0.0,
-                direct_snr_db=direct_snr_db,
-                contended=contended,
-            )
-        mode = "nlos" if result.snr_db >= direct_snr_db else "los"
-        return UserDecision(
+        return LinkDecision.serving(
+            "nlos" if result.snr_db >= direct_snr_db else "los",
+            max(result.snr_db, direct_snr_db),
+            direct_snr_db,
             user=user,
-            mode=mode,
-            snr_db=snr,
-            rate_mbps=rate,
-            direct_snr_db=direct_snr_db,
             contended=contended,
         )
 
     def _emit_transitions(
-        self, user: int, decision: UserDecision, t_s: float
+        self, user: int, decision: LinkDecision, t_s: float
     ) -> None:
         """Per-user serving events, mirroring the single-user log.
 
         A HANDOFF is a *serving-path* switch: the relay resource
         changed (reflector acquired, released, or swapped).  ``los``
         <-> ``nlos`` moves re-steer the same AP<->headset radio pair
-        onto a different path, so they are not handoffs.
+        onto a different path, so they are not handoffs.  This is why
+        the log does not reuse :meth:`MoVRSystem._emit_transitions`,
+        which counts a change of mode too; the serving benchmark's
+        traced run recounts ``multiuser.handoffs`` from the returned
+        decisions under exactly this via-only rule.
         """
-        period = self.sample_period_s
         telemetry.sample(
-            f"user{user}.mode_code",
-            t_s,
-            SERVING_MODE_CODES[decision.mode],
-            min_interval_s=period,
+            f"user{user}.mode_code", t_s, SERVING_MODE_CODES[decision.mode]
         )
         if math.isfinite(decision.snr_db):
-            telemetry.sample(
-                f"user{user}.snr_db", t_s, decision.snr_db, min_interval_s=period
-            )
+            telemetry.sample(f"user{user}.snr_db", t_s, decision.snr_db)
         last_mode = self._last_mode[user]
         last_via = self._last_via[user]
         if last_mode is not None:
@@ -422,30 +353,16 @@ class MultiUserSystem:
         self,
         t_s: float,
         rates: Sequence[float],
-        decisions: Tuple[UserDecision, ...],
+        decisions: Tuple[LinkDecision, ...],
         window: SharedWindowImpact,
     ) -> None:
-        period = self.sample_period_s
+        telemetry.sample("users.worst.rate_mbps", t_s, min(rates))
+        telemetry.sample("users.mean.rate_mbps", t_s, sum(rates) / len(rates))
         telemetry.sample(
-            "users.worst.rate_mbps", t_s, min(rates), min_interval_s=period
+            "users.frame_loss_fraction", t_s, window.frames_lost / window.num_users
         )
         telemetry.sample(
-            "users.mean.rate_mbps",
-            t_s,
-            sum(rates) / len(rates),
-            min_interval_s=period,
-        )
-        telemetry.sample(
-            "users.frame_loss_fraction",
-            t_s,
-            window.frames_lost / window.num_users,
-            min_interval_s=period,
-        )
-        telemetry.sample(
-            "users.connected",
-            t_s,
-            sum(1 for d in decisions if d.connected),
-            min_interval_s=period,
+            "users.connected", t_s, sum(1 for d in decisions if d.connected)
         )
 
 

@@ -24,9 +24,40 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro import telemetry
-from repro.sim.counters import legacy_perf_snapshot
 from repro.telemetry import slo as slo_engine
+from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.scopes import TelemetryScope
+
+#: The report's ``perf`` keys (the pre-telemetry counter names) and the
+#: registry metric each one reads.
+LEGACY_COUNTER_METRICS: Dict[str, str] = {
+    "tracer_calls": "scene.tracer_calls",
+    "cache_hits": "scene.cache.hits",
+    "cache_misses": "scene.cache.misses",
+    "cache_invalidations": "scene.cache.invalidations",
+    "kernel_batches": "kernel.batches",
+    "kernel_angles": "kernel.angles",
+    "link_sweeps": "link.sweeps",
+}
+
+
+def legacy_perf_snapshot(registry: MetricsRegistry) -> Dict[str, object]:
+    """The seven scene/kernel counters plus the derived rates
+    (``cache_hit_rate``, ``mean_kernel_batch``) a report's ``perf``
+    carries."""
+    snap: Dict[str, object] = {
+        legacy: registry.counter_value(metric)
+        for legacy, metric in LEGACY_COUNTER_METRICS.items()
+    }
+    hits = registry.counter_value("scene.cache.hits")
+    misses = registry.counter_value("scene.cache.misses")
+    queries = hits + misses
+    snap["cache_hit_rate"] = round(hits / queries, 4) if queries else 0.0
+    batches = registry.counter_value("kernel.batches")
+    angles = registry.counter_value("kernel.angles")
+    snap["mean_kernel_batch"] = round(angles / batches, 2) if batches else 0.0
+    return snap
+
 
 #: How many events the text report shows without ``--events``.
 DEFAULT_MAX_EVENTS = 8
@@ -81,10 +112,9 @@ class ExperimentReport:
 
         Kept for the pre-telemetry report surface: ``perf`` carries
         the seven scene/kernel counters plus the derived rates, read
-        via :func:`repro.sim.counters.legacy_perf_snapshot` (the
-        deprecated ``COUNTERS`` facade is no longer involved).  The
-        full metric snapshot (histograms included) lands in
-        :attr:`metrics` via :meth:`attach_telemetry`.
+        via :func:`legacy_perf_snapshot`.  The full metric snapshot
+        (histograms included) lands in :attr:`metrics` via
+        :meth:`attach_telemetry`.
         """
         registry = registry if registry is not None else telemetry.metrics()
         self.perf = legacy_perf_snapshot(registry)

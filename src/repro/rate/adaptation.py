@@ -31,9 +31,6 @@ class RateAdapter:
     margin_db: float = 2.0
     up_dwell: int = 3
     phys: Sequence[PhyType] = (PhyType.CONTROL, PhyType.SINGLE_CARRIER, PhyType.OFDM)
-    #: Cadence of the ``rate.mbps`` QoE series sampled by
-    #: :meth:`observe` whenever the caller supplies a clock.
-    sample_period_s: float = 0.005
     #: Prefix for the QoE series names, so several adapters — one per
     #: headset — can coexist in one telemetry scope: ``"user0."``
     #: yields ``user0.rate.mbps`` / ``user0.rate.snr_db``.
@@ -72,12 +69,7 @@ class RateAdapter:
         """
         previous = self._current
         if t_s is not None and math.isfinite(snr_db):
-            telemetry.sample(
-                self.series_prefix + "rate.snr_db",
-                t_s,
-                snr_db,
-                min_interval_s=self.sample_period_s,
-            )
+            telemetry.sample(self.series_prefix + "rate.snr_db", t_s, snr_db)
         target = best_mcs_for_snr(snr_db, phys=self.phys, margin_db=self.margin_db)
         if target is None:
             # Outage: drop everything immediately.
@@ -109,10 +101,7 @@ class RateAdapter:
         if t_s is not None:
             # The adapted-rate QoE series; 0 means nothing decodes.
             telemetry.sample(
-                self.series_prefix + "rate.mbps",
-                t_s,
-                0.0 if after is None else after,
-                min_interval_s=self.sample_period_s,
+                self.series_prefix + "rate.mbps", t_s, 0.0 if after is None else after
             )
         if before == after:
             return

@@ -7,10 +7,9 @@ scene-dependent work out of the per-angle hot path:
 
 * :mod:`repro.sim.cache` — :class:`SceneCache`, a memoizing front-end
   for :class:`repro.geometry.raytrace.RayTracer` keyed by (tx, rx,
-  occluder signature, bounce budget) with explicit invalidation;
-* :mod:`repro.sim.counters` — lightweight global perf counters
-  (tracer calls, cache hits, kernel batch sizes) surfaced in
-  experiment reports so speedups stay observable.
+  occluder signature, bounce budget) with explicit invalidation.  Its
+  hit/miss counters record into :mod:`repro.telemetry` and surface in
+  every experiment report, so speedups stay observable.
 
 The vectorized gain kernels themselves live next to the physics in
 :mod:`repro.phy.antenna` (``gain_dbi_batch``) and are consumed by the
@@ -18,6 +17,5 @@ batched :meth:`repro.link.budget.LinkBudget.sweep` API built on both.
 """
 
 from repro.sim.cache import SceneCache
-from repro.sim.counters import COUNTERS, PerfCounters, legacy_perf_snapshot
 
-__all__ = ["SceneCache", "COUNTERS", "PerfCounters", "legacy_perf_snapshot"]
+__all__ = ["SceneCache"]

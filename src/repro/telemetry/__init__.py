@@ -6,9 +6,9 @@ Three coordinated facilities, all scoped through one contextvar stack
 * **Metrics** — named counters, gauges, and bounded histograms with
   p50/p95/p99 quantiles (:mod:`repro.telemetry.instruments`,
   :mod:`repro.telemetry.registry`).  The scene cache, the batch
-  kernels, and the link sweeps record here; the legacy
-  ``repro.sim.counters.COUNTERS`` object is now a thin shim over the
-  active scope's registry.
+  kernels, and the link sweeps record here; experiment reports read
+  the active scope's registry (their ``perf`` section keeps the
+  pre-telemetry counter names).
 * **Spans** — nestable wall-time regions forming a per-run tree,
   exportable as JSON or Chrome ``chrome://tracing`` trace events
   (:mod:`repro.telemetry.spans`).

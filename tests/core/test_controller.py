@@ -4,13 +4,16 @@ import math
 
 import pytest
 
-from repro.core.controller import MoVRSystem
+from repro import telemetry
+from repro.core.controller import LinkDecision, MoVRSystem, RelayMeasurement
 from repro.core.reflector import MoVRReflector
 from repro.geometry.bodies import hand_occluder, person_blocking_path
 from repro.geometry.room import standard_office
 from repro.geometry.vectors import Vec2, bearing_deg
+from repro.link.budget import LinkMeasurement
 from repro.link.radios import HEADSET_RADIO_CONFIG, Radio
 from repro.phy.channel import MmWaveChannel
+from repro.rate.mcs import data_rate_mbps_for_snr
 
 
 @pytest.fixture(scope="module")
@@ -146,8 +149,6 @@ class TestDecide:
 
     def test_decision_reports_rate_from_snr(self, system):
         decision = system.decide(headset_at(2.5, 2.5))
-        from repro.rate.mcs import data_rate_mbps_for_snr
-
         assert decision.rate_mbps == data_rate_mbps_for_snr(decision.snr_db)
 
     def test_handoff_threshold_validated(self):
@@ -240,3 +241,131 @@ class TestControlPlaneDegradation:
         finally:
             coordinator.on_control_recovered(6.0)
         assert system.control_down == frozenset()
+
+
+def _relay(name, snr_db):
+    return RelayMeasurement(
+        reflector_name=name,
+        amp_input_dbm=-50.0,
+        amp_output_dbm=0.0,
+        received_power_dbm=-70.0,
+        first_hop_snr_db=snr_db,
+        second_hop_snr_db=snr_db,
+        end_to_end_snr_db=snr_db,
+        stable=True,
+    )
+
+
+def _direct(snr_db):
+    return LinkMeasurement(
+        received_power_dbm=-70.0,
+        snr_db=snr_db,
+        dominant_path=None,
+        tx_steer_deg=0.0,
+        rx_steer_deg=0.0,
+    )
+
+
+class TestServingFactory:
+    def test_rate_follows_snr(self):
+        d = LinkDecision.serving("reflector", 20.0, 5.0, via="movr0", user=2)
+        assert d.rate_mbps == data_rate_mbps_for_snr(20.0) > 0.0
+        assert (d.mode, d.via, d.user, d.connected) == ("reflector", "movr0", 2, True)
+
+    def test_nothing_decodes_is_an_outage_without_via(self):
+        d = LinkDecision.serving("reflector", -40.0, -50.0, via="movr0", contended=True)
+        assert (d.mode, d.via, d.rate_mbps, d.connected) == ("outage", None, 0.0, False)
+        assert d.contended
+
+
+class TestDecideRegressions:
+    def test_undecodable_relay_is_an_outage_without_via(self, system, monkeypatch):
+        """A relay that beats a dark direct path but decodes nothing
+        must not leave a reflector in ``via`` (nor sample its gain)."""
+        monkeypatch.setattr(
+            system, "direct_link", lambda *a, **k: LinkMeasurement.outage(0.0, 0.0)
+        )
+        monkeypatch.setattr(system, "best_relay", lambda *a, **k: _relay("movr0", -20.0))
+        system.reset_link_state()
+        with telemetry.scope("t") as sc:
+            decision = system.decide(headset_at(3.0, 3.0), t_s=0.0)
+        system.reset_link_state()
+        assert decision.mode == "outage"
+        assert decision.via is None
+        assert decision.snr_db == -20.0
+        assert "link.amp_gain_db" not in sc.registry.series_names()
+
+    def test_undecodable_direct_path_is_not_connected(self, system, monkeypatch):
+        """A direct SNR above a very low handoff threshold but below the
+        control PHY is an outage, not a connected ``los`` at 0 Mbps."""
+        monkeypatch.setattr(system, "handoff_snr_db", -30.0)
+        monkeypatch.setattr(system, "direct_link", lambda *a, **k: _direct(-20.0))
+        decision = system.decide(headset_at(3.0, 3.0))
+        system.reset_link_state()
+        assert decision.rate_mbps == 0.0
+        assert decision.mode == "outage"
+        assert not decision.connected
+
+
+def _three_reflector_system():
+    """Two reflectors facing the room and one facing its own wall, which
+    cannot steer at the AP or the headset."""
+    room = standard_office(furnished=False)
+    ap = Radio(Vec2(0.3, 0.3), boresight_deg=45.0, name="ap")
+    spots = [(Vec2(4.7, 4.7), None), (Vec2(0.3, 4.7), None), (Vec2(4.7, 0.3), 0.0)]
+    reflectors = [
+        MoVRReflector(
+            pos,
+            boresight_deg=bearing_deg(pos, Vec2(2.5, 2.5)) if facing is None else facing,
+            name=f"movr{i}",
+        )
+        for i, (pos, facing) in enumerate(spots)
+    ]
+    sys = MoVRSystem(room, ap, reflectors, channel=MmWaveChannel(shadowing_sigma_db=0.0))
+    sys.calibrate_reflector_gains()
+    return sys
+
+
+class TestRelayCandidates:
+    @pytest.fixture(scope="class")
+    def fleet(self):
+        return _three_reflector_system()
+
+    def test_sorted_best_first_without_out_of_scan(self, fleet):
+        hs = headset_at(2.5, 3.5)
+        wall_facing = fleet.reflector("movr2")
+        assert not wall_facing.can_serve(fleet.ap.position, hs.position)
+        candidates = fleet.relay_candidates(hs)
+        assert {c.reflector_name for c in candidates} == {"movr0", "movr1"}
+        snrs = [c.end_to_end_snr_db for c in candidates]
+        assert snrs == sorted(snrs, reverse=True)
+
+    def test_excludes_control_down(self, fleet):
+        hs = headset_at(2.5, 3.5)
+        try:
+            fleet.mark_control_lost("movr0")
+            names = [c.reflector_name for c in fleet.relay_candidates(hs)]
+        finally:
+            fleet.mark_control_recovered("movr0")
+        assert names == ["movr1"]
+
+    def test_best_relay_is_first_candidate(self, fleet):
+        hs = headset_at(2.5, 3.5)
+        assert fleet.best_relay(hs) == fleet.relay_candidates(hs)[0]
+
+    def test_best_relay_none_without_candidates(self, fleet):
+        hs = headset_at(2.5, 3.5)
+        try:
+            fleet.mark_control_lost("movr0")
+            fleet.mark_control_lost("movr1")
+            assert fleet.relay_candidates(hs) == []
+            assert fleet.best_relay(hs) is None
+        finally:
+            fleet.mark_control_recovered("movr0")
+            fleet.mark_control_recovered("movr1")
+
+    def test_reflector_lookup(self, fleet):
+        assert fleet.reflector("movr1") is fleet.reflectors[1]
+        with pytest.raises(ValueError, match="unknown reflector"):
+            fleet.reflector("nope")
+

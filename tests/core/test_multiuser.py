@@ -5,20 +5,21 @@ import math
 import pytest
 
 from repro import telemetry
-from repro.core.multiuser import MultiUserSystem
+from repro.core.multiuser import DEFAULT_PROBES_PER_SEARCH, MultiUserSystem
 from repro.experiments.testbed import default_testbed
-from repro.geometry.bodies import person_blocking_path
+from repro.geometry.bodies import hand_occluder, person_blocking_path
 from repro.geometry.mobility import PoseSample
-from repro.geometry.vectors import Vec2
+from repro.geometry.vectors import Vec2, bearing_deg
+from repro.link.budget import LinkMeasurement
 
 FRAME_DT_S = 1.0 / 90.0
 
 
-def make_multiuser(num_users, num_reflectors=1, seed=7, **kwargs):
+def make_multiuser(num_users, num_reflectors=1, seed=7):
     testbed = default_testbed(
         seed=seed, num_reflectors=num_reflectors, shadowing_sigma_db=0.0
     )
-    return testbed, MultiUserSystem(testbed.system, num_users=num_users, **kwargs)
+    return testbed, MultiUserSystem(testbed.system, num_users=num_users)
 
 
 def clear_poses(n):
@@ -39,11 +40,6 @@ class TestValidation:
         testbed = default_testbed(seed=1)
         with pytest.raises(ValueError):
             MultiUserSystem(testbed.system, num_users=0)
-
-    def test_probes_non_negative(self):
-        testbed = default_testbed(seed=1)
-        with pytest.raises(ValueError):
-            MultiUserSystem(testbed.system, num_users=1, probes_per_search=-1)
 
     def test_pose_count_must_match(self):
         _, mu = make_multiuser(2)
@@ -176,7 +172,7 @@ class TestAirtimeSharing:
         poses = clear_poses(2)
         first = mu.step(0.0, poses)  # every user acquires: N searches
         assert first.window.probe_time_s == pytest.approx(
-            2 * mu.probes_per_search * mu.scheduler.probe_time_s
+            2 * DEFAULT_PROBES_PER_SEARCH * mu.scheduler.probe_time_s
         )
         steady = mu.step(FRAME_DT_S, poses)  # nothing changed: no probes
         assert steady.window.probe_time_s == 0.0
@@ -232,3 +228,37 @@ class TestQoeSeries:
         evaluated = {r.spec.name for r in results}
         assert "user0-time-below-required-rate" in evaluated
         assert "worst-user-rate" in evaluated
+
+
+class TestSharedServingCore:
+    """One headset in a room is served exactly as ``decide`` serves it."""
+
+    def test_one_user_step_matches_decide(self):
+        testbed, mu = make_multiuser(1)
+        pose = clear_poses(1)[0]
+        hand = hand_occluder(
+            pose.position, bearing_deg(pose.position, testbed.ap.position)
+        )
+        tick = mu.step(0.0, [pose], extra_occluders=[hand])
+        solo = testbed.system.decide(mu.headset_radio(0, pose), [hand])
+        stepped = tick.decisions[0]
+        assert solo.mode == stepped.mode == "reflector"
+        assert stepped.via == solo.via == "movr0"
+        assert stepped.snr_db == solo.snr_db
+        assert stepped.direct_snr_db == solo.direct_snr_db
+
+    def test_undecodable_direct_path_is_not_connected(self, monkeypatch):
+        """Below the control PHY, a direct path that clears a very low
+        handoff threshold is an outage, not a connected ``los``."""
+        testbed, mu = make_multiuser(1)
+        system = testbed.system
+        monkeypatch.setattr(system, "handoff_snr_db", -30.0)
+        monkeypatch.setattr(
+            system,
+            "direct_link",
+            lambda *a, **k: LinkMeasurement(-70.0, -20.0, None, 0.0, 0.0),
+        )
+        decision = mu.step(0.0, clear_poses(1)).decisions[0]
+        assert decision.rate_mbps == 0.0
+        assert decision.mode == "outage"
+        assert not decision.connected

@@ -1,7 +1,14 @@
 """Unit tests for the experiment report harness."""
 
+import warnings
 
-from repro.experiments.harness import ExperimentReport, ShapeCheck
+from repro import telemetry
+from repro.experiments.harness import (
+    LEGACY_COUNTER_METRICS,
+    ExperimentReport,
+    ShapeCheck,
+    legacy_perf_snapshot,
+)
 
 
 class TestShapeCheck:
@@ -69,3 +76,29 @@ class TestExperimentReport:
         assert "1.23e+04" in table
         assert "0.0001" in table
         assert "nan" in table
+
+
+class TestLegacyPerfSnapshot:
+    """``legacy_perf_snapshot`` fills a report's ``perf`` section."""
+
+    def test_no_warning(self):
+        with telemetry.scope("s") as sc:
+            telemetry.inc("scene.cache.hits", 3)
+            telemetry.inc("scene.cache.misses", 1)
+            telemetry.inc("kernel.batches", 2)
+            telemetry.inc("kernel.angles", 10)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                snap = legacy_perf_snapshot(sc.registry)
+        assert snap["cache_hits"] == 3
+        assert snap["cache_hit_rate"] == 0.75
+        assert snap["mean_kernel_batch"] == 5.0
+
+    def test_legacy_names_read_dotted_metrics(self):
+        with telemetry.scope("s") as sc:
+            telemetry.inc("scene.tracer_calls", 4)
+            telemetry.inc("link.sweeps", 2)
+            snap = legacy_perf_snapshot(sc.registry)
+        for legacy, metric in LEGACY_COUNTER_METRICS.items():
+            assert snap[legacy] == sc.registry.counter_value(metric)
+        assert snap["tracer_calls"] == 4 and snap["link_sweeps"] == 2

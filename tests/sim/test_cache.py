@@ -2,8 +2,7 @@
 
 Counter assertions read the telemetry registry directly
 (``scene.tracer_calls``, ``scene.cache.*``) inside a fresh scope per
-test — the deprecated ``COUNTERS`` facade is exercised separately in
-``test_counters_shim.py``.
+test.
 """
 
 import math

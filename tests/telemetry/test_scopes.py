@@ -1,8 +1,4 @@
-"""Scope nesting: isolation on entry, propagation on exit.
-
-(The deprecated ``COUNTERS`` facade over these scopes is covered in
-``tests/sim/test_counters_shim.py``.)
-"""
+"""Scope nesting: isolation on entry, propagation on exit."""
 
 from repro import telemetry
 
