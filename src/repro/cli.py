@@ -15,8 +15,8 @@ in CI.
 Telemetry flags (see docs/observability.md):
 
 ``--metrics PATH``
-    Write the run's metric snapshot (counters, gauges, histogram
-    quantiles) as JSON.
+    Write the run's metric snapshot (counters, histogram quantiles,
+    time-series digests) as JSON.
 ``--trace PATH``
     Write the run's span tree in Chrome trace-event format — load it
     at ``chrome://tracing`` or https://ui.perfetto.dev.
@@ -87,8 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--metrics",
         metavar="PATH",
         default=None,
-        help="write the run's metric snapshot (counters + histogram "
-        "quantiles) as JSON",
+        help="write the run's metric snapshot (counters, histogram "
+        "quantiles, time-series digests) as JSON",
     )
     run.add_argument(
         "--trace",

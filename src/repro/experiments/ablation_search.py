@@ -148,5 +148,4 @@ def run_ablation_search(
         f"3 deg steps: {float(np.mean(errors['exhaustive-3deg'])):.2f} deg "
         f"mean error",
     )
-    report.attach_perf()
     return report

@@ -138,5 +138,4 @@ def run_fig8(
         f"mean error {errors_arr.mean():.2f} deg vs beamwidth "
         f"{beamwidth:.1f} deg",
     )
-    report.attach_perf()
     return report

@@ -150,5 +150,4 @@ def run_fig9(
         ),
         f"min MoVR SNR {movr_abs.min():.1f} dB",
     )
-    report.attach_perf()
     return report

@@ -10,9 +10,9 @@ contract recorded in EXPERIMENTS.md.
 Each ``run_*`` function is wrapped in :func:`scoped_run`, which gives
 the run its own :mod:`repro.telemetry` scope.  The report therefore
 also carries that run's **telemetry**: the metric snapshot (counters,
-gauges, histogram quantiles), the typed control-plane event log, and
-the tracing-span tree — all rendered in the text report and
-serialized in the JSON.  Nested experiment invocations are safe: a
+histogram quantiles, time-series digests), the typed control-plane
+event log, and the tracing-span tree — all rendered in the text
+report and serialized in the JSON.  Nested experiment invocations are safe: a
 sub-experiment records into (and may reset) only its own scope, and
 its totals fold into the caller's scope when it returns.
 """
@@ -25,39 +25,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro import telemetry
 from repro.telemetry import slo as slo_engine
-from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.scopes import TelemetryScope
-
-#: The report's ``perf`` keys (the pre-telemetry counter names) and the
-#: registry metric each one reads.
-LEGACY_COUNTER_METRICS: Dict[str, str] = {
-    "tracer_calls": "scene.tracer_calls",
-    "cache_hits": "scene.cache.hits",
-    "cache_misses": "scene.cache.misses",
-    "cache_invalidations": "scene.cache.invalidations",
-    "kernel_batches": "kernel.batches",
-    "kernel_angles": "kernel.angles",
-    "link_sweeps": "link.sweeps",
-}
-
-
-def legacy_perf_snapshot(registry: MetricsRegistry) -> Dict[str, object]:
-    """The seven scene/kernel counters plus the derived rates
-    (``cache_hit_rate``, ``mean_kernel_batch``) a report's ``perf``
-    carries."""
-    snap: Dict[str, object] = {
-        legacy: registry.counter_value(metric)
-        for legacy, metric in LEGACY_COUNTER_METRICS.items()
-    }
-    hits = registry.counter_value("scene.cache.hits")
-    misses = registry.counter_value("scene.cache.misses")
-    queries = hits + misses
-    snap["cache_hit_rate"] = round(hits / queries, 4) if queries else 0.0
-    batches = registry.counter_value("kernel.batches")
-    angles = registry.counter_value("kernel.angles")
-    snap["mean_kernel_batch"] = round(angles / batches, 2) if batches else 0.0
-    return snap
-
 
 #: How many events the text report shows without ``--events``.
 DEFAULT_MAX_EVENTS = 8
@@ -88,13 +56,12 @@ class ExperimentReport:
     rows: List[Dict[str, object]] = field(default_factory=list)
     checks: List[ShapeCheck] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
-    perf: Dict[str, object] = field(default_factory=dict)
     #: Typed control-plane events (dicts with ``kind``/``t_s``/state).
     events: List[Dict[str, object]] = field(default_factory=list)
     #: Tracing-span trees (see :class:`repro.telemetry.Span`).
     spans: List[Dict[str, object]] = field(default_factory=list)
-    #: Full metric snapshot: counters, gauges, histogram quantiles,
-    #: and time-series digests.
+    #: Full metric snapshot: counters, histogram quantiles, and
+    #: time-series digests.
     metrics: Dict[str, object] = field(default_factory=dict)
     #: SLO verdicts over the run's time series (dicts from
     #: :meth:`repro.telemetry.slo.SloResult.to_dict`).
@@ -107,21 +74,8 @@ class ExperimentReport:
     def add_row(self, **fields: object) -> None:
         self.rows.append(dict(fields))
 
-    def attach_perf(self, registry=None) -> None:
-        """Snapshot a registry's legacy perf counters.
-
-        Kept for the pre-telemetry report surface: ``perf`` carries
-        the seven scene/kernel counters plus the derived rates, read
-        via :func:`legacy_perf_snapshot`.  The full metric snapshot
-        (histograms included) lands in :attr:`metrics` via
-        :meth:`attach_telemetry`.
-        """
-        registry = registry if registry is not None else telemetry.metrics()
-        self.perf = legacy_perf_snapshot(registry)
-
     def attach_telemetry(self, scope: TelemetryScope) -> None:
         """Capture everything a telemetry scope collected for this run."""
-        self.attach_perf(scope.registry)
         self.metrics = scope.registry.snapshot()
         self.events = [event.to_dict() for event in scope.events]
         self.spans = [span.to_dict() for span in scope.tracer.roots]
@@ -243,13 +197,11 @@ class ExperimentReport:
             lines.append("")
             lines.append(f"control events ({len(self.events)}):")
             lines.extend(self.format_events(max_events))
-        if self.perf:
+        counters = self.metrics.get("counters") if self.metrics else None
+        if counters:
             lines.append("")
             lines.append("perf counters:")
-            lines.extend(
-                f"  {key}: {_format_cell(value)}"
-                for key, value in self.perf.items()
-            )
+            lines.extend(f"  {name}: {value}" for name, value in counters.items())
         histograms = self.metrics.get("histograms") if self.metrics else None
         if histograms:
             lines.append("")
@@ -285,7 +237,6 @@ class ExperimentReport:
                 for c in self.checks
             ],
             "all_checks_pass": self.all_checks_pass,
-            "perf": dict(self.perf),
             "events": [dict(e) for e in self.events],
             "spans": [dict(s) for s in self.spans],
             "metrics": dict(self.metrics),
@@ -328,7 +279,6 @@ class ExperimentReport:
             report.note(note)
         for check in data["checks"]:
             report.check(check["claim"], check["passed"], check["detail"])
-        report.perf = dict(data.get("perf", {}))
         report.events = [dict(e) for e in data.get("events", [])]
         report.spans = [dict(s) for s in data.get("spans", [])]
         report.metrics = dict(data.get("metrics", {}))

@@ -3,12 +3,15 @@
 Three coordinated facilities, all scoped through one contextvar stack
 (:mod:`repro.telemetry.scopes`):
 
-* **Metrics** — named counters, gauges, and bounded histograms with
-  p50/p95/p99 quantiles (:mod:`repro.telemetry.instruments`,
-  :mod:`repro.telemetry.registry`).  The scene cache, the batch
-  kernels, and the link sweeps record here; experiment reports read
-  the active scope's registry (their ``perf`` section keeps the
-  pre-telemetry counter names).
+* **Metrics** — named integer counters plus one bounded reservoir,
+  :class:`Histogram` (exact count/total/min/max, deterministic
+  stride-halving decimation, p50/p95/p99 quantiles, a pure capped
+  merge), which :class:`TimeSeries` extends with timestamps and a
+  cadence gate (:mod:`repro.telemetry.instruments`,
+  :mod:`repro.telemetry.timeseries`, :mod:`repro.telemetry.registry`).
+  The scene cache, the batch kernels, and the link sweeps record here;
+  experiment reports carry the active scope's snapshot under
+  ``metrics``.
 * **Spans** — nestable wall-time regions forming a per-run tree,
   exportable as JSON or Chrome ``chrome://tracing`` trace events
   (:mod:`repro.telemetry.spans`).
@@ -22,6 +25,7 @@ Usage::
 
     telemetry.inc("scene.cache.hits")
     telemetry.observe("link.sweep_ms", elapsed_ms)
+    telemetry.sample("link.snr_db", t_s, snr_db)
     with telemetry.span("angle_search.sweep") as sp:
         ...
         sp.attrs["probes"] = n
@@ -36,12 +40,7 @@ instrument.
 """
 
 from repro.telemetry.events import ControlEvent, EventKind
-from repro.telemetry.instruments import (
-    DEFAULT_MAX_SAMPLES,
-    Counter,
-    Gauge,
-    Histogram,
-)
+from repro.telemetry.instruments import DEFAULT_MAX_SAMPLES, Histogram
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.scopes import (
     ROOT_SCOPE,
@@ -53,7 +52,6 @@ from repro.telemetry.scopes import (
     observe,
     sample,
     scope,
-    set_gauge,
     span,
 )
 from repro.telemetry.spans import Span, Tracer, chrome_trace_events, chrome_trace_json
@@ -66,8 +64,6 @@ from repro.telemetry.timeseries import (
 __all__ = [
     "ControlEvent",
     "EventKind",
-    "Counter",
-    "Gauge",
     "Histogram",
     "DEFAULT_MAX_SAMPLES",
     "MetricsRegistry",
@@ -78,7 +74,6 @@ __all__ = [
     "scope",
     "inc",
     "observe",
-    "set_gauge",
     "sample",
     "span",
     "emit",

@@ -1,25 +1,27 @@
-"""Metric instruments: counters, gauges, and bounded histograms.
+"""The bounded reservoir behind histograms and time series.
 
-These are the value-holding primitives behind
-:class:`~repro.telemetry.registry.MetricsRegistry`.  They are plain
-Python objects with no locking — like the perf counters they replace,
-they are meant for observability, not exact accounting under free
-threading.
+:class:`Histogram` is the one value-holding instrument: exact
+aggregates (``count``, ``total``, ``minimum``, ``maximum``) over the
+whole stream plus a bounded reservoir of raw samples backing the
+quantiles.  :class:`~repro.telemetry.timeseries.TimeSeries` builds on
+it and only adds timestamps and a cadence gate.  Both are plain Python
+objects with no locking — they are meant for observability, not exact
+accounting under free threading.
 
-The histogram keeps a *bounded* reservoir of raw samples.  Quantile
-estimates are exact (they match ``numpy.percentile`` on the raw
-stream) until the stream outgrows ``max_samples``; beyond that the
+Quantile estimates are exact (they match ``numpy.percentile`` on the
+raw stream) until the stream outgrows ``max_samples``; beyond that the
 reservoir is decimated to every ``stride``-th observation, which keeps
 memory constant while preserving the stream's coverage in time.
-``merge`` is a pure function (neither operand is mutated) and is
-associative: exact aggregates combine exactly and reservoirs
-concatenate.
+``merge`` is a pure function (neither operand is mutated) that applies
+the same capacity rule: exact aggregates combine exactly, reservoirs
+concatenate and are halved while they are at or over the cap.  Merges
+that stay under the cap are therefore associative sample-for-sample.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Any, Dict, List
 
 import numpy as np
 
@@ -30,50 +32,16 @@ DEFAULT_MAX_SAMPLES = 4096
 SUMMARY_QUANTILES = (0.5, 0.95, 0.99)
 
 
-class Counter:
-    """A monotonically adjustable integer tally."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str, value: int = 0) -> None:
-        self.name = name
-        self.value = int(value)
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += int(amount)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Counter({self.name!r}, {self.value})"
-
-
-class Gauge:
-    """A last-value-wins measurement (e.g. cache size, current gain)."""
-
-    __slots__ = ("name", "value", "updated")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: float = 0.0
-        self.updated = False
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-        self.updated = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Gauge({self.name!r}, {self.value})"
-
-
 class Histogram:
     """Bounded-memory distribution sketch with quantile estimates.
 
-    Exact aggregates (``count``, ``total``, ``minimum``, ``maximum``)
-    are maintained for the whole stream; a reservoir of raw samples
-    backs the quantiles.  While ``count <= max_samples`` the reservoir
-    *is* the raw stream, so ``quantile(q)`` equals
-    ``numpy.percentile(stream, 100 * q)`` exactly.  Past that point
-    the reservoir is halved (every other sample kept) and recording
-    switches to every ``stride``-th observation.
+    Exact aggregates are maintained for the whole stream; a reservoir
+    of raw samples backs the quantiles.  While ``count < max_samples``
+    the reservoir *is* the raw stream, so ``quantile(q)`` equals
+    ``numpy.percentile(stream, 100 * q)`` exactly.  When the reservoir
+    fills it is halved (every other sample kept) and recording
+    switches to every ``stride``-th observation.  The pattern depends
+    only on the arrival sequence, so equal streams keep equal samples.
     """
 
     __slots__ = (
@@ -83,7 +51,7 @@ class Histogram:
         "total",
         "minimum",
         "maximum",
-        "_samples",
+        "_kept",
         "_stride",
         "_phase",
     )
@@ -97,7 +65,9 @@ class Histogram:
         self.total = 0.0
         self.minimum = math.inf
         self.maximum = -math.inf
-        self._samples: List[float] = []
+        # Retained reservoir entries: the values themselves here,
+        # ``(t, value)`` pairs in a time series.
+        self._kept: List[Any] = []
         self._stride = 1
         self._phase = 0
 
@@ -107,18 +77,26 @@ class Histogram:
         v = float(value)
         if not math.isfinite(v):
             raise ValueError(f"histogram {self.name!r} observed non-finite {value!r}")
+        self._add(v, v)
+
+    def _add(self, value: float, entry: Any) -> None:
+        """Fold ``value`` into the aggregates and offer ``entry`` for keeping."""
         self.count += 1
-        self.total += v
-        if v < self.minimum:
-            self.minimum = v
-        if v > self.maximum:
-            self.maximum = v
+        self.total += value
+        if value < self.minimum:
+            self.minimum = value
+        if value > self.maximum:
+            self.maximum = value
         if self._phase == 0:
-            self._samples.append(v)
-            if len(self._samples) >= self.max_samples:
-                self._samples = self._samples[::2]
-                self._stride *= 2
+            self._kept.append(entry)
+            self._decimate()
         self._phase = (self._phase + 1) % self._stride
+
+    def _decimate(self) -> None:
+        """Halve the reservoir (doubling the stride) until it is under the cap."""
+        while len(self._kept) >= self.max_samples:
+            self._kept = self._kept[::2]
+            self._stride *= 2
 
     # -- derived values --------------------------------------------------
 
@@ -127,9 +105,14 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
     @property
+    def retained(self) -> int:
+        """Number of samples currently held in the reservoir."""
+        return len(self._kept)
+
+    @property
     def samples(self) -> List[float]:
-        """The retained reservoir (a copy)."""
-        return list(self._samples)
+        """The retained sample values (a copy)."""
+        return list(self._kept)
 
     def quantile(self, q: float) -> float:
         """Estimate the ``q`` quantile (``0 <= q <= 1``) of the stream.
@@ -139,9 +122,9 @@ class Histogram:
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError("q must be in [0, 1]")
-        if not self._samples:
+        if not self._kept:
             raise ValueError(f"histogram {self.name!r} is empty")
-        return float(np.percentile(self._samples, 100.0 * q))
+        return float(np.percentile(self.samples, 100.0 * q))
 
     def summary(self) -> Dict[str, object]:
         """JSON-ready digest: count, mean, extrema, p50/p95/p99."""
@@ -153,36 +136,31 @@ class Histogram:
         }
         for q in SUMMARY_QUANTILES:
             key = f"p{int(q * 100)}"
-            out[key] = self.quantile(q) if self._samples else None
+            out[key] = self.quantile(q) if self._kept else None
         return out
 
     # -- combination -----------------------------------------------------
 
     def merge(self, other: "Histogram") -> "Histogram":
-        """Combine two histograms into a new one (pure, associative).
+        """Combine two reservoirs into a new one of the same type (pure).
 
-        Exact aggregates add exactly; reservoirs concatenate (the
-        merged reservoir may exceed ``max_samples`` — merges are rare
-        and bounded by the number of scopes, unlike recording).
+        Exact aggregates add exactly; reservoirs concatenate and are
+        then halved while at or over the (larger) cap, as recording
+        would, so a scope that absorbs many children stays bounded.
         """
-        out = Histogram(self.name, max_samples=max(self.max_samples, other.max_samples))
+        out = type(self)(self.name, max(self.max_samples, other.max_samples))
         out.count = self.count + other.count
         out.total = self.total + other.total
         out.minimum = min(self.minimum, other.minimum)
         out.maximum = max(self.maximum, other.maximum)
-        out._samples = self._samples + other._samples
+        out._kept = self._kept + other._kept
         out._stride = max(self._stride, other._stride)
-        out._phase = 0
+        out._decimate()
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Histogram({self.name!r}, n={self.count})"
+        kind = type(self).__name__
+        return f"{kind}({self.name!r}, n={self.count}, retained={self.retained})"
 
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "DEFAULT_MAX_SAMPLES",
-    "SUMMARY_QUANTILES",
-]
+__all__ = ["Histogram", "DEFAULT_MAX_SAMPLES", "SUMMARY_QUANTILES"]

@@ -1,8 +1,8 @@
 """The metrics registry: named instruments, snapshots, and merging.
 
 One :class:`MetricsRegistry` belongs to each telemetry scope (see
-:mod:`repro.telemetry.scopes`).  Instruments are created lazily on
-first use, so call sites never need to pre-declare what they measure:
+:mod:`repro.telemetry.scopes`).  Metrics are created lazily on first
+use, so call sites never need to pre-declare what they measure:
 
     telemetry.inc("scene.cache.hits")
     telemetry.observe("link.sweep_ms", elapsed_ms)
@@ -16,59 +16,34 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.telemetry.instruments import (
-    DEFAULT_MAX_SAMPLES,
-    Counter,
-    Gauge,
-    Histogram,
-)
-from repro.telemetry.timeseries import (
-    DEFAULT_MAX_POINTS,
-    DEFAULT_MIN_INTERVAL_S,
-    TimeSeries,
-)
+from repro.telemetry.instruments import Histogram
+from repro.telemetry.timeseries import DEFAULT_MIN_INTERVAL_S, TimeSeries
 
 
 class MetricsRegistry:
-    """A namespace of counters, gauges, histograms, and time series."""
+    """A namespace of integer counters, histograms, and time series."""
 
     def __init__(self) -> None:
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
+        self._counters: Dict[str, int] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._series: Dict[str, TimeSeries] = {}
 
     # -- instrument access (get-or-create) -------------------------------
 
-    def counter(self, name: str) -> Counter:
-        instrument = self._counters.get(name)
-        if instrument is None:
-            instrument = self._counters[name] = Counter(name)
-        return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        instrument = self._gauges.get(name)
-        if instrument is None:
-            instrument = self._gauges[name] = Gauge(name)
-        return instrument
-
-    def histogram(self, name: str, max_samples: int = DEFAULT_MAX_SAMPLES) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         instrument = self._histograms.get(name)
         if instrument is None:
-            instrument = self._histograms[name] = Histogram(name, max_samples=max_samples)
+            instrument = self._histograms[name] = Histogram(name)
         return instrument
 
     def series(
-        self,
-        name: str,
-        max_points: int = DEFAULT_MAX_POINTS,
-        min_interval_s: float = DEFAULT_MIN_INTERVAL_S,
+        self, name: str, min_interval_s: float = DEFAULT_MIN_INTERVAL_S
     ) -> TimeSeries:
-        """Get-or-create a time series (creation params apply once)."""
+        """Get-or-create a time series (the cadence gate is set once)."""
         instrument = self._series.get(name)
         if instrument is None:
             instrument = self._series[name] = TimeSeries(
-                name, max_points=max_points, min_interval_s=min_interval_s
+                name, min_interval_s=min_interval_s
             )
         return instrument
 
@@ -88,21 +63,13 @@ class MetricsRegistry:
     # -- recording conveniences ------------------------------------------
 
     def inc(self, name: str, amount: int = 1) -> None:
-        # Inlined get-or-create: this is the hottest telemetry call
-        # (per kernel batch), so avoid the extra method dispatch.
-        instrument = self._counters.get(name)
-        if instrument is None:
-            instrument = self._counters[name] = Counter(name)
-        instrument.value += amount
+        # The hottest telemetry call (per kernel batch): one dict read
+        # and one dict write.
+        counters = self._counters
+        counters[name] = counters.get(name, 0) + amount
 
     def observe(self, name: str, value: float) -> None:
-        instrument = self._histograms.get(name)
-        if instrument is None:
-            instrument = self._histograms[name] = Histogram(name)
-        instrument.record(value)
-
-    def set_gauge(self, name: str, value: float) -> None:
-        self.gauge(name).set(value)
+        self.histogram(name).record(value)
 
     def sample(
         self,
@@ -112,21 +79,17 @@ class MetricsRegistry:
         min_interval_s: float = DEFAULT_MIN_INTERVAL_S,
     ) -> bool:
         """Offer one time-series sample; returns whether it was taken."""
-        return self.series(name, min_interval_s=min_interval_s).sample(t_s, value)
+        return self.series(name, min_interval_s).sample(t_s, value)
 
     # -- reading ---------------------------------------------------------
 
     def counter_value(self, name: str) -> int:
-        instrument = self._counters.get(name)
-        return instrument.value if instrument is not None else 0
+        return self._counters.get(name, 0)
 
     def snapshot(self) -> Dict[str, object]:
-        """JSON-ready dump of every instrument in this registry."""
+        """JSON-ready dump of every metric in this registry."""
         return {
-            "counters": {n: c.value for n, c in sorted(self._counters.items())},
-            "gauges": {
-                n: g.value for n, g in sorted(self._gauges.items()) if g.updated
-            },
+            "counters": dict(sorted(self._counters.items())),
             "histograms": {
                 n: h.summary() for n, h in sorted(self._histograms.items())
             },
@@ -138,9 +101,8 @@ class MetricsRegistry:
         return {n: s.to_dict() for n, s in sorted(self._series.items())}
 
     def reset(self) -> None:
-        """Drop every instrument (start of a fresh measurement window)."""
+        """Drop every metric (start of a fresh measurement window)."""
         self._counters.clear()
-        self._gauges.clear()
         self._histograms.clear()
         self._series.clear()
 
@@ -149,32 +111,26 @@ class MetricsRegistry:
     def merge_from(self, other: "MetricsRegistry") -> None:
         """Fold ``other``'s measurements into this registry.
 
-        Counters add, histograms merge, gauges take ``other``'s value
-        when it was actually set (last writer wins).  Used when a
-        nested telemetry scope exits: the parent absorbs the child's
-        activity without the child ever being able to zero the parent.
+        Counters add; histograms and series merge (aggregates stay
+        exact, reservoirs stay under their cap).  Used when a nested
+        telemetry scope exits: the parent absorbs the child's activity
+        without the child ever being able to zero the parent.
         """
-        for name, counter in other._counters.items():
-            self.counter(name).inc(counter.value)
-        for name, gauge in other._gauges.items():
-            if gauge.updated:
-                self.gauge(name).set(gauge.value)
-        for name, hist in other._histograms.items():
-            mine = self._histograms.get(name)
-            if mine is None:
-                self._histograms[name] = hist.merge(
-                    Histogram(name, max_samples=hist.max_samples)
+        for name, value in other._counters.items():
+            self.inc(name, value)
+        for ours, theirs in (
+            (self._histograms, other._histograms),
+            (self._series, other._series),
+        ):
+            for name, reservoir in theirs.items():
+                mine = ours.get(name)
+                # Merging into an empty reservoir copies, so the parent
+                # never shares state with the child.
+                ours[name] = (
+                    reservoir.merge(type(reservoir)(name))
+                    if mine is None
+                    else mine.merge(reservoir)
                 )
-            else:
-                self._histograms[name] = mine.merge(hist)
-        for name, series in other._series.items():
-            mine_series = self._series.get(name)
-            if mine_series is None:
-                self._series[name] = series.merge(
-                    TimeSeries(name, max_points=series.max_points)
-                )
-            else:
-                self._series[name] = mine_series.merge(series)
 
 
 __all__ = ["MetricsRegistry"]

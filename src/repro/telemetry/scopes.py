@@ -25,6 +25,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.telemetry.events import ControlEvent, EventKind
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.spans import Span, Tracer
+from repro.telemetry.timeseries import DEFAULT_MIN_INTERVAL_S
 
 
 class TelemetryScope:
@@ -92,19 +93,18 @@ def observe(name: str, value: float) -> None:
     _STACK.get()[-1].registry.observe(name, value)
 
 
-def set_gauge(name: str, value: float) -> None:
-    """Set a gauge in the innermost scope."""
-    _STACK.get()[-1].registry.set_gauge(name, value)
-
-
-def sample(name: str, t_s: float, value: float, **kwargs: float) -> bool:
+def sample(
+    name: str,
+    t_s: float,
+    value: float,
+    min_interval_s: float = DEFAULT_MIN_INTERVAL_S,
+) -> bool:
     """Offer one time-series sample to the innermost scope.
 
-    ``kwargs`` pass through to :meth:`MetricsRegistry.sample`
-    (``min_interval_s`` adjusts the cadence gate).  Returns whether
-    the sample was accepted.
+    ``min_interval_s`` sets the series' cadence gate when this call
+    creates it.  Returns whether the sample was accepted.
     """
-    return _STACK.get()[-1].registry.sample(name, t_s, value, **kwargs)
+    return _STACK.get()[-1].registry.sample(name, t_s, value, min_interval_s)
 
 
 @contextmanager
@@ -143,7 +143,6 @@ __all__ = [
     "scope",
     "inc",
     "observe",
-    "set_gauge",
     "sample",
     "span",
     "emit",

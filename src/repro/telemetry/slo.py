@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.telemetry.events import EventKind
 from repro.telemetry.scopes import TelemetryScope, emit as emit_event
-from repro.telemetry.timeseries import TimeSeries
 
 #: Serving-mode encoding used by the ``link.mode_code`` series
 #: (:meth:`repro.core.controller.MoVRSystem.decide` samples it) and
@@ -169,17 +168,6 @@ class SloResult:
             "worst_burn_rate": worst.burn_rate if worst else 0.0,
             "windows": [w.to_dict() for w in self.windows],
         }
-
-    def verdict_line(self) -> str:
-        status = "PASS" if self.passed else "VIOLATED"
-        worst = self.worst_window
-        detail = (
-            f"{self.violated_windows}/{len(self.windows)} windows violated, "
-            f"worst burn {worst.burn_rate:.2f}x"
-            if worst is not None
-            else "no windows"
-        )
-        return f"[{status}] {self.spec.name} — {self.spec.objective} ({detail})"
 
 
 def evaluate_slo(
@@ -412,11 +400,6 @@ def evaluate_scope(
                     burn_rate=max(w.burn_rate for w in result.windows if w.violated),
                 )
     return results
-
-
-def merged_points(series: TimeSeries) -> List[Tuple[float, float]]:
-    """Convenience: a series' retained samples, time-sorted."""
-    return series.points()
 
 
 __all__ = [

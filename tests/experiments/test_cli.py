@@ -1,5 +1,8 @@
 """Unit tests for the ``python -m repro`` CLI."""
 
+import itertools
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cli import main
@@ -135,7 +138,15 @@ class TestTelemetryFlags:
 
 
 class TestBenchCommand:
-    def test_bench_writes_and_diffs_trajectory(self, tmp_path, capsys):
+    def test_bench_writes_and_diffs_trajectory(self, tmp_path, capsys, monkeypatch):
+        from repro.bench import runner
+
+        # Every timed round reads exactly 10 ms on the runner's clock,
+        # so the self-diff below is exact however busy the host is.
+        ticks = itertools.count()
+        monkeypatch.setattr(
+            runner, "time", SimpleNamespace(perf_counter=lambda: next(ticks) * 0.010)
+        )
         args = [
             "bench",
             "--quick",

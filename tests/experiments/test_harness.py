@@ -1,14 +1,7 @@
 """Unit tests for the experiment report harness."""
 
-import warnings
-
 from repro import telemetry
-from repro.experiments.harness import (
-    LEGACY_COUNTER_METRICS,
-    ExperimentReport,
-    ShapeCheck,
-    legacy_perf_snapshot,
-)
+from repro.experiments.harness import ExperimentReport, ShapeCheck, scoped_run
 
 
 class TestShapeCheck:
@@ -78,27 +71,33 @@ class TestExperimentReport:
         assert "nan" in table
 
 
-class TestLegacyPerfSnapshot:
-    """``legacy_perf_snapshot`` fills a report's ``perf`` section."""
+class TestCountersSection:
+    """A report's counters live once, under their telemetry names."""
 
-    def test_no_warning(self):
-        with telemetry.scope("s") as sc:
+    def run_demo(self) -> ExperimentReport:
+        @scoped_run("demo")
+        def run() -> ExperimentReport:
             telemetry.inc("scene.cache.hits", 3)
             telemetry.inc("scene.cache.misses", 1)
             telemetry.inc("kernel.batches", 2)
-            telemetry.inc("kernel.angles", 10)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                snap = legacy_perf_snapshot(sc.registry)
-        assert snap["cache_hits"] == 3
-        assert snap["cache_hit_rate"] == 0.75
-        assert snap["mean_kernel_batch"] == 5.0
+            return ExperimentReport(experiment_id="demo", title="Demo")
 
-    def test_legacy_names_read_dotted_metrics(self):
-        with telemetry.scope("s") as sc:
-            telemetry.inc("scene.tracer_calls", 4)
-            telemetry.inc("link.sweeps", 2)
-            snap = legacy_perf_snapshot(sc.registry)
-        for legacy, metric in LEGACY_COUNTER_METRICS.items():
-            assert snap[legacy] == sc.registry.counter_value(metric)
-        assert snap["tracer_calls"] == 4 and snap["link_sweeps"] == 2
+        return run()
+
+    def test_text_report_prints_telemetry_counter_names(self):
+        text = self.run_demo().format_report()
+        section = text.split("perf counters:\n", 1)[1].splitlines()
+        assert section[:3] == [
+            "  kernel.batches: 2",
+            "  scene.cache.hits: 3",
+            "  scene.cache.misses: 1",
+        ]
+
+    def test_json_carries_counters_only_under_metrics(self):
+        data = self.run_demo().to_dict()
+        assert "perf" not in data
+        assert data["metrics"]["counters"] == {
+            "kernel.batches": 2,
+            "scene.cache.hits": 3,
+            "scene.cache.misses": 1,
+        }

@@ -22,13 +22,14 @@ class TestNestedExperimentInvocation:
             # The nested run could not clobber the outer tally...
             assert outer.registry.counter_value("scene.cache.hits") >= 5
             # ...and its own report reflects only its own work.
-            assert report.perf["cache_hits"] < outer.registry.counter_value(
+            counters = report.metrics["counters"]
+            assert counters["scene.cache.hits"] < outer.registry.counter_value(
                 "scene.cache.hits"
             )
             # The outer scope absorbed the nested run's activity.
             assert (
                 outer.registry.counter_value("scene.tracer_calls")
-                >= report.perf["tracer_calls"]
+                >= counters["scene.tracer_calls"]
                 > 0
             )
 
@@ -52,7 +53,8 @@ class TestNestedExperimentInvocation:
         assert report.events[0]["kind"] == "outage_begin"
         assert report.events[0]["t_s"] == 0.5
         assert report.spans and report.spans[0]["name"] == "demo"
-        assert report.perf["cache_hits"] == 2
+        counters_section = report.format_report().split("perf counters:\n", 1)[1]
+        assert "  scene.cache.hits: 2" in counters_section.splitlines()
 
 
 class TestE2eEventLog:

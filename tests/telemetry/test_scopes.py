@@ -1,6 +1,7 @@
 """Scope nesting: isolation on entry, propagation on exit."""
 
 from repro import telemetry
+from repro.telemetry import DEFAULT_MAX_POINTS, DEFAULT_MAX_SAMPLES
 
 
 class TestIsolation:
@@ -38,13 +39,6 @@ class TestPropagation:
             h = outer.registry.histogram("lat_ms")
             assert h.count == 2
             assert sorted(h.samples) == [1.0, 3.0]
-
-    def test_gauges_last_writer_wins(self):
-        with telemetry.scope("outer") as outer:
-            telemetry.set_gauge("g", 1.0)
-            with telemetry.scope("inner"):
-                telemetry.set_gauge("g", 9.0)
-            assert outer.registry.gauge("g").value == 9.0
 
     def test_events_append_to_parent(self):
         with telemetry.scope("outer") as outer:
@@ -86,3 +80,22 @@ class TestPropagation:
         except RuntimeError:
             pass
         assert telemetry.current_scope() is before
+
+    def test_reservoirs_stay_bounded_across_many_children(self):
+        # A parent that absorbs many children (``run all``, a test
+        # session's root scope) must stay as bounded as one that
+        # recorded the whole stream itself.
+        children, per_child = 20, 3000
+        with telemetry.scope("outer") as outer:
+            for _ in range(children):
+                with telemetry.scope("inner"):
+                    for i in range(per_child):
+                        telemetry.observe("lat_ms", float(i))
+                        telemetry.sample("link.snr_db", i * 0.01, float(i))
+            hist = outer.registry.histogram("lat_ms")
+            series = outer.registry.get_series("link.snr_db")
+        assert hist.count == series.count == children * per_child
+        assert hist.minimum == series.minimum == 0.0
+        assert hist.maximum == series.maximum == float(per_child - 1)
+        assert len(hist.samples) < DEFAULT_MAX_SAMPLES
+        assert len(series.points()) < DEFAULT_MAX_POINTS

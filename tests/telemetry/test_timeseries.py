@@ -3,7 +3,9 @@
 The hypothesis properties pin the contract the SLO layer leans on:
 exact aggregates (count/min/max/mean) survive decimation *exactly*,
 the reservoir stays bounded, decimation is deterministic, and merging
-split streams loses nothing.
+split streams loses nothing.  The decimation properties belong to the
+reservoir a series shares with :class:`Histogram`, so they run over
+both types.
 """
 
 import math
@@ -14,11 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.telemetry.timeseries import DEFAULT_MAX_POINTS, TimeSeries
+from repro.telemetry import Histogram, TimeSeries
 
 finite_values = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
 )
+reservoir_kinds = st.sampled_from([Histogram, TimeSeries])
 
 
 class TestCadenceGate:
@@ -53,34 +56,30 @@ class TestCadenceGate:
 
 
 class TestDecimation:
-    @given(st.lists(finite_values, min_size=1, max_size=500))
+    @given(reservoir_kinds, st.lists(finite_values, min_size=1, max_size=500))
     @settings(max_examples=200, deadline=None)
-    def test_aggregates_exact_under_decimation(self, values):
-        series = TimeSeries("s", max_points=16)
-        for i, v in enumerate(values):
-            series.sample(float(i), v)
-        assert series.count == len(values)
-        assert series.minimum == min(values)
-        assert series.maximum == max(values)
-        assert series.total == sum(values)
-        assert series.mean == pytest.approx(sum(values) / len(values))
-        assert 0 < series.retained <= 16
-        assert series.first_t_s == 0.0
-        assert series.last_t_s == float(len(values) - 1)
+    def test_aggregates_exact_under_decimation(self, feed, kind, values):
+        reservoir = feed(kind("s", 16), values)
+        assert reservoir.count == len(values)
+        assert reservoir.minimum == min(values)
+        assert reservoir.maximum == max(values)
+        assert reservoir.total == sum(values)
+        assert reservoir.mean == pytest.approx(sum(values) / len(values))
+        assert 0 < reservoir.retained < 16
+        if kind is TimeSeries:
+            assert reservoir.first_t_s == 0.0
+            assert reservoir.last_t_s == float(len(values) - 1)
 
-    @given(st.lists(finite_values, min_size=1, max_size=300))
+    @given(reservoir_kinds, st.lists(finite_values, min_size=1, max_size=300))
     @settings(max_examples=100, deadline=None)
-    def test_decimation_is_deterministic(self, values):
-        def build():
-            s = TimeSeries("s", max_points=8)
-            for i, v in enumerate(values):
-                s.sample(float(i), v)
-            return s
-
-        assert build().points() == build().points()
+    def test_decimation_is_deterministic(self, feed, kind, values):
+        first, second = feed(kind("s", 8), values), feed(kind("s", 8), values)
+        assert first.samples == second.samples
+        if kind is TimeSeries:
+            assert first.points() == second.points()
 
     def test_retained_points_are_a_subsequence(self):
-        series = TimeSeries("s", max_points=32)
+        series = TimeSeries("s", 32)
         for i in range(1000):
             series.sample(float(i), float(i))
         kept = series.points()
@@ -94,7 +93,7 @@ class TestDecimation:
     def test_quantiles_survive_decimation_within_tolerance(self):
         rng = np.random.default_rng(2016)
         values = rng.normal(10.0, 3.0, size=50_000)
-        series = TimeSeries("s", max_points=256)
+        series = TimeSeries("s", 256)
         for i, v in enumerate(values):
             series.sample(i * 0.001, float(v))
         kept = np.array([v for _, v in series.points()])
