@@ -83,11 +83,6 @@ class DualAntennaResult:
     def snr_db(self) -> float:
         return max(self.front_snr_db, self.back_snr_db)
 
-    @property
-    def both_blocked(self) -> bool:
-        """True when neither antenna sees a usable path."""
-        return self.front_snr_db < 0.0 and self.back_snr_db < 0.0
-
 
 class DualAntennaBaseline:
     """A second receiver on the back of the headset.

@@ -30,9 +30,6 @@ Telemetry flags (see docs/observability.md):
 ``--timeseries PATH``
     Write every recorded time series (decimated points + exact
     aggregates) as JSON.
-
-``python -m repro bench`` runs the perf-regression suite and appends
-a ``BENCH_<n>.json`` trajectory entry (see docs/observability.md).
 """
 
 from __future__ import annotations
@@ -41,11 +38,11 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 from typing import List, Optional
 
 from repro import telemetry
 from repro.experiments import ALL_EXPERIMENTS
+from repro.experiments.harness import DEFAULT_MAX_EVENTS
 
 #: Experiments that accept a ``seed`` keyword (all but the
 #: deterministic ones).
@@ -106,9 +103,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--max-events",
         type=int,
-        default=None,
+        default=DEFAULT_MAX_EVENTS,
         metavar="N",
-        help="print at most N events per experiment (ignored with --events)",
+        help=f"print at most N events per experiment (default {DEFAULT_MAX_EVENTS}; "
+        "ignored with --events)",
     )
     run.add_argument(
         "--slo",
@@ -122,47 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write every recorded time series (points + aggregates) as JSON",
     )
 
-    bench = subparsers.add_parser(
-        "bench",
-        help="run the perf suite and append a BENCH_<n>.json trajectory entry",
-    )
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="smaller workloads, fewer rounds (CI-friendly)",
-    )
-    bench.add_argument(
-        "--rounds",
-        type=int,
-        default=None,
-        metavar="K",
-        help="timing rounds per target (min-of-K; default 3, 2 with --quick)",
-    )
-    bench.add_argument(
-        "--only",
-        metavar="NAMES",
-        default=None,
-        help="comma-separated substrings selecting targets (e.g. fig7,e2e)",
-    )
-    bench.add_argument(
-        "--dir",
-        metavar="PATH",
-        default=".",
-        help="trajectory directory holding BENCH_<n>.json files (default: .)",
-    )
-    bench.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        metavar="PCT",
-        help="min-to-min regression threshold in percent (default 20)",
-    )
-    bench.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero if any comparable benchmark regressed past "
-        "the threshold",
-    )
     return parser
 
 
@@ -186,43 +143,17 @@ def _run_one(
     seed: int,
     max_rows: int,
     json_path: Optional[str] = None,
-    show_all_events: bool = False,
-    max_events: Optional[int] = None,
+    max_events: Optional[int] = DEFAULT_MAX_EVENTS,
     slo_detail: bool = False,
 ) -> bool:
     fn = ALL_EXPERIMENTS[experiment_id]
     kwargs = {} if experiment_id in _SEEDLESS else {"seed": seed}
     report = fn(**kwargs)
-    if show_all_events:
-        report.max_events = None
-        report.print_report(max_rows=max_rows, max_events=None, slo_detail=slo_detail)
-    elif max_events is not None:
-        report.max_events = max_events
-        report.print_report(max_rows=max_rows, slo_detail=slo_detail)
-    else:
-        report.print_report(max_rows=max_rows, slo_detail=slo_detail)
+    report.print_report(max_rows=max_rows, max_events=max_events, slo_detail=slo_detail)
     print()
     if json_path is not None:
         report.save_json(json_path)
     return report.all_checks_pass
-
-
-def _main_bench(args: argparse.Namespace) -> int:
-    from repro.bench import DEFAULT_THRESHOLD_PCT, run_bench
-
-    threshold = args.threshold if args.threshold is not None else DEFAULT_THRESHOLD_PCT
-    try:
-        return run_bench(
-            Path(args.dir),
-            quick=args.quick,
-            rounds=args.rounds,
-            only=args.only,
-            threshold_pct=threshold,
-            check=args.check,
-        )
-    except ValueError as exc:
-        print(f"bench: {exc}", file=sys.stderr)
-        return 2
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -232,8 +163,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         for experiment_id in ALL_EXPERIMENTS:
             print(experiment_id)
         return 0
-    if args.command == "bench":
-        return _main_bench(args)
     if args.experiment == "all":
         targets = list(ALL_EXPERIMENTS)
     elif args.experiment in ALL_EXPERIMENTS:
@@ -259,8 +188,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 args.seed,
                 args.max_rows,
                 json_path,
-                show_all_events=args.events,
-                max_events=args.max_events,
+                max_events=None if args.events else args.max_events,
                 slo_detail=args.slo,
             )
             all_ok = all_ok and ok

@@ -70,9 +70,6 @@ class MultiUserTick:
     def frames_lost(self) -> int:
         return self.window.frames_lost
 
-    def decision_for(self, user: int) -> LinkDecision:
-        return self.decisions[user]
-
 
 class MultiUserSystem:
     """One room, one AP, a shared reflector fleet, N headsets.

@@ -30,9 +30,6 @@ from repro.telemetry.scopes import TelemetryScope
 #: How many events the text report shows without ``--events``.
 DEFAULT_MAX_EVENTS = 8
 
-#: Sentinel for "use the report's own max_events option".
-_USE_REPORT_DEFAULT = object()
-
 
 @dataclass(frozen=True)
 class ShapeCheck:
@@ -66,10 +63,6 @@ class ExperimentReport:
     #: SLO verdicts over the run's time series (dicts from
     #: :meth:`repro.telemetry.slo.SloResult.to_dict`).
     slos: List[Dict[str, object]] = field(default_factory=list)
-    #: Event-log render truncation for this report (``None`` = use
-    #: :data:`DEFAULT_MAX_EVENTS`); overridable per call and via the
-    #: CLI's ``--max-events`` / ``--events`` flags.
-    max_events: Optional[int] = None
 
     def add_row(self, **fields: object) -> None:
         self.rows.append(dict(fields))
@@ -121,19 +114,11 @@ class ExperimentReport:
             suffix.append(f"... ({len(self.rows) - max_rows} more rows)")
         return "\n".join([header, separator] + body + suffix)
 
-    def _resolve_max_events(self, max_events: object) -> Optional[int]:
-        """Call-level override > report option > module default."""
-        if max_events is _USE_REPORT_DEFAULT:
-            return self.max_events if self.max_events is not None else DEFAULT_MAX_EVENTS
-        return max_events  # type: ignore[return-value]
-
-    def format_events(self, max_events: object = _USE_REPORT_DEFAULT) -> List[str]:
+    def format_events(self, max_events: Optional[int] = DEFAULT_MAX_EVENTS) -> List[str]:
         """Event-log lines: ``[t=1.234s] handoff from_mode=los ...``.
 
-        ``max_events=None`` renders the full log; the default defers
-        to the report's :attr:`max_events` option.
+        ``max_events=None`` renders the full log.
         """
-        max_events = self._resolve_max_events(max_events)
         shown = self.events if max_events is None else self.events[:max_events]
         lines = [f"  {_format_event(event)}" for event in shown]
         if max_events is not None and len(self.events) > max_events:
@@ -170,7 +155,7 @@ class ExperimentReport:
     def format_report(
         self,
         max_rows: Optional[int] = None,
-        max_events: object = _USE_REPORT_DEFAULT,
+        max_events: Optional[int] = DEFAULT_MAX_EVENTS,
         slo_detail: bool = False,
     ) -> str:
         """Full human-readable report: table, notes, checks, telemetry."""
@@ -216,7 +201,7 @@ class ExperimentReport:
     def print_report(
         self,
         max_rows: Optional[int] = None,
-        max_events: object = _USE_REPORT_DEFAULT,
+        max_events: Optional[int] = DEFAULT_MAX_EVENTS,
         slo_detail: bool = False,
     ) -> None:
         print(
@@ -267,22 +252,27 @@ class ExperimentReport:
 
     @classmethod
     def load_json(cls, path: str) -> "ExperimentReport":
-        """Load a report saved by :meth:`save_json`."""
+        """Load a report saved by :meth:`save_json`.
+
+        The ``"inf"``/``"-inf"``/``"nan"`` strings :meth:`save_json`
+        writes for non-finite floats become floats again in rows,
+        events, metrics and SLOs.
+        """
         import json
 
         with open(path) as handle:
             data = json.load(handle)
         report = cls(experiment_id=data["experiment_id"], title=data["title"])
         for row in data["rows"]:
-            report.add_row(**row)
+            report.add_row(**_restore_non_finite(row))
         for note in data["notes"]:
             report.note(note)
         for check in data["checks"]:
             report.check(check["claim"], check["passed"], check["detail"])
-        report.events = [dict(e) for e in data.get("events", [])]
+        report.events = _restore_non_finite(data.get("events", []))
         report.spans = [dict(s) for s in data.get("spans", [])]
-        report.metrics = dict(data.get("metrics", {}))
-        report.slos = [dict(s) for s in data.get("slos", [])]
+        report.metrics = _restore_non_finite(data.get("metrics", {}))
+        report.slos = _restore_non_finite(data.get("slos", []))
         return report
 
 
@@ -320,6 +310,22 @@ def scoped_run(
         return wrapper
 
     return decorate
+
+
+#: The strings :meth:`ExperimentReport.save_json` writes for
+#: non-finite floats, mapped back to their values.
+_NON_FINITE = {"inf": float("inf"), "-inf": float("-inf"), "nan": float("nan")}
+
+
+def _restore_non_finite(value: object) -> object:
+    """Invert ``save_json``'s stringification of non-finite floats."""
+    if isinstance(value, str):
+        return _NON_FINITE.get(value, value)
+    if isinstance(value, dict):
+        return {k: _restore_non_finite(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_restore_non_finite(v) for v in value]
+    return value
 
 
 def _format_event(event: Dict[str, object]) -> str:

@@ -41,16 +41,6 @@ class Obstruction:
     along_leg_m: float
     leg_length_m: float
 
-    @property
-    def distance_to_near_end_m(self) -> float:
-        """Distance from the obstruction to the nearer leg endpoint."""
-        return max(1e-3, min(self.along_leg_m, self.leg_length_m - self.along_leg_m))
-
-    @property
-    def distance_to_far_end_m(self) -> float:
-        """Distance from the obstruction to the farther leg endpoint."""
-        return max(1e-3, max(self.along_leg_m, self.leg_length_m - self.along_leg_m))
-
 
 @dataclass(frozen=True)
 class PropagationPath:

@@ -82,10 +82,6 @@ class Room:
         if not self.walls:
             raise ValueError("a room needs at least one wall")
 
-    @property
-    def wall_segments(self) -> List[Segment]:
-        return [w.segment for w in self.walls]
-
     def add_occluder(self, occluder: Occluder) -> None:
         """Attach a static occluder (furniture) to the room."""
         self.occluders.append(occluder)

@@ -1,8 +1,5 @@
 """Unit tests for the ``python -m repro`` CLI."""
 
-import itertools
-from types import SimpleNamespace
-
 import pytest
 
 from repro.cli import main
@@ -136,52 +133,3 @@ class TestTelemetryFlags:
         assert series["link.snr_db"]["count"] > 0
         assert series["link.snr_db"]["points"]
 
-
-class TestBenchCommand:
-    def test_bench_writes_and_diffs_trajectory(self, tmp_path, capsys, monkeypatch):
-        from repro.bench import runner
-
-        # Every timed round reads exactly 10 ms on the runner's clock,
-        # so the self-diff below is exact however busy the host is.
-        ticks = itertools.count()
-        monkeypatch.setattr(
-            runner, "time", SimpleNamespace(perf_counter=lambda: next(ticks) * 0.010)
-        )
-        args = [
-            "bench",
-            "--quick",
-            "--rounds",
-            "1",
-            "--only",
-            "fig7",
-            "--dir",
-            str(tmp_path),
-        ]
-        assert main(args) == 0
-        assert (tmp_path / "BENCH_0.json").exists()
-        capsys.readouterr()
-        # Second run diffs against the first; same machine and mode,
-        # so the self-comparison must not flag a regression.
-        assert main(args + ["--check"]) == 0
-        out = capsys.readouterr().out
-        assert (tmp_path / "BENCH_1.json").exists()
-        assert "bench diff: entry 0 -> 1" in out
-        assert "REGRESSION" not in out
-
-    def test_bench_entry_is_schema_valid(self, tmp_path):
-        import json
-
-        from repro.bench.trajectory import validate_entry
-
-        assert main(
-            ["bench", "--quick", "--rounds", "1", "--only", "fig7", "--dir", str(tmp_path)]
-        ) == 0
-        entry = validate_entry(
-            json.loads((tmp_path / "BENCH_0.json").read_text())
-        )
-        assert entry["quick"] is True
-        assert "fig7-leakage" in entry["benchmarks"]
-
-    def test_bench_unknown_only_exits_2(self, tmp_path, capsys):
-        assert main(["bench", "--only", "nonsense", "--dir", str(tmp_path)]) == 2
-        assert "no benchmark targets" in capsys.readouterr().err

@@ -53,12 +53,20 @@ class TestJsonRoundTrip:
 
     def test_non_finite_floats_survive(self, tmp_path):
         report = ExperimentReport(experiment_id="inf", title="Inf")
-        report.add_row(snr=-math.inf)
+        report.add_row(snr=-math.inf, peak=math.inf, label="inf-room")
+        report.events = [{"kind": "outage", "t_s": 1.0, "snr_db": -math.inf}]
+        report.metrics = {"series": {"link.snr_db": {"min": -math.inf, "mean": math.nan}}}
         path = str(tmp_path / "inf.json")
         report.save_json(path)
         with open(path) as handle:
             data = json.load(handle)
         assert data["rows"][0]["snr"] == "-inf"
+        loaded = ExperimentReport.load_json(path)
+        assert loaded.rows == report.rows
+        assert loaded.events == report.events
+        digest = loaded.metrics["series"]["link.snr_db"]
+        assert digest["min"] == -math.inf
+        assert math.isnan(digest["mean"])
 
 
 class TestCliJson:
