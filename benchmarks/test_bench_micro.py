@@ -56,5 +56,5 @@ def test_bench_fast_angle_sweep(benchmark):
         position, boresight_deg=bearing_deg(position, ap.position)
     )
     search = BackscatterAngleSearch(ap, reflector, tracer, MmWaveChannel(), rng=1)
-    result = benchmark(search.estimate_incidence_angle_fast)
+    result = benchmark(search.estimate_incidence_angle)
     assert result.reflector_error_deg <= 2.0

@@ -45,11 +45,28 @@ from repro.link.radios import Radio
 from repro.phy.channel import MmWaveChannel
 from repro.phy.signals import ToneProbe, add_awgn, band_power, ook_modulate, tone
 from repro.utils.rng import RngLike, make_rng
-from repro.utils.units import thermal_noise_dbm
+from repro.utils.units import angle_difference_deg, thermal_noise_dbm
 
 #: Fraction of a tone's power landing in EACH first-order OOK sideband
 #: for a 50% duty square-wave gate: |c1|^2 with c1 = 1/pi.
 OOK_SIDEBAND_FRACTION = 1.0 / math.pi**2
+
+
+def _measured_sideband_dbm(
+    rng: np.random.Generator, sideband_dbm: np.ndarray, noise_dbm: float
+) -> np.ndarray:
+    """Noisy band-power readings of a sideband grid, in dBm.
+
+    Each entry is |sqrt(P_s) e^{j phi} + CN(0, P_n)|^2 — the
+    non-central chi-square the FFT-bin estimator obeys — with one
+    noise pair drawn per probe, exactly as the sequential protocol
+    does.
+    """
+    p_signal = 10.0 ** (sideband_dbm / 10.0)
+    p_noise = 10.0 ** (noise_dbm / 10.0)
+    noise = rng.normal(0.0, math.sqrt(p_noise / 2.0), (2,) + p_signal.shape)
+    estimate = (np.sqrt(p_signal) + noise[0]) ** 2 + noise[1] ** 2
+    return 10.0 * np.log10(np.maximum(estimate, 1e-30))
 
 
 @dataclass(frozen=True)
@@ -73,7 +90,7 @@ class AngleSearchResult:
     def ap_error_deg(self) -> Optional[float]:
         if self.ground_truth_ap_deg is None:
             return None
-        return abs(self.ap_angle_deg - self.ground_truth_ap_deg)
+        return abs(angle_difference_deg(self.ap_angle_deg, self.ground_truth_ap_deg))
 
 
 class BackscatterAngleSearch:
@@ -195,17 +212,13 @@ class BackscatterAngleSearch:
     def measure_sideband_dbm_batch(self, ap_steer_deg, reflector_proto_deg) -> np.ndarray:
         """Whole probe grids at once (analytic noise model only).
 
-        One noise pair is drawn per probe, exactly as the sequential
-        protocol does, so every entry follows the same non-central
-        chi-square distribution as :meth:`measure_sideband_dbm`.
+        Every entry follows the same non-central chi-square
+        distribution as :meth:`measure_sideband_dbm`.
         """
         echo_dbm = self.round_trip_power_dbm_batch(ap_steer_deg, reflector_proto_deg)
         sideband_dbm = echo_dbm + 10.0 * math.log10(OOK_SIDEBAND_FRACTION)
-        p_signal = 10.0 ** (sideband_dbm / 10.0)
-        p_noise = 10.0 ** (self._noise_in_band_dbm() / 10.0)
-        noise = self._rng.normal(0.0, math.sqrt(p_noise / 2.0), (2,) + p_signal.shape)
-        estimate = (np.sqrt(p_signal) + noise[0]) ** 2 + noise[1] ** 2
-        return 10.0 * np.log10(np.maximum(estimate, 1e-30))
+        noise_dbm = self._noise_in_band_dbm()
+        return _measured_sideband_dbm(self._rng, sideband_dbm, noise_dbm)
 
     def _measure_signal_level(self, echo_dbm: float, noise_in_band_dbm: float) -> float:
         """Full DSP probe: synthesize the capture and FFT-filter it."""
@@ -259,16 +272,14 @@ class BackscatterAngleSearch:
         ) as sp:
             started = time.perf_counter()
             if self.signal_level:
-                # The DSP probe synthesizes one capture at a time.
-                sweep = exhaustive_joint_sweep(
-                    ap_codebook, refl_codebook, self.measure_sideband_dbm
-                )
+                # The DSP probe synthesizes one capture at a time, in
+                # the sequential protocol's order.  ``otypes`` stops
+                # NumPy from spending an extra (RNG-drawing) probe to
+                # infer the output type.
+                metric = np.vectorize(self.measure_sideband_dbm, otypes=[float])
             else:
-                sweep = exhaustive_joint_sweep(
-                    ap_codebook,
-                    refl_codebook,
-                    batch_metric=self.measure_sideband_dbm_batch,
-                )
+                metric = self.measure_sideband_dbm_batch
+            sweep = exhaustive_joint_sweep(ap_codebook, refl_codebook, metric)
             sp.attrs["probes"] = sweep.num_probes
             telemetry.observe(
                 "angle_search.sweep_ms", (time.perf_counter() - started) * 1000.0
@@ -283,78 +294,6 @@ class BackscatterAngleSearch:
             num_probes=sweep.num_probes,
             ground_truth_reflector_deg=truth_refl,
             ground_truth_ap_deg=truth_ap,
-        )
-
-    def estimate_incidence_angle_fast(
-        self,
-        reflector_step_deg: float = 1.0,
-        ap_step_deg: float = 1.0,
-    ) -> AngleSearchResult:
-        """Vectorized variant of :meth:`estimate_incidence_angle`.
-
-        Exploits the fact that the deterministic part of the echo power
-        separates into an AP-angle term and a reflector-angle term, so
-        the whole probe grid can be generated at once; the per-probe
-        measurement noise keeps the exact non-central chi-square
-        statistics of the sequential protocol.  Used by the 100-run
-        Fig. 8 experiment; tests verify it matches the reference
-        implementation probe-for-probe in distribution.
-        """
-        with telemetry.span(
-            "angle_search.sweep", protocol="backscatter-fast", signal_level=False
-        ) as sp:
-            started = time.perf_counter()
-            refl_angles = np.arange(
-                40.0, 140.0 + reflector_step_deg / 2.0, reflector_step_deg
-            )
-            scan = self.ap.config.array.max_scan_deg
-            ap_angles = np.arange(
-                self.ap.boresight_deg - scan,
-                self.ap.boresight_deg + scan + ap_step_deg / 2.0,
-                ap_step_deg,
-            )
-            ap_gain = self.ap.array.gain_dbi_batch(self._bearing_ap_to_refl, ap_angles)
-            self.reflector.amplifier.set_gain_db(self.search_gain_db)
-            refl_azimuths = self.reflector.prototype_to_azimuth(refl_angles)
-            through = self.reflector.through_gain_db_batch(
-                self._bearing_refl_to_ap,
-                self._bearing_refl_to_ap,
-                rx_steer_azimuth_deg=refl_azimuths,
-                tx_steer_azimuth_deg=refl_azimuths,
-            )
-            through = np.where(np.isnan(through), 0.0, through)
-            one_way = self.channel.path_gain_db(self._path)
-            const = (
-                self.ap.config.tx_power_dbm
-                + 2.0 * one_way
-                - self.ap.config.implementation_loss_db
-                + 10.0 * math.log10(OOK_SIDEBAND_FRACTION)
-            )
-            # The sideband power separates into an AP term and a reflector
-            # term, so its amplitude grid is an outer product of two short
-            # vectors — no dB->linear conversion of the full grid needed.
-            amplitude = 10.0 ** (const / 20.0) * np.outer(
-                10.0 ** (ap_gain / 10.0), 10.0 ** (through / 20.0)
-            )
-            p_noise = 10.0 ** (self._noise_in_band_dbm() / 10.0)
-            noise = self._rng.normal(0.0, math.sqrt(p_noise / 2.0), (2,) + amplitude.shape)
-            estimate = (amplitude + noise[0]) ** 2 + noise[1] ** 2
-            flat = int(np.argmax(estimate))
-            i, j = np.unravel_index(flat, estimate.shape)
-            sp.attrs["probes"] = int(estimate.size)
-            telemetry.observe(
-                "angle_search.sweep_ms", (time.perf_counter() - started) * 1000.0
-            )
-            telemetry.inc("angle_search.probes", int(estimate.size))
-        return AngleSearchResult(
-            reflector_angle_deg=float(refl_angles[j]),
-            ap_angle_deg=float(ap_angles[i]),
-            peak_sideband_dbm=float(10.0 * np.log10(estimate[i, j])),
-            num_probes=int(estimate.size),
-            ground_truth_reflector_deg=self.reflector.azimuth_to_prototype(
-                self._bearing_refl_to_ap
-            ),
-            ground_truth_ap_deg=self._bearing_ap_to_refl,
         )
 
 
@@ -397,48 +336,15 @@ class ReflectionAngleSearch:
             headset_radio.position, reflector.position
         )
 
-    def sideband_at_headset_dbm(
-        self, reflector_tx_proto_deg: float, headset_steer_deg: float
-    ) -> float:
-        """One probe of the outgoing-beam sweep."""
-        tx_azimuth = self.reflector.prototype_to_azimuth(reflector_tx_proto_deg)
-        self.reflector.set_beams(self._bearing_refl_to_ap, tx_azimuth)
-        self.reflector.amplifier.set_gain_db(self.search_gain_db)
-        through = self.reflector.through_gain_db(
-            self._bearing_refl_to_ap, self._bearing_refl_to_hs
-        )
-        if through is None:
-            through = 0.0
-        ap_gain = self.ap.tx_gain_dbi(
-            bearing_deg(self.ap.position, self.reflector.position)
-        )
-        hs_gain = self.headset_radio.rx_gain_dbi(
-            self._bearing_hs_to_refl, steer_override_deg=headset_steer_deg
-        )
-        power_dbm = (
-            self.ap.config.tx_power_dbm
-            + ap_gain
-            + self.channel.path_gain_db(self._feed_path)
-            + through
-            + self.channel.path_gain_db(self._out_path)
-            + hs_gain
-            - self.ap.config.implementation_loss_db
-        )
-        sideband_dbm = power_dbm + 10.0 * math.log10(OOK_SIDEBAND_FRACTION)
-        noise_dbm = (
-            thermal_noise_dbm(self.probe.measurement_bw_hz)
-            + self.headset_radio.config.noise_figure_db
-        )
-        p_signal = 10.0 ** (sideband_dbm / 10.0)
-        p_noise = 10.0 ** (noise_dbm / 10.0)
-        noise = self._rng.normal(0.0, math.sqrt(p_noise / 2.0), 2)
-        estimate = (math.sqrt(p_signal) + noise[0]) ** 2 + noise[1] ** 2
-        return 10.0 * math.log10(max(estimate, 1e-30))
-
     def sideband_at_headset_dbm_batch(
         self, reflector_tx_proto_deg, headset_steer_deg
     ) -> np.ndarray:
-        """Vectorized :meth:`sideband_at_headset_dbm` over broadcast grids."""
+        """Sideband power the headset measures, over broadcast grids of
+        reflector TX beam and headset RX beam.
+
+        The AP keeps its beam on the reflector and the reflector's
+        receive beam stays on the AP; only the outgoing hop is swept.
+        """
         self.reflector.amplifier.set_gain_db(self.search_gain_db)
         tx_azimuth = self.reflector.prototype_to_azimuth(
             np.asarray(reflector_tx_proto_deg, dtype=float)
@@ -470,11 +376,7 @@ class ReflectionAngleSearch:
             thermal_noise_dbm(self.probe.measurement_bw_hz)
             + self.headset_radio.config.noise_figure_db
         )
-        p_signal = 10.0 ** (sideband_dbm / 10.0)
-        p_noise = 10.0 ** (noise_dbm / 10.0)
-        noise = self._rng.normal(0.0, math.sqrt(p_noise / 2.0), (2,) + p_signal.shape)
-        estimate = (np.sqrt(p_signal) + noise[0]) ** 2 + noise[1] ** 2
-        return 10.0 * np.log10(np.maximum(estimate, 1e-30))
+        return _measured_sideband_dbm(self._rng, sideband_dbm, noise_dbm)
 
     def estimate_reflection_angle(
         self,
@@ -490,13 +392,14 @@ class ReflectionAngleSearch:
             headset_step_deg,
         )
 
-        def batch_metric(hs_deg: np.ndarray, refl_deg: np.ndarray) -> np.ndarray:
-            return self.sideband_at_headset_dbm_batch(refl_deg, hs_deg)
-
         with telemetry.span("angle_search.sweep", protocol="reflection") as sp:
             started = time.perf_counter()
             sweep = exhaustive_joint_sweep(
-                hs_codebook, refl_codebook, batch_metric=batch_metric
+                hs_codebook,
+                refl_codebook,
+                lambda hs_deg, refl_deg: self.sideband_at_headset_dbm_batch(
+                    refl_deg, hs_deg
+                ),
             )
             sp.attrs["probes"] = sweep.num_probes
             telemetry.observe(

@@ -18,7 +18,9 @@ search.  The ablation benchmark quantifies the probe-count savings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
+
+import numpy as np
 
 from repro.geometry.vectors import Vec2, bearing_deg
 from repro.link.beams import Codebook, single_sided_sweep
@@ -91,21 +93,20 @@ class PoseAssistedTracker:
         self,
         time_s: float,
         target_position: Vec2,
-        snr_probe,
+        snr_probe: Callable[[np.ndarray], np.ndarray],
     ) -> TrackingUpdate:
         """One tracking step.
 
-        ``snr_probe(angle_deg) -> snr_db`` measures the link with the
-        beam at a candidate angle (one probe each call).  The tracker
-        spends zero probes while the geometric prediction keeps SNR
-        healthy.
+        ``snr_probe(angles_deg) -> snr_db`` measures the link with the
+        beam at every candidate angle of a vector (one probe per
+        entry, NaN for an unusable one).  While the geometric
+        prediction keeps SNR healthy, the tracker spends one verifying
+        probe per step.
         """
         predicted = self.predict_angle_deg(target_position)
         # Free update: steer to the geometric prediction, verify SNR.
-        snr = snr_probe(predicted)
-        probes = 1
+        angle, snr, probes = single_sided_sweep(Codebook((predicted,)), snr_probe)
         mode = "predict"
-        angle = predicted
         if self._reference_snr_db is None:
             self._reference_snr_db = snr
         if snr < self._reference_snr_db - self.snr_degrade_db:

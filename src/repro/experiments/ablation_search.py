@@ -64,7 +64,7 @@ def run_ablation_search(
 
         # Each probe grid is evaluated in one vectorized call; per-probe
         # noise statistics match the sequential protocol exactly.
-        batch_metric = search.measure_sideband_dbm_batch
+        metric = search.measure_sideband_dbm_batch
 
         scan = ap.config.array.max_scan_deg
         ap_lo, ap_hi = ap.boresight_deg - scan, ap.boresight_deg + scan
@@ -74,21 +74,21 @@ def run_ablation_search(
                 sweep = exhaustive_joint_sweep(
                     Codebook.uniform(ap_lo, ap_hi, 3.0),
                     Codebook.uniform(40.0, 140.0, 1.0),
-                    batch_metric=batch_metric,
+                    metric,
                 )
                 estimate, count = sweep.best_rx_deg, sweep.num_probes
             elif name == "exhaustive-3deg":
                 sweep = exhaustive_joint_sweep(
                     Codebook.uniform(ap_lo, ap_hi, 3.0),
                     Codebook.uniform(40.0, 140.0, 3.0),
-                    batch_metric=batch_metric,
+                    metric,
                 )
                 estimate, count = sweep.best_rx_deg, sweep.num_probes
             else:
                 coarse = exhaustive_joint_sweep(
                     Codebook.uniform(ap_lo, ap_hi, 10.0),
                     Codebook.uniform(40.0, 140.0, 10.0),
-                    batch_metric=batch_metric,
+                    metric,
                 )
                 fine = exhaustive_joint_sweep(
                     Codebook.uniform(
@@ -101,7 +101,7 @@ def run_ablation_search(
                         min(140.0, coarse.best_rx_deg + 6.0),
                         1.0,
                     ),
-                    batch_metric=batch_metric,
+                    metric,
                 )
                 estimate = (
                     fine.best_rx_deg

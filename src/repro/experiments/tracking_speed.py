@@ -53,26 +53,21 @@ def run_tracking_speed(
     motion = VrPlayerMotion(bed.room, seed=child_rng(rng, 1))
     trace = motion.generate(duration_s, sample_rate_hz=update_rate_hz)
 
-    pose_cache = {}
+    def snr_probe(pose_position: Vec2):
+        """Batched SNR of AP steerings toward a headset at one pose."""
+        headset = Radio(pose_position, boresight_deg=0.0, config=HEADSET_RADIO_CONFIG)
+        headset.steer_to(bearing_deg(pose_position, ap.position))
+        paths = system.budget.cache.all_paths(ap.position, pose_position, max_bounces=1)
 
-    def snr_at(pose_position: Vec2, ap_steer_deg: float) -> float:
-        cached = pose_cache.get(pose_position)
-        if cached is None:
-            headset = Radio(
-                pose_position, boresight_deg=0.0, config=HEADSET_RADIO_CONFIG
+        def probe(ap_steer_deg):
+            power_dbm = system.budget.sweep_pairs(
+                ap, headset, ap_steer_deg, headset.steering_deg, paths=paths
             )
-            headset.steer_to(bearing_deg(pose_position, ap.position))
-            paths = system.tracer.all_paths(
-                ap.position, pose_position, max_bounces=1
-            )
-            pose_cache.clear()  # poses are visited sequentially
-            cached = pose_cache[pose_position] = (headset, paths)
-        headset, paths = cached
-        m = system.budget.measure_with_paths(
-            ap, headset, paths, ap_steer_deg, headset.steering_deg
-        )
-        return m.snr_db
+            return power_dbm - headset.config.noise_floor_dbm
 
+        return probe
+
+    probes_by_pose = [snr_probe(pose.position) for pose in trace]
     scan = ap.config.array.max_scan_deg
     full_codebook = Codebook.uniform(
         ap.boresight_deg - scan, ap.boresight_deg + scan, 1.0
@@ -82,17 +77,16 @@ def run_tracking_speed(
 
     # Oracle: perfect geometric pointing, zero probes.
     oracle_snrs = [
-        snr_at(p.position, bearing_deg(ap.position, p.position)) for p in trace
+        float(probe(bearing_deg(ap.position, pose.position)))
+        for pose, probe in zip(trace, probes_by_pose)
     ]
     policies["oracle"] = (oracle_snrs, 0)
 
     # Full search every update.
     snrs: List[float] = []
     probes = 0
-    for pose in trace:
-        angle, snr, swept = single_sided_sweep(
-            full_codebook, lambda a, pos=pose.position: snr_at(pos, a)
-        )
+    for probe in probes_by_pose:
+        _, snr, swept = single_sided_sweep(full_codebook, probe)
         snrs.append(snr)
         probes += swept
     policies["full-search"] = (snrs, probes)
@@ -101,25 +95,19 @@ def run_tracking_speed(
     snrs, probes = [], 0
     period = max(1, int(update_rate_hz))
     current = ap.boresight_deg
-    for i, pose in enumerate(trace):
+    for i, probe in enumerate(probes_by_pose):
         if i % period == 0:
-            current, _, swept = single_sided_sweep(
-                full_codebook, lambda a, pos=pose.position: snr_at(pos, a)
-            )
+            current, _, swept = single_sided_sweep(full_codebook, probe)
             probes += swept
-        snrs.append(snr_at(pose.position, current))
+        snrs.append(float(probe(current)))
     policies["periodic-1s"] = (snrs, probes)
 
     # Pose-assisted tracking.
     tracker = PoseAssistedTracker(anchor_position=ap.position)
     snrs = []
-    for pose in trace:
-        update = tracker.update(
-            pose.time_s,
-            pose.position,
-            lambda a, pos=pose.position: snr_at(pos, a),
-        )
-        snrs.append(snr_at(pose.position, update.refined_angle_deg))
+    for pose, probe in zip(trace, probes_by_pose):
+        update = tracker.update(pose.time_s, pose.position, probe)
+        snrs.append(float(probe(update.refined_angle_deg)))
     policies["pose-assisted"] = (snrs, tracker.stats.probes)
 
     report = ExperimentReport(

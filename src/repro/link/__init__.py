@@ -5,7 +5,6 @@ from repro.link.beams import (
     Codebook,
     SweepResult,
     exhaustive_joint_sweep,
-    hierarchical_joint_sweep,
     single_sided_sweep,
 )
 from repro.link.arq import (
@@ -44,7 +43,6 @@ __all__ = [
     "Codebook",
     "SweepResult",
     "exhaustive_joint_sweep",
-    "hierarchical_joint_sweep",
     "single_sided_sweep",
     "ArqFrameLink",
     "DeliveryOutcome",

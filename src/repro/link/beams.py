@@ -2,16 +2,18 @@
 
 The paper's Opt-NLOS baseline "tries every combination of beam angle
 for both transmitter and receiver antennas, with 1 degree increments"
-(section 3).  This module provides that exhaustive joint sweep, a cheaper
-hierarchical (coarse-to-fine) search, and the cost model (number of
-probes, search latency) used by the ablation benchmarks.
+(section 3).  This module provides that exhaustive joint sweep, the
+one-sided sweep pose-assisted tracking refines with, and the cost
+model (number of probes, search latency) used by the ablation
+benchmarks.  Every sweep takes one batched metric that evaluates its
+whole probe grid in a single call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -42,7 +44,10 @@ class Codebook:
 
     @classmethod
     def uniform(cls, start_deg: float, stop_deg: float, step_deg: float) -> "Codebook":
-        """Uniformly spaced angles in ``[start, stop]`` inclusive.
+        """Uniformly spaced angles from ``start``, none past ``stop``.
+
+        ``stop`` itself is included (up to float rounding) when the
+        step divides the span.
 
         >>> len(Codebook.uniform(40.0, 140.0, 1.0))
         101
@@ -50,7 +55,9 @@ class Codebook:
         require_positive(step_deg, "step_deg")
         if stop_deg < start_deg:
             raise ValueError("stop_deg must be >= start_deg")
-        count = int(round((stop_deg - start_deg) / step_deg)) + 1
+        # Floor, so no entry passes ``stop``; the tolerance keeps the
+        # endpoint of spans that are float multiples of the step.
+        count = math.floor((stop_deg - start_deg) / step_deg + 1e-9) + 1
         return cls(tuple(start_deg + i * step_deg for i in range(count)))
 
     def nearest(self, angle_deg: float) -> float:
@@ -66,151 +73,69 @@ class SweepResult:
     best_rx_deg: float
     best_metric: float
     num_probes: int
-    metric_map: Optional[np.ndarray] = None
 
     def search_time_s(self, probe_time_s: float = DEFAULT_PROBE_TIME_S) -> float:
         """Wall-clock search latency under the probe cost model."""
         return self.num_probes * probe_time_s
 
 
-MetricFn = Callable[[float, float], float]
-
 #: Batched metric: called once with broadcastable (tx, rx) angle grids,
 #: returns the metric for every pair.  NaN entries (e.g. an unstable
-#: reflector probe) are treated as unusable, like the scalar form's
-#: ``-inf``.
-BatchMetricFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+#: reflector probe) are unusable.
+SweepMetric = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _best_usable(values: np.ndarray) -> Tuple[int, float]:
+    """Flat index and value of the best usable entry of a metric grid.
+
+    NaN counts as ``-inf``; ties go to the first entry in row-major
+    order, the order a sequential protocol probes them in.  When
+    nothing is usable the first entry wins with ``-inf``.
+    """
+    usable = np.where(np.isnan(values), -np.inf, values)
+    index = int(np.argmax(usable))
+    return index, float(usable.flat[index])
 
 
 def exhaustive_joint_sweep(
     tx_codebook: Codebook,
     rx_codebook: Codebook,
-    metric: Optional[MetricFn] = None,
-    keep_map: bool = False,
-    batch_metric: Optional[BatchMetricFn] = None,
+    metric: SweepMetric,
 ) -> SweepResult:
     """Try every (tx, rx) angle pair; return the argmax of the metric.
 
-    ``metric(tx_deg, rx_deg)`` is typically a measured SNR or, during
-    MoVR's angle search, the reflected sideband power at the AP.  When
-    the caller can evaluate the whole grid at once, ``batch_metric``
-    replaces the per-pair Python loop with one vectorized call — the
-    probe count (the *hardware* cost the search models) is identical.
+    ``metric(tx_deg, rx_deg)`` receives the ``(T, 1)`` and ``(1, R)``
+    codebook grids and returns the ``(T, R)`` metric — typically a
+    measured SNR or, during MoVR's angle search, the reflected sideband
+    power at the AP.  The probe count (the *hardware* cost the search
+    models) is the grid size.
     """
-    if batch_metric is not None:
-        tx = np.asarray(tx_codebook.angles_deg, dtype=float)
-        rx = np.asarray(rx_codebook.angles_deg, dtype=float)
-        values = np.asarray(batch_metric(tx[:, None], rx[None, :]), dtype=float)
-        values = np.broadcast_to(values, (len(tx), len(rx)))
-        usable = np.where(np.isnan(values), -np.inf, values)
-        i, j = np.unravel_index(int(np.argmax(usable)), usable.shape)
-        best_value = float(usable[i, j])
-        if best_value == -math.inf:
-            # Mirror the scalar loop: nothing ever beat the sentinel.
-            best_tx, best_rx = 0.0, 0.0
-        else:
-            best_tx, best_rx = float(tx[i]), float(rx[j])
-        return SweepResult(
-            best_tx_deg=best_tx,
-            best_rx_deg=best_rx,
-            best_metric=best_value,
-            num_probes=values.size,
-            metric_map=values.copy() if keep_map else None,
-        )
-    if metric is None:
-        raise ValueError("provide either metric or batch_metric")
-    best = (-math.inf, 0.0, 0.0)
-    grid = (
-        np.full((len(tx_codebook), len(rx_codebook)), -math.inf) if keep_map else None
-    )
-    probes = 0
-    for i, tx_deg in enumerate(tx_codebook):
-        for j, rx_deg in enumerate(rx_codebook):
-            value = metric(tx_deg, rx_deg)
-            probes += 1
-            if grid is not None:
-                grid[i, j] = value
-            if value > best[0]:
-                best = (value, tx_deg, rx_deg)
+    tx = np.asarray(tx_codebook.angles_deg, dtype=float)
+    rx = np.asarray(rx_codebook.angles_deg, dtype=float)
+    values = np.asarray(metric(tx[:, None], rx[None, :]), dtype=float)
+    values = np.broadcast_to(values, (len(tx), len(rx)))
+    index, best_value = _best_usable(values)
+    i, j = np.unravel_index(index, values.shape)
     return SweepResult(
-        best_tx_deg=best[1],
-        best_rx_deg=best[2],
-        best_metric=best[0],
-        num_probes=probes,
-        metric_map=grid,
-    )
-
-
-def hierarchical_joint_sweep(
-    start_deg: float,
-    stop_deg: float,
-    metric: Optional[MetricFn] = None,
-    coarse_step_deg: float = 10.0,
-    fine_step_deg: float = 1.0,
-    refine_span_deg: float = 12.0,
-    batch_metric: Optional[BatchMetricFn] = None,
-) -> SweepResult:
-    """Coarse-to-fine joint search: sweep a coarse grid, then refine
-    around the winner with fine steps.
-
-    Cuts probe count roughly from ``(R/f)^2`` to ``(R/c)^2 + (s/f)^2``
-    at the risk of locking onto a coarse-grid sidelobe; the ablation
-    benchmark quantifies that trade.
-    """
-    require_positive(coarse_step_deg, "coarse_step_deg")
-    require_positive(fine_step_deg, "fine_step_deg")
-    if fine_step_deg > coarse_step_deg:
-        raise ValueError("fine step must not exceed coarse step")
-    coarse = Codebook.uniform(start_deg, stop_deg, coarse_step_deg)
-    stage1 = exhaustive_joint_sweep(coarse, coarse, metric, batch_metric=batch_metric)
-    half = refine_span_deg / 2.0
-    tx_fine = Codebook.uniform(
-        max(start_deg, stage1.best_tx_deg - half),
-        min(stop_deg, stage1.best_tx_deg + half),
-        fine_step_deg,
-    )
-    rx_fine = Codebook.uniform(
-        max(start_deg, stage1.best_rx_deg - half),
-        min(stop_deg, stage1.best_rx_deg + half),
-        fine_step_deg,
-    )
-    stage2 = exhaustive_joint_sweep(tx_fine, rx_fine, metric, batch_metric=batch_metric)
-    total = stage1.num_probes + stage2.num_probes
-    winner = stage2 if stage2.best_metric >= stage1.best_metric else stage1
-    return SweepResult(
-        best_tx_deg=winner.best_tx_deg,
-        best_rx_deg=winner.best_rx_deg,
-        best_metric=winner.best_metric,
-        num_probes=total,
+        best_tx_deg=float(tx[i]),
+        best_rx_deg=float(rx[j]),
+        best_metric=best_value,
+        num_probes=values.size,
     )
 
 
 def single_sided_sweep(
     codebook: Codebook,
-    metric: Optional[Callable[[float], float]] = None,
-    batch_metric: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    metric: Callable[[np.ndarray], np.ndarray],
 ) -> Tuple[float, float, int]:
     """Sweep one beam with the other held fixed.
 
-    Returns ``(best_angle, best_metric, num_probes)`` — the primitive
-    used by pose-assisted tracking, which only needs to refine one
-    side.  ``batch_metric`` evaluates the whole codebook in one
-    vectorized call.
+    ``metric`` receives the codebook as one angle vector and returns a
+    value per angle.  Returns ``(best_angle, best_metric, num_probes)``
+    — the primitive used by pose-assisted tracking, which only needs to
+    refine one side.
     """
-    if batch_metric is not None:
-        angles = np.asarray(codebook.angles_deg, dtype=float)
-        values = np.asarray(batch_metric(angles), dtype=float)
-        values = np.broadcast_to(values, angles.shape)
-        usable = np.where(np.isnan(values), -np.inf, values)
-        best = int(np.argmax(usable))
-        return float(angles[best]), float(usable[best]), int(angles.size)
-    if metric is None:
-        raise ValueError("provide either metric or batch_metric")
-    best_angle, best_value = codebook.angles_deg[0], -math.inf
-    probes = 0
-    for angle in codebook:
-        value = metric(angle)
-        probes += 1
-        if value > best_value:
-            best_angle, best_value = angle, value
-    return best_angle, best_value, probes
+    angles = np.asarray(codebook.angles_deg, dtype=float)
+    values = np.broadcast_to(np.asarray(metric(angles), dtype=float), angles.shape)
+    index, best_value = _best_usable(values)
+    return float(angles[index]), best_value, int(angles.size)

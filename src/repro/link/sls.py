@@ -13,11 +13,10 @@ detection floor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
-from repro.link.beams import BatchMetricFn, Codebook
+from repro.link.beams import Codebook, SweepMetric, single_sided_sweep
 from repro.utils.validation import require_positive
 
 #: An 802.11ad SSW frame takes ~15.8 us on the air (control PHY).
@@ -44,77 +43,47 @@ class SlsResult:
 def sector_level_sweep(
     initiator_codebook: Codebook,
     responder_codebook: Codebook,
-    metric: Optional[Callable[[float, float], float]] = None,
+    metric: SweepMetric,
     detection_floor_db: float = 0.0,
-    batch_metric: Optional[BatchMetricFn] = None,
 ) -> SlsResult:
     """Run an SLS exchange.
 
     ``metric(initiator_deg, responder_deg)`` returns the link metric
-    (SNR-like, dB) with both beams set.  During each one-sided phase
-    the other side listens quasi-omni, modeled as the best beam of
-    that side minus :data:`QUASI_OMNI_PENALTY_DB`.  Probes whose
-    quasi-omni metric falls below ``detection_floor_db`` are missed —
-    the initiator cannot tell that sector was good.  ``batch_metric``
-    evaluates each one-sided phase in a single vectorized call; the
-    frame count (the on-air cost) is unchanged.
+    (SNR-like, dB) with both beams set; each one-sided phase evaluates
+    its whole codebook in one call (NaN marks an unusable probe).
+    During each phase the other side listens quasi-omni, modeled as
+    the best beam of that side minus :data:`QUASI_OMNI_PENALTY_DB`.
+    Probes whose quasi-omni metric falls below ``detection_floor_db``
+    are missed — the initiator cannot tell that sector was good.
     """
-    if batch_metric is None and metric is None:
-        raise ValueError("provide either metric or batch_metric")
-    frames = 0
     # Phase 1: initiator sweeps, responder quasi-omni (approximated as
     # the responder's central sector minus the omni penalty).
     responder_center = responder_codebook.nearest(
         sum(responder_codebook.angles_deg) / len(responder_codebook)
     )
-    best_initiator: Optional[float] = None
-    best_metric = float("-inf")
-    if batch_metric is not None:
-        sectors = np.asarray(initiator_codebook.angles_deg, dtype=float)
-        values = np.asarray(batch_metric(sectors, responder_center), dtype=float)
-        values = np.broadcast_to(values, sectors.shape) - QUASI_OMNI_PENALTY_DB
-        usable = np.where(np.isnan(values), -np.inf, values)
-        frames += sectors.size
-        idx = int(np.argmax(usable))
-        if usable[idx] >= detection_floor_db:
-            best_initiator, best_metric = float(sectors[idx]), float(usable[idx])
-    else:
-        for sector in initiator_codebook:
-            frames += 1
-            value = metric(sector, responder_center) - QUASI_OMNI_PENALTY_DB
-            if value >= detection_floor_db and value > best_metric:
-                best_initiator, best_metric = sector, value
-    if best_initiator is None:
+    best_initiator, best_metric, frames1 = single_sided_sweep(
+        initiator_codebook,
+        lambda sectors: np.asarray(metric(sectors, responder_center))
+        - QUASI_OMNI_PENALTY_DB,
+    )
+    detected = best_metric >= detection_floor_db
+    if not detected:
         # Nothing detected: fall back to the codebook center.
         best_initiator = initiator_codebook.nearest(
             sum(initiator_codebook.angles_deg) / len(initiator_codebook)
         )
-        detected = False
-    else:
-        detected = True
     # Phase 2: responder sweeps with the initiator's winner fixed.
-    best_responder = responder_center
-    best_metric2 = float("-inf")
-    if batch_metric is not None:
-        sectors = np.asarray(responder_codebook.angles_deg, dtype=float)
-        values = np.asarray(batch_metric(best_initiator, sectors), dtype=float)
-        values = np.broadcast_to(values, sectors.shape)
-        usable = np.where(np.isnan(values), -np.inf, values)
-        frames += sectors.size
-        idx = int(np.argmax(usable))
-        if usable[idx] > best_metric2:
-            best_responder, best_metric2 = float(sectors[idx]), float(usable[idx])
-    else:
-        for sector in responder_codebook:
-            frames += 1
-            value = metric(best_initiator, sector)
-            if value > best_metric2:
-                best_responder, best_metric2 = sector, value
+    best_responder, best_metric2, frames2 = single_sided_sweep(
+        responder_codebook, lambda sectors: metric(best_initiator, sectors)
+    )
+    if best_metric2 == float("-inf"):
+        # Nothing usable: the responder stays on its central sector.
+        best_responder = responder_center
     return SlsResult(
         initiator_sector_deg=best_initiator,
         responder_sector_deg=best_responder,
         best_metric_db=best_metric2,
-        num_frames=frames,
+        num_frames=frames1 + frames2,
         detected=detected,
     )
 

@@ -13,6 +13,7 @@ from repro.core.reflector import MoVRReflector
 from repro.geometry.raytrace import RayTracer
 from repro.geometry.room import standard_office
 from repro.geometry.vectors import Vec2, bearing_deg
+from repro.link.beams import Codebook
 from repro.link.radios import DEFAULT_RADIO_CONFIG, HEADSET_RADIO_CONFIG, Radio
 from repro.phy.channel import MmWaveChannel
 
@@ -34,6 +35,25 @@ def make_search(scene, signal_level=False, rng=0, boresight_offset=15.0):
     return BackscatterAngleSearch(
         ap, reflector, tracer, channel, signal_level=signal_level, rng=rng
     )
+
+
+def sequential_search(search, reflector_step_deg, ap_step_deg):
+    """The section 4.1 protocol as written: one probe at a time, AP
+    angle outer, reflector angle inner; returns (ap, reflector, peak,
+    probes)."""
+    scan = search.ap.config.array.max_scan_deg
+    ap_codebook = Codebook.uniform(
+        search.ap.boresight_deg - scan, search.ap.boresight_deg + scan, ap_step_deg
+    )
+    best = (-math.inf, None, None)
+    probes = 0
+    for ap_deg in ap_codebook:
+        for refl_deg in Codebook.uniform(40.0, 140.0, reflector_step_deg):
+            value = search.measure_sideband_dbm(ap_deg, refl_deg)
+            probes += 1
+            if value > best[0]:
+                best = (value, ap_deg, refl_deg)
+    return best[1], best[2], best[0], probes
 
 
 class TestOokFraction:
@@ -76,8 +96,9 @@ class TestEstimation:
         assert result.reflector_error_deg <= 2.0
 
     def test_fast_estimate_accurate(self, scene):
+        """The analytic probe over the full 1-degree grid."""
         search = make_search(scene, rng=2)
-        result = search.estimate_incidence_angle_fast()
+        result = search.estimate_incidence_angle()
         assert result.reflector_error_deg <= 1.0
         assert result.num_probes > 10_000
 
@@ -88,19 +109,39 @@ class TestEstimation:
         )
         assert result.reflector_error_deg <= 4.0
 
-    def test_fast_and_reference_agree(self, scene):
-        """The vectorized sweep matches the sequential protocol."""
-        ref = make_search(scene, rng=4).estimate_incidence_angle(
+    def test_batched_and_sequential_agree(self, scene):
+        """The batched analytic sweep matches the sequential protocol."""
+        _, sequential_refl, _, sequential_probes = sequential_search(
+            make_search(scene, rng=4), reflector_step_deg=2.0, ap_step_deg=4.0
+        )
+        batched = make_search(scene, rng=5).estimate_incidence_angle(
             reflector_step_deg=2.0, ap_step_deg=4.0
         )
-        fast = make_search(scene, rng=5).estimate_incidence_angle_fast(
-            reflector_step_deg=2.0, ap_step_deg=4.0
+        assert abs(sequential_refl - batched.reflector_angle_deg) <= 2.0
+        assert batched.num_probes == sequential_probes
+
+    def test_signal_level_sweep_is_the_sequential_loop(self, scene):
+        """The DSP probe runs through the sweep in the protocol's own
+        order: same RNG draws, same winner, same reflector beam state."""
+        sequential = make_search(scene, signal_level=True, rng=11)
+        ap_deg, refl_deg, peak, probes = sequential_search(
+            sequential, reflector_step_deg=10.0, ap_step_deg=20.0
         )
-        assert abs(ref.reflector_angle_deg - fast.reflector_angle_deg) <= 2.0
+        swept = make_search(scene, signal_level=True, rng=11)
+        result = swept.estimate_incidence_angle(
+            reflector_step_deg=10.0, ap_step_deg=20.0
+        )
+        assert (result.ap_angle_deg, result.reflector_angle_deg) == (ap_deg, refl_deg)
+        assert result.peak_sideband_dbm == peak
+        assert result.num_probes == probes
+        assert swept.reflector.rx_azimuth_deg == sequential.reflector.rx_azimuth_deg
+        assert swept.reflector.tx_azimuth_deg == sequential.reflector.tx_azimuth_deg
+        # Both consumed the same random stream.
+        assert swept._rng.random() == sequential._rng.random()
 
     def test_ap_angle_also_estimated(self, scene):
         search = make_search(scene, rng=6)
-        result = search.estimate_incidence_angle_fast()
+        result = search.estimate_incidence_angle()
         assert result.ap_error_deg <= 2.0
 
     def test_leakage_rejected_in_signal_level_probe(self, scene):
@@ -136,3 +177,18 @@ class TestReflectionAngleSearch:
             reflector_step_deg=1.0, headset_step_deg=4.0
         )
         assert result.reflector_error_deg <= 2.0
+
+    def test_ap_error_wraps_azimuth(self, scene):
+        """A headset facing 180 degrees estimates near +/-180; the error
+        is the wrapped difference, not 360 degrees."""
+        room, tracer, channel, ap = scene
+        reflector = MoVRReflector(Vec2(0.2, 2.4), boresight_deg=0.0)
+        headset = Radio(
+            Vec2(3.0, 2.6), boresight_deg=180.0, config=HEADSET_RADIO_CONFIG
+        )
+        search = ReflectionAngleSearch(
+            ap, reflector, headset, tracer, channel, rng=8
+        )
+        result = search.estimate_reflection_angle(1.0, 2.0)
+        assert result.ap_error_deg <= 2.0
+

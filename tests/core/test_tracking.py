@@ -1,5 +1,6 @@
 """Unit tests for pose-assisted beam tracking (section 6 extension)."""
 
+import numpy as np
 import pytest
 
 from repro.core.tracking import PoseAssistedTracker
@@ -7,9 +8,10 @@ from repro.geometry.vectors import Vec2
 
 
 def gaussian_beam_snr(true_bearing_deg, peak_snr=30.0, beamwidth=10.0):
-    """An SNR probe peaking when the beam points at the true bearing."""
+    """A batched SNR probe peaking when the beam points at the true
+    bearing."""
 
-    def probe(angle_deg: float) -> float:
+    def probe(angle_deg: np.ndarray) -> np.ndarray:
         offset = (angle_deg - true_bearing_deg + 180.0) % 360.0 - 180.0
         return peak_snr - 3.0 * (2.0 * offset / beamwidth) ** 2
 
@@ -64,6 +66,39 @@ class TestRefinement:
         for i in range(1, 40):
             update = tracker.update(float(i), Vec2(3, 0), weak)
         assert update.mode == "predict"
+
+
+class TestBatchedProbe:
+    def test_every_probe_call_is_a_grid(self):
+        calls = []
+        inner = gaussian_beam_snr(30.0)
+
+        def probe(angles):
+            calls.append(np.shape(angles))
+            return inner(angles)
+
+        tracker = PoseAssistedTracker(
+            anchor_position=Vec2(0, 0), refine_span_deg=6.0
+        )
+        tracker.update(0.0, Vec2(3, 0), gaussian_beam_snr(0.0))
+        update = tracker.update(1.0, Vec2(3, 0), probe)
+        assert update.mode == "full-search"
+        # One verifying probe, one 7-entry refine, one 101-entry search.
+        assert calls == [(1,), (7,), (101,)]
+        assert update.probes_used == 1 + 7 + 101
+
+    def test_nan_probes_unusable(self):
+        inner = gaussian_beam_snr(8.0)
+        tracker = PoseAssistedTracker(
+            anchor_position=Vec2(0, 0), refine_span_deg=16.0
+        )
+        tracker.update(0.0, Vec2(3, 0), gaussian_beam_snr(0.0))
+        # The beam at the true bearing is an unusable probe.
+        update = tracker.update(
+            1.0, Vec2(3, 0), lambda a: np.where(np.isclose(a, 8.0), np.nan, inner(a))
+        )
+        assert update.mode == "refine"
+        assert update.refined_angle_deg in (pytest.approx(7.0), pytest.approx(9.0))
 
 
 class TestStats:

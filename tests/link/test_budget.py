@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.geometry.bodies import hand_occluder
@@ -76,6 +77,20 @@ class TestMeasure:
         b = budget.measure_with_paths(tx, rx, paths, 45.0, -135.0)
         assert a.snr_db == pytest.approx(b.snr_db)
         assert a.received_power_dbm == pytest.approx(b.received_power_dbm)
+
+    def test_sweep_pairs_is_the_per_angle_loop(self, setup):
+        """One batched steering sweep gives exactly what measuring each
+        angle in turn gives; the tracking experiment relies on it."""
+        budget, tx, rx = setup
+        paths = budget.cache.all_paths(tx.position, rx.position, max_bounces=1)
+        angles = np.arange(-15.0, 105.5, 1.0)
+        rx_steer = rx.steer_to(bearing_deg(rx.position, tx.position))
+        swept = budget.sweep_pairs(tx, rx, angles, rx_steer, paths=paths)
+        loop = [
+            budget.measure_with_paths(tx, rx, paths, a, rx_steer).received_power_dbm
+            for a in angles
+        ]
+        np.testing.assert_array_equal(swept, loop)
 
 
 class TestBestAlignment:

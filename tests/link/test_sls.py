@@ -1,5 +1,8 @@
 """Unit tests for the 802.11ad sector-level sweep baseline."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.link.beams import Codebook
@@ -13,7 +16,9 @@ from repro.link.sls import (
 
 
 def planted_peak(tx_peak: float, rx_peak: float, height: float = 30.0):
-    def metric(tx: float, rx: float) -> float:
+    """A unimodal metric over broadcast angle grids."""
+
+    def metric(tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
         return height - 0.1 * ((tx - tx_peak) ** 2 + (rx - rx_peak) ** 2)
 
     return metric
@@ -55,6 +60,45 @@ class TestSectorLevelSweep:
         just_below = planted_peak(50.0, 50.0, height=QUASI_OMNI_PENALTY_DB - 1.0)
         assert sector_level_sweep(initiator, responder, just_above).detected
         assert not sector_level_sweep(initiator, responder, just_below).detected
+
+    def test_each_phase_is_one_batched_call(self):
+        calls = []
+
+        def metric(tx, rx):
+            calls.append((np.shape(tx), np.shape(rx)))
+            return planted_peak(40.0, 60.0)(tx, rx)
+
+        initiator = Codebook.uniform(0.0, 100.0, 5.0)
+        responder = Codebook.uniform(0.0, 100.0, 10.0)
+        result = sector_level_sweep(initiator, responder, metric)
+        assert calls == [((21,), ()), ((), (11,))]
+        assert result.num_frames == len(initiator) + len(responder)
+
+    def test_nan_probes_unusable(self):
+        def metric(tx, rx):
+            values = planted_peak(40.0, 60.0)(tx, rx)
+            # The best sector of each side is an unusable probe.
+            return np.where((tx == 40.0) | (rx == 60.0), np.nan, values)
+
+        sectors = Codebook.uniform(0.0, 100.0, 5.0)
+        result = sector_level_sweep(sectors, sectors, metric)
+        assert result.detected
+        assert result.initiator_sector_deg in (35.0, 45.0)
+        assert result.responder_sector_deg in (55.0, 65.0)
+        assert not math.isnan(result.best_metric_db)
+        assert result.num_frames == 2 * len(sectors)
+
+    def test_nothing_usable_stays_on_centers(self):
+        initiator = Codebook.uniform(0.0, 100.0, 10.0)
+        responder = Codebook.uniform(20.0, 60.0, 10.0)
+        result = sector_level_sweep(
+            initiator, responder, lambda tx, rx: np.full(np.shape(tx + rx), np.nan)
+        )
+        assert not result.detected
+        assert result.initiator_sector_deg == 50.0
+        assert result.responder_sector_deg == 40.0
+        assert result.best_metric_db == -math.inf
+        assert result.num_frames == len(initiator) + len(responder)
 
     def test_sweep_time(self):
         result = SlsResult(0.0, 0.0, 0.0, num_frames=100, detected=True)
