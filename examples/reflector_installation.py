@@ -67,8 +67,8 @@ def main() -> None:
     feed = tracer.line_of_sight(ap.position, mount)
     input_dbm = (
         ap.config.tx_power_dbm
-        + ap.tx_gain_dbi(feed.departure_angle_deg,
-                         steer_override_deg=feed.departure_angle_deg)
+        + ap.array.gain_dbi(feed.departure_angle_deg,
+                            steer_override_deg=feed.departure_angle_deg)
         + channel.path_gain_db(feed)
         + reflector.rx_array.gain_dbi(feed.arrival_angle_deg)
     )

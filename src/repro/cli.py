@@ -35,6 +35,7 @@ Telemetry flags (see docs/observability.md):
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -43,10 +44,6 @@ from typing import List, Optional
 from repro import telemetry
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.harness import DEFAULT_MAX_EVENTS
-
-#: Experiments that accept a ``seed`` keyword (all but the
-#: deterministic ones).
-_SEEDLESS = {"fig7", "sec6-battery"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -147,8 +144,9 @@ def _run_one(
     slo_detail: bool = False,
 ) -> bool:
     fn = ALL_EXPERIMENTS[experiment_id]
-    kwargs = {} if experiment_id in _SEEDLESS else {"seed": seed}
-    report = fn(**kwargs)
+    # Deterministic experiments take no seed.
+    seeded = "seed" in inspect.signature(fn).parameters
+    report = fn(seed=seed) if seeded else fn()
     report.print_report(max_rows=max_rows, max_events=max_events, slo_detail=slo_detail)
     print()
     if json_path is not None:

@@ -135,7 +135,7 @@ class BackscatterAngleSearch:
         self.reflector.set_beams(refl_azimuth, refl_azimuth)
         self.reflector.amplifier.set_gain_db(self.search_gain_db)
         one_way_gain = self.channel.path_gain_db(self._path)
-        ap_gain = self.ap.tx_gain_dbi(
+        ap_gain = self.ap.array.gain_dbi(
             self._bearing_ap_to_refl, steer_override_deg=ap_steer_deg
         )
         through = self.reflector.through_gain_db(
@@ -356,7 +356,7 @@ class ReflectionAngleSearch:
             tx_steer_azimuth_deg=tx_azimuth,
         )
         through = np.where(np.isnan(through), 0.0, through)
-        ap_gain = self.ap.tx_gain_dbi(
+        ap_gain = self.ap.array.gain_dbi(
             bearing_deg(self.ap.position, self.reflector.position)
         )
         hs_gain = self.headset_radio.array.gain_dbi_batch(

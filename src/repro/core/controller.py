@@ -217,7 +217,7 @@ class MoVRSystem:
                 self.ap.position, reflector.position, extra_occluders
             )
         ap_steer = bearing_deg(self.ap.position, reflector.position)
-        ap_gain = self.ap.tx_gain_dbi(feed.departure_angle_deg, steer_override_deg=ap_steer)
+        ap_gain = self.ap.array.gain_dbi(feed.departure_angle_deg, steer_override_deg=ap_steer)
         rx_gain = reflector.rx_array.gain_dbi(feed.arrival_angle_deg)
         return (
             self.ap.config.tx_power_dbm
@@ -262,7 +262,7 @@ class MoVRSystem:
             )
         tx_gain = reflector.tx_array.gain_dbi(out_path.departure_angle_deg)
         hs_steer = bearing_deg(headset_radio.position, reflector.position)
-        hs_gain = headset_radio.rx_gain_dbi(
+        hs_gain = headset_radio.array.gain_dbi(
             out_path.arrival_angle_deg, steer_override_deg=hs_steer
         )
         received = (

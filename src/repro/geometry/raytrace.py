@@ -11,8 +11,7 @@ geometry reusable and independently testable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.geometry.room import Occluder, Room, Wall
 from repro.geometry.shapes import EPSILON, Circle, Segment
@@ -165,24 +164,31 @@ class RayTracer:
         max_bounces: int = 2,
         extra_occluders: Sequence[Occluder] = (),
     ) -> List[PropagationPath]:
-        """All specular wall-reflection paths up to ``max_bounces``.
+        """All specular wall-reflection paths up to ``max_bounces`` (1 or 2).
 
         Paths whose legs pass through occluders are *kept* (with their
         obstruction records): a partially blocked reflection may still
         be the best alternative, exactly the situation the paper's
         Opt-NLOS baseline probes.
         """
-        if max_bounces < 1:
-            raise ValueError(f"max_bounces must be >= 1, got {max_bounces}")
+        if max_bounces not in (1, 2):
+            raise ValueError(f"max_bounces must be 1 or 2, got {max_bounces}")
         self._check_separation(tx, rx)
         paths: List[PropagationPath] = []
-        for wall in self.room.walls:
-            path = self._single_bounce(tx, rx, wall, extra_occluders)
-            if path is not None:
-                paths.append(path)
-        if max_bounces >= 2:
-            for wall1, wall2 in permutations(self.room.walls, 2):
-                path = self._double_bounce(tx, rx, wall1, wall2, extra_occluders)
+        # Image chains: a wall sequence and TX's image after each bounce
+        # on it.  Extending the chains one bounce at a time mirrors each
+        # prefix once and keeps the order: singles in wall order, then
+        # doubles.  A wall never follows itself.
+        chains: List[Tuple[Tuple[Wall, ...], Tuple[Vec2, ...]]] = [((), (tx,))]
+        for _ in range(max_bounces):
+            chains = [
+                (walls + (wall,), images + (wall.segment.mirror_point(images[-1]),))
+                for walls, images in chains
+                for wall in self.room.walls
+                if not walls or wall is not walls[-1]
+            ]
+            for walls, images in chains:
+                path = self._bounce_path(images, rx, walls, extra_occluders)
                 if path is not None:
                     paths.append(path)
         return paths
@@ -210,99 +216,67 @@ class RayTracer:
                 f"TX and RX closer than {MIN_SEPARATION_M} m: far-field model invalid"
             )
 
-    def _single_bounce(
+    def _bounce_path(
         self,
-        tx: Vec2,
+        images: Tuple[Vec2, ...],
         rx: Vec2,
-        wall: Wall,
+        walls: Tuple[Wall, ...],
         extra_occluders: Sequence[Occluder],
     ) -> Optional[PropagationPath]:
-        image = wall.segment.mirror_point(tx)
-        if image.distance_to(rx) < EPSILON:
-            return None
-        bounce = wall.segment.intersect(Segment(image, rx))
-        if bounce is None:
-            return None
-        if bounce.distance_to(tx) < MIN_SEPARATION_M or bounce.distance_to(rx) < MIN_SEPARATION_M:
-            return None
-        points = (tx, bounce, rx)
-        if self._leg_crosses_wall(tx, bounce, exclude=(wall,)) or self._leg_crosses_wall(
-            bounce, rx, exclude=(wall,)
-        ):
-            return None
-        obstructions = self._leg_obstructions(points, extra_occluders)
-        return PropagationPath(points=points, walls=(wall,), obstructions=tuple(obstructions))
+        """The specular path from TX to RX reflecting off ``walls`` in order.
 
-    def _double_bounce(
-        self,
-        tx: Vec2,
-        rx: Vec2,
-        wall1: Wall,
-        wall2: Wall,
-        extra_occluders: Sequence[Occluder],
-    ) -> Optional[PropagationPath]:
-        image1 = wall1.segment.mirror_point(tx)
-        image2 = wall2.segment.mirror_point(image1)
-        if image2.distance_to(rx) < EPSILON:
+        ``images`` is TX followed by its image across each wall in turn.
+        Walking back from RX, the line toward each image meets its wall
+        at the bounce point.  Returns ``None`` when a bounce point
+        misses its wall, a leg is shorter than the far-field limit, or
+        a leg crosses any wall other than the ones it bounces on.
+        """
+        if images[-1].distance_to(rx) < EPSILON:
             return None
-        bounce2 = wall2.segment.intersect(Segment(image2, rx))
-        if bounce2 is None:
-            return None
-        bounce1 = wall1.segment.intersect(Segment(image1, bounce2))
-        if bounce1 is None:
-            return None
-        for p, q in ((tx, bounce1), (bounce1, bounce2), (bounce2, rx)):
-            if p.distance_to(q) < MIN_SEPARATION_M:
+        points = [rx]
+        for wall, image in zip(reversed(walls), reversed(images)):
+            bounce = wall.segment.intersect(Segment(image, points[-1]))
+            if bounce is None:
                 return None
-        if (
-            self._leg_crosses_wall(tx, bounce1, exclude=(wall1,))
-            or self._leg_crosses_wall(bounce1, bounce2, exclude=(wall1, wall2))
-            or self._leg_crosses_wall(bounce2, rx, exclude=(wall2,))
-        ):
+            points.append(bounce)
+        points.append(images[0])
+        points.reverse()
+        legs = range(len(walls) + 1)
+        if any(points[i].distance_to(points[i + 1]) < MIN_SEPARATION_M for i in legs):
             return None
-        points = (tx, bounce1, bounce2, rx)
+        for i in legs:
+            # A leg touches the walls it bounces on at its endpoints.
+            touching = walls[max(0, i - 1) : i + 1]
+            if any(self._walls_crossed(points[i], points[i + 1], touching)):
+                return None
+        points = tuple(points)
         obstructions = self._leg_obstructions(points, extra_occluders)
-        return PropagationPath(
-            points=points, walls=(wall1, wall2), obstructions=tuple(obstructions)
-        )
+        return PropagationPath(points=points, walls=walls, obstructions=tuple(obstructions))
 
-    def _walls_crossed(self, a: Vec2, b: Vec2) -> List[Wall]:
-        """Walls the open segment (a, b) passes through.
-
-        Endpoint grazes are ignored (a radio sits *against* a wall, not
-        inside it).  Used for LOS penetration accounting; reflection
-        legs that cross walls are dropped instead, since penetration
-        loss on top of reflection loss makes them irrelevant.
-        """
-        leg = Segment(a, b)
-        crossed: List[Wall] = []
-        for wall in self.room.walls:
-            hit = leg.intersect(wall.segment)
-            if hit is None:
-                continue
-            if hit.distance_to(a) > 1e-6 and hit.distance_to(b) > 1e-6:
-                crossed.append(wall)
-        return crossed
-
-    def _leg_crosses_wall(
+    def _walls_crossed(
         self, a: Vec2, b: Vec2, exclude: Tuple[Wall, ...] = ()
-    ) -> bool:
-        """Does the open segment (a, b) cross any non-excluded wall?
+    ) -> Iterator[Wall]:
+        """Walls the open segment (a, b) passes through, in room order.
 
-        Intersections within a small margin of the leg endpoints are
-        ignored: a reflection leg necessarily *touches* its bounce wall
-        at an endpoint.
+        Endpoint grazes are ignored: a radio sits *against* a wall, not
+        inside it.  The ``exclude`` walls, matched by identity among the
+        room's walls, are skipped: a reflection leg touches its bounce
+        walls.  Lazy, so a caller asking only whether any wall is
+        crossed stops at the first.  LOS paths record the crossed walls
+        for penetration loss; reflection paths that cross a wall are
+        dropped instead, since penetration loss on top of reflection
+        loss makes them irrelevant.
         """
         leg = Segment(a, b)
+        skip = {id(wall) for wall in exclude}
         for wall in self.room.walls:
-            if wall in exclude:
+            if id(wall) in skip:
                 continue
             hit = leg.intersect(wall.segment)
             if hit is None:
                 continue
             if hit.distance_to(a) > 1e-6 and hit.distance_to(b) > 1e-6:
-                return True
-        return False
+                yield wall
 
     def _leg_obstructions(
         self,

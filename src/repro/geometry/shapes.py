@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional
 
 from repro.geometry.vectors import Vec2, point_segment_distance
@@ -34,8 +35,9 @@ class Segment:
     def length(self) -> float:
         return self.a.distance_to(self.b)
 
-    @property
+    @cached_property
     def direction(self) -> Vec2:
+        # Cached: every image-method mirror across a wall reads it.
         return (self.b - self.a).normalized()
 
     @property

@@ -97,8 +97,8 @@ class LinkBudget:
         rx_steer_deg: Optional[float] = None,
     ) -> float:
         """Received power over one path with given (or current) steering."""
-        tx_gain = tx.tx_gain_dbi(path.departure_angle_deg, steer_override_deg=tx_steer_deg)
-        rx_gain = rx.rx_gain_dbi(path.arrival_angle_deg, steer_override_deg=rx_steer_deg)
+        tx_gain = tx.array.gain_dbi(path.departure_angle_deg, steer_override_deg=tx_steer_deg)
+        rx_gain = rx.array.gain_dbi(path.arrival_angle_deg, steer_override_deg=rx_steer_deg)
         gain = self.channel.path_gain_db(path)
         return (
             tx.config.tx_power_dbm
@@ -121,22 +121,22 @@ class LinkBudget:
         """Per-path received power over broadcast steering grids.
 
         Returns shape ``(P,) + broadcast(tx_steer, rx_steer).shape``;
-        ``axis=0`` holds the paths.  The per-path channel gain is
-        computed once and the antenna kernels evaluate every steering
-        in one vectorized call each.
+        ``axis=0`` holds the paths.  The channel gain is computed once
+        per path; each side's antenna kernel evaluates every path and
+        steering in one call, with the paths on a new leading axis.
         """
         tx_steer = np.asarray(tx_steer_deg, dtype=float)
         rx_steer = np.asarray(rx_steer_deg, dtype=float)
         shape = np.broadcast(tx_steer, rx_steer).shape
+        # Paths along axis 0, broadcasting against every steering axis.
+        per_path = (len(paths),) + (1,) * len(shape)
+        departures = np.reshape([p.departure_angle_deg for p in paths], per_path)
+        arrivals = np.reshape([p.arrival_angle_deg for p in paths], per_path)
+        channel = np.reshape([self.channel.path_gain_db(p) for p in paths], per_path)
         const = tx.config.tx_power_dbm - tx.config.implementation_loss_db
-        powers = np.empty((len(paths),) + shape, dtype=float)
-        for i, path in enumerate(paths):
-            tx_gain = tx.array.gain_dbi_batch(path.departure_angle_deg, tx_steer)
-            rx_gain = rx.array.gain_dbi_batch(path.arrival_angle_deg, rx_steer)
-            powers[i] = np.broadcast_to(
-                const + self.channel.path_gain_db(path) + tx_gain + rx_gain, shape
-            )
-        return powers
+        tx_gain = tx.array.gain_dbi_batch(departures, tx_steer)
+        rx_gain = rx.array.gain_dbi_batch(arrivals, rx_steer)
+        return const + channel + tx_gain + rx_gain
 
     def sweep(
         self,

@@ -118,15 +118,9 @@ class Radio:
         """Steer toward a point in the scene."""
         return self.steer_to(bearing_deg(self.position, target))
 
-    def tx_gain_dbi(self, toward_deg: float, steer_override_deg: Optional[float] = None) -> float:
-        return self.array.gain_dbi(toward_deg, steer_override_deg)
-
-    def rx_gain_dbi(self, from_deg: float, steer_override_deg: Optional[float] = None) -> float:
-        return self.array.gain_dbi(from_deg, steer_override_deg)
-
     def eirp_dbm(self, toward_deg: float) -> float:
         """Effective isotropic radiated power toward an azimuth."""
-        return self.config.tx_power_dbm + self.tx_gain_dbi(toward_deg)
+        return self.config.tx_power_dbm + self.array.gain_dbi(toward_deg)
 
     def moved_to(self, position: Vec2, boresight_deg: Optional[float] = None) -> "Radio":
         """A copy of this radio at a new pose (motion-trace stepping)."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -76,23 +76,6 @@ class PhasedArrayConfig:
     def beamwidth_deg(self) -> float:
         """Approximate 3 dB beamwidth at broadside for a uniform ULA."""
         return 101.8 / (self.num_elements * self.spacing_wavelengths * 2.0)
-
-
-def _array_factor_db(num_elements: int, psi: np.ndarray) -> np.ndarray:
-    """Normalized ULA array factor ``20*log10(|AF|/N)`` over ``psi``.
-
-    ``psi`` is the per-element phase progression mismatch.  The
-    removable singularity at ``psi = 0`` (main-lobe peak) is handled
-    explicitly, matching the scalar kernel's epsilon rule.
-    """
-    psi = np.asarray(psi, dtype=float)
-    peak = np.abs(psi) < 1e-12
-    safe = np.where(peak, 1.0, psi)
-    af = np.abs(
-        np.sin(num_elements * safe / 2.0) / (num_elements * np.sin(safe / 2.0))
-    )
-    af = np.where(peak, 1.0, af)
-    return 20.0 * np.log10(np.maximum(af, 1e-9))
 
 
 #: The MoVR prototype array: ~17 dBi peak gain, ~6.4 degree beamwidth —
@@ -191,7 +174,7 @@ class PhasedArray:
         steer_abs = self.steering_deg if steer_override_deg is None else steer_override_deg
         theta = angle_difference_deg(toward_deg, self.boresight_deg)
         steer = angle_difference_deg(steer_abs, self.boresight_deg)
-        return self._pattern_gain_dbi(theta, steer)
+        return float(self._gain_dbi(theta, steer))
 
     def gain_dbi_batch(self, toward_deg, steer_deg) -> np.ndarray:
         """Realized gain (dBi) over whole grids of angles in one call.
@@ -199,45 +182,52 @@ class PhasedArray:
         ``toward_deg`` and ``steer_deg`` are absolute azimuths (scene
         frame) and may be any broadcastable mix of scalars and arrays:
         sweep targets at a fixed steering, sweep steerings at a fixed
-        target, or both at once.  This is the vectorized kernel behind
-        the scalar :meth:`gain_dbi`, so the two agree exactly.
+        target, or both at once.  It shares its kernel with the scalar
+        :meth:`gain_dbi`, so the two agree exactly.
         """
         theta = angle_difference_deg_batch(toward_deg, self.boresight_deg)
         steer = angle_difference_deg_batch(steer_deg, self.boresight_deg)
-        return self._pattern_gain_dbi_batch(theta, steer)
+        return self._gain_dbi(theta, steer)
 
-    def gain_dbi_array(self, toward_deg: np.ndarray, steer_deg: float) -> np.ndarray:
-        """Vectorized gain over many target azimuths (scene frame)."""
-        return np.atleast_1d(self.gain_dbi_batch(np.atleast_1d(toward_deg), steer_deg))
+    def _pattern_db(self, theta_deg, steer_deg) -> Tuple[np.ndarray, np.ndarray]:
+        """Array factor and element pattern (dB) over broadcast angle grids.
 
-    def _pattern_gain_dbi(self, theta_deg: float, steer_deg: float) -> float:
-        return float(self._pattern_gain_dbi_batch(theta_deg, steer_deg))
-
-    def _pattern_gain_dbi_batch(self, theta_deg, steer_deg) -> np.ndarray:
-        """Array factor + element pattern over broadcast angle grids.
-
-        ``theta_deg``/``steer_deg`` are *relative to boresight*.  All
-        scalar-kernel clamping rules are reproduced element-wise.
+        ``theta_deg``/``steer_deg`` are *relative to boresight*.  The
+        array factor is the normalized ULA ``20*log10(|AF|/N)`` over the
+        per-element phase mismatch ``psi``, with the removable
+        singularity at ``psi = 0`` (main-lobe peak) handled explicitly.
+        The element pattern is a patch's cos^1.2 falloff relative to its
+        peak, floored at -72 dB.  Targets behind the array are evaluated
+        at +/-90 degrees.  This is the one antenna kernel: each call is
+        one ``kernel.batches``.
         """
         cfg = self.config
         n = cfg.num_elements
-        theta = np.asarray(theta_deg, dtype=float)
-        steer = np.asarray(steer_deg, dtype=float)
-        # Electrical angle difference in sin-space.
-        behind = np.abs(theta) > 90.0
-        sin_theta = np.sin(np.radians(theta))
-        sin_steer = np.sin(np.radians(steer))
-        psi = 2.0 * np.pi * cfg.spacing_wavelengths * (sin_theta - sin_steer)
+        theta = np.minimum(np.maximum(theta_deg, -90.0), 90.0)
+        sin_steer = np.sin(np.radians(np.asarray(steer_deg, dtype=float)))
+        psi = 2.0 * np.pi * cfg.spacing_wavelengths * (np.sin(np.radians(theta)) - sin_steer)
         telemetry.inc("kernel.batches")
         telemetry.inc("kernel.angles", psi.size)
-        af_db = _array_factor_db(n, psi)
-        # Element pattern: patch cos^1.2 falloff, floored at the
-        # backlobe level.
-        cos_t = np.cos(np.radians(np.minimum(np.abs(theta), 90.0)))
-        element_db = cfg.element_gain_dbi + 12.0 * np.log10(np.maximum(cos_t, 1e-6))
-        gain = 10.0 * math.log10(n) + af_db + element_db
-        floor = self.backlobe_level_dbi()
-        return np.where(behind, floor, np.maximum(gain, floor))
+        peak = np.abs(psi) < 1e-12
+        safe = np.where(peak, 1.0, psi)
+        af = np.abs(np.sin(n * safe / 2.0) / (n * np.sin(safe / 2.0)))
+        af_db = 20.0 * np.log10(np.maximum(np.where(peak, 1.0, af), 1e-9))
+        cos_t = np.cos(np.radians(np.abs(theta)))
+        return af_db, 12.0 * np.log10(np.maximum(cos_t, 1e-6))
+
+    def _gain_dbi(self, theta_deg, steer_deg) -> np.ndarray:
+        """Realized gain over boresight-relative grids.
+
+        Floored at the backlobe level.  Behind the array the element
+        pattern sits at its -72 dB floor, 42 dB under the backlobe
+        floor, so every such target gets exactly the floor.
+        """
+        af_db, element_db = self._pattern_db(theta_deg, steer_deg)
+        cfg = self.config
+        gain = (
+            10.0 * math.log10(cfg.num_elements) + af_db + (cfg.element_gain_dbi + element_db)
+        )
+        return np.maximum(gain, self.backlobe_level_dbi())
 
     def relative_pattern_db(
         self,
@@ -262,19 +252,11 @@ class PhasedArray:
         floor_db: float = -40.0,
     ) -> np.ndarray:
         """Vectorized :meth:`relative_pattern_db` over broadcast grids."""
-        theta = angle_difference_deg_batch(toward_deg, self.boresight_deg)
-        steer = angle_difference_deg_batch(steer_deg, self.boresight_deg)
-        cfg = self.config
-        n = cfg.num_elements
-        sin_theta = np.sin(np.radians(np.clip(theta, -90.0, 90.0)))
-        sin_steer = np.sin(np.radians(steer))
-        psi = 2.0 * np.pi * cfg.spacing_wavelengths * (sin_theta - sin_steer)
-        telemetry.inc("kernel.batches")
-        telemetry.inc("kernel.angles", psi.size)
-        af_db = _array_factor_db(n, psi)
-        cos_t = np.cos(np.radians(np.minimum(np.abs(theta), 90.0)))
-        element_rel_db = 12.0 * np.log10(np.maximum(cos_t, 1e-6))
-        return np.maximum(floor_db, af_db + element_rel_db)
+        af_db, element_db = self._pattern_db(
+            angle_difference_deg_batch(toward_deg, self.boresight_deg),
+            angle_difference_deg_batch(steer_deg, self.boresight_deg),
+        )
+        return np.maximum(floor_db, af_db + element_db)
 
     def backlobe_level_dbi(self) -> float:
         """Gain floor behind/beside the array.
@@ -292,7 +274,7 @@ class PhasedArray:
         calibration tests.
         """
         azimuths = np.arange(-180.0, 180.0, resolution_deg) + self.boresight_deg
-        gains = self.gain_dbi_array(azimuths, steer_deg)
+        gains = self.gain_dbi_batch(azimuths, steer_deg)
         return np.stack([azimuths, gains], axis=1)
 
 
@@ -405,10 +387,13 @@ class MultiPanelArray:
         if steer.ndim == 0:
             panel = self._panels[self._best_panel_for(float(steer))]
             return panel.gain_dbi_batch(toward, steer)
+        # Panel selection depends on the steering alone: choose once
+        # per steering, not once per (target, steering) pair.
+        panel_of = self._panel_index_batch(steer)
         toward_b, steer_b = np.broadcast_arrays(toward, steer)
-        indices = self._panel_index_batch(steer_b)
+        indices = np.broadcast_to(panel_of, steer_b.shape)
         out = np.empty(steer_b.shape, dtype=float)
-        for i in np.unique(indices):
+        for i in np.unique(panel_of):
             mask = indices == i
             out[mask] = self._panels[int(i)].gain_dbi_batch(
                 toward_b[mask], steer_b[mask]

@@ -86,7 +86,7 @@ class MmWaveChannel:
     def wavelength_m(self) -> float:
         return wavelength(self.carrier_hz)
 
-    def path_gain_db(self, path: PropagationPath, include_blockage: bool = True) -> float:
+    def path_gain_db(self, path: PropagationPath) -> float:
         """Channel gain (negative dB) along a propagation path.
 
         Includes spreading loss over the *total* path length (each
@@ -99,20 +99,20 @@ class MmWaveChannel:
         gain -= atmospheric_loss_db(length, self.carrier_hz)
         gain -= path.total_reflection_loss_db
         gain -= path.total_penetration_loss_db
-        if include_blockage and path.obstructions:
+        if path.obstructions:
             gain -= self.blockage_model.path_blockage_db(path.obstructions)
         if self.shadowing_sigma_db > 0.0:
             gain += float(self.rng.normal(0.0, self.shadowing_sigma_db))
         return gain
 
-    def complex_gain(self, path: PropagationPath, include_blockage: bool = True) -> complex:
+    def complex_gain(self, path: PropagationPath) -> complex:
         """Complex baseband channel coefficient for the path.
 
         Magnitude from :meth:`path_gain_db`; phase from the carrier
         cycle count over the path length (deterministic, so coherent
         multi-path combining is physically consistent).
         """
-        gain_db = self.path_gain_db(path, include_blockage)
+        gain_db = self.path_gain_db(path)
         amplitude = 10.0 ** (gain_db / 20.0)
         phase = -2.0 * math.pi * (path.total_length_m / self.wavelength_m)
         return amplitude * complex(math.cos(phase), math.sin(phase))

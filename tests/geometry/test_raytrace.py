@@ -7,12 +7,18 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.geometry.bodies import hand_occluder
 from repro.geometry.raytrace import PropagationPath, RayTracer
-from repro.geometry.room import DRYWALL, METAL, rectangular_room
+from repro.geometry.room import DRYWALL, METAL, rectangular_room, standard_office
 from repro.geometry.shapes import Circle
-from repro.geometry.vectors import Vec2
+from repro.geometry.vectors import Vec2, point_segment_distance
 
 interior = st.floats(min_value=0.5, max_value=4.5)
 interior_points = st.builds(Vec2, interior, interior)
+
+#: The furnished office: six walls (so 6 single- and 30 double-bounce
+#: candidates) and three furniture occluders.
+OFFICE_TRACER = RayTracer(standard_office(furnished=True))
+office_coord = st.floats(min_value=0.1, max_value=4.9)
+office_points = st.builds(Vec2, office_coord, office_coord)
 
 
 @pytest.fixture
@@ -78,27 +84,33 @@ class TestSingleBounce:
         assert len(paths) == 4
         assert all(p.num_bounces == 1 for p in paths)
 
-    def test_reflection_law_holds(self, tracer):
-        paths = tracer.reflection_paths(Vec2(1, 2), Vec2(4, 2), max_bounces=1)
-        for path in paths:
-            wall = path.walls[0]
-            bounce = path.points[1]
-            incoming = (bounce - path.points[0]).normalized()
-            outgoing = (path.points[2] - bounce).normalized()
-            normal = wall.segment.normal
-            # Angle of incidence equals angle of reflection.
-            assert abs(incoming.dot(normal)) == pytest.approx(
-                abs(outgoing.dot(normal)), abs=1e-9
-            )
+    @settings(max_examples=40, deadline=None)
+    @given(office_points, office_points)
+    def test_reflection_law_holds(self, tx, rx):
+        """Every bounce of every single- and double-bounce path in the
+        furnished office reflects specularly."""
+        assume(tx.distance_to(rx) > 0.1)
+        for path in OFFICE_TRACER.reflection_paths(tx, rx, max_bounces=2):
+            for i, wall in enumerate(path.walls, start=1):
+                bounce = path.points[i]
+                incoming = (bounce - path.points[i - 1]).normalized()
+                outgoing = (path.points[i + 1] - bounce).normalized()
+                normal = wall.segment.normal
+                # Angle of incidence equals angle of reflection.
+                assert abs(incoming.dot(normal)) == pytest.approx(
+                    abs(outgoing.dot(normal)), abs=1e-9
+                )
 
-    def test_bounce_point_on_wall(self, tracer, room):
-        paths = tracer.reflection_paths(Vec2(1, 1), Vec2(4, 3), max_bounces=1)
-        for path in paths:
-            bounce = path.points[1]
-            seg = path.walls[0].segment
-            from repro.geometry.vectors import point_segment_distance
-
-            assert point_segment_distance(bounce, seg.a, seg.b) < 1e-6
+    @settings(max_examples=40, deadline=None)
+    @given(office_points, office_points)
+    def test_bounce_point_on_wall(self, tx, rx):
+        """Every bounce point of every path lies on the wall it
+        reflects on."""
+        assume(tx.distance_to(rx) > 0.1)
+        for path in OFFICE_TRACER.reflection_paths(tx, rx, max_bounces=2):
+            for bounce, wall in zip(path.points[1:-1], path.walls):
+                seg = wall.segment
+                assert point_segment_distance(bounce, seg.a, seg.b) < 1e-6
 
     def test_reflection_longer_than_direct(self, tracer):
         direct = tracer.line_of_sight(Vec2(1, 1), Vec2(4, 3)).total_length_m
@@ -131,7 +143,7 @@ class TestSingleBounce:
 
 
 class TestDoubleBounce:
-    def test_double_bounce_paths_exist(self, tracer):
+    def test_two_bounce_paths_exist(self, tracer):
         paths = tracer.reflection_paths(Vec2(1, 2), Vec2(4, 2), max_bounces=2)
         doubles = [p for p in paths if p.num_bounces == 2]
         assert doubles
@@ -141,15 +153,18 @@ class TestDoubleBounce:
                 2.0 * DRYWALL.reflection_loss_db
             )
 
-    def test_double_bounce_longer_than_single(self, tracer):
+    def test_two_bounce_longer_than_single(self, tracer):
         paths = tracer.reflection_paths(Vec2(1, 2), Vec2(4, 2), max_bounces=2)
         singles = [p.total_length_m for p in paths if p.num_bounces == 1]
         doubles = [p.total_length_m for p in paths if p.num_bounces == 2]
         assert min(doubles) > min(singles)
 
     def test_max_bounces_validated(self, tracer):
-        with pytest.raises(ValueError):
-            tracer.reflection_paths(Vec2(1, 1), Vec2(4, 4), max_bounces=0)
+        # Only one and two bounces are traced; anything else is refused
+        # rather than silently traced at two.
+        for max_bounces in (0, 3):
+            with pytest.raises(ValueError, match="max_bounces"):
+                tracer.reflection_paths(Vec2(1, 1), Vec2(4, 4), max_bounces=max_bounces)
 
 
 class TestAllPaths:

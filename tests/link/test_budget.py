@@ -7,10 +7,11 @@ import pytest
 
 from repro.geometry.bodies import hand_occluder
 from repro.geometry.raytrace import RayTracer
-from repro.geometry.room import rectangular_room
+from repro import telemetry
+from repro.geometry.room import rectangular_room, standard_office
 from repro.geometry.vectors import Vec2, bearing_deg
 from repro.link.budget import LinkBudget, LinkMeasurement
-from repro.link.radios import Radio
+from repro.link.radios import HEADSET_RADIO_CONFIG, Radio
 from repro.phy.channel import MmWaveChannel
 
 
@@ -61,10 +62,10 @@ class TestMeasure:
         )
         expected = (
             tx.config.tx_power_dbm
-            + tx.tx_gain_dbi(los.departure_angle_deg,
-                             steer_override_deg=los.departure_angle_deg)
-            + rx.rx_gain_dbi(los.arrival_angle_deg,
-                             steer_override_deg=los.arrival_angle_deg)
+            + tx.array.gain_dbi(los.departure_angle_deg,
+                                steer_override_deg=los.departure_angle_deg)
+            + rx.array.gain_dbi(los.arrival_angle_deg,
+                                steer_override_deg=los.arrival_angle_deg)
             + budget.channel.path_gain_db(los)
             - tx.config.implementation_loss_db
         )
@@ -118,6 +119,72 @@ class TestBestAlignment:
         # cannot happen geometrically, so exercise the guard directly.
         measurement = budget.best_alignment(tx, rx, include_los=False, max_bounces=1)
         assert isinstance(measurement, LinkMeasurement)
+
+
+def _per_path_powers(channel, tx, rx, paths, tx_steer_deg, rx_steer_deg):
+    """Reference: one channel gain and one kernel call per side per path."""
+    tx_steer = np.asarray(tx_steer_deg, dtype=float)
+    rx_steer = np.asarray(rx_steer_deg, dtype=float)
+    shape = np.broadcast(tx_steer, rx_steer).shape
+    const = tx.config.tx_power_dbm - tx.config.implementation_loss_db
+    powers = np.empty((len(paths),) + shape, dtype=float)
+    for i, path in enumerate(paths):
+        tx_gain = tx.array.gain_dbi_batch(path.departure_angle_deg, tx_steer)
+        rx_gain = rx.array.gain_dbi_batch(path.arrival_angle_deg, rx_steer)
+        powers[i] = np.broadcast_to(
+            const + channel.path_gain_db(path) + tx_gain + rx_gain, shape
+        )
+    return powers
+
+
+STEERINGS = {
+    "scalar": (40.0, -150.0),
+    "grid": (np.linspace(-10.0, 100.0, 12)[:, None], np.linspace(-180.0, 170.0, 15)[None, :]),
+    "pairs": (np.linspace(0.0, 90.0, 7), np.linspace(-170.0, -100.0, 7)),
+}
+
+
+class TestPathPowers:
+    """``path_powers_dbm`` evaluates every path in one kernel call per
+    side; it must equal the per-path loop exactly."""
+
+    def _scene(self, headset: bool, shadowing_db: float = 0.0):
+        tracer = RayTracer(standard_office(furnished=True))
+        tx = Radio(Vec2(0.3, 0.3), boresight_deg=45.0, name="ap")
+        config = HEADSET_RADIO_CONFIG if headset else tx.config
+        rx = Radio(Vec2(3.6, 2.9), boresight_deg=-120.0, config=config, name="rx")
+        hand = hand_occluder(rx.position, bearing_deg(rx.position, tx.position))
+        paths = tracer.all_paths(tx.position, rx.position, extra_occluders=[hand])
+
+        def channel():
+            return MmWaveChannel(
+                shadowing_sigma_db=shadowing_db, rng=np.random.default_rng(7)
+            )
+
+        return LinkBudget(tracer, channel()), channel(), tx, rx, paths
+
+    @pytest.mark.parametrize("steering", sorted(STEERINGS))
+    @pytest.mark.parametrize("headset", [False, True], ids=["one-panel", "three-panel"])
+    def test_matches_per_path_loop(self, headset, steering):
+        budget, reference_channel, tx, rx, paths = self._scene(headset, shadowing_db=2.0)
+        assert len(paths) > 10
+        tx_steer, rx_steer = STEERINGS[steering]
+        got = budget.path_powers_dbm(tx, rx, paths, tx_steer, rx_steer)
+        expected = _per_path_powers(reference_channel, tx, rx, paths, tx_steer, rx_steer)
+        assert got.shape == expected.shape
+        # Bit-identical, shadowing draws included.
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("count", [1, 5, None])
+    def test_two_kernel_batches_for_any_path_count(self, count):
+        budget, _, tx, rx, paths = self._scene(headset=False)
+        paths = paths[:count]
+        tx_steer, rx_steer = STEERINGS["grid"]
+        with telemetry.scope("path-powers") as sc:
+            budget.path_powers_dbm(tx, rx, paths, tx_steer, rx_steer)
+        counters = sc.registry
+        assert counters.counter_value("kernel.batches") == 2
+        assert counters.counter_value("kernel.angles") == len(paths) * (12 + 15)
 
 
 class TestLinkMeasurement:

@@ -1,17 +1,22 @@
 """Property tests: batch kernels must match their scalar references.
 
 The vectorized kernels behind the sweep API are required to agree with
-the original scalar implementations to within 1e-9 dB — the scalar
-methods are the specification, the batch kernels merely evaluate many
-angles at once.
+scalar references to within 1e-9 dB.  The references are the scalar
+steering rules, ``PhasedArray.steer_to`` (scan clipping and phase
+quantization) and ``MultiPanelArray`` panel selection, plus the scalar
+``gain_dbi`` and the amplifier and dB-sum formulas; the batch kernels
+merely evaluate many angles at once.  Each public ``PhasedArray``
+kernel entry point counts exactly one ``kernel.batches`` per call.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.core.leakage import MAX_ANGLE_DEG, MIN_ANGLE_DEG, ReflectorLeakageModel
 from repro.phy.amplifier import (
     closed_loop_gain_db,
@@ -62,6 +67,32 @@ class TestPhasedArrayBatch:
         batch = array.steer_to_batch(np.asarray(targets))
         for k, target in enumerate(targets):
             assert abs(batch[k] - array.steer_to(target)) <= TOL_DB
+
+
+KERNEL_CALLS = {
+    "gain_dbi": lambda a: a.gain_dbi(10.0),
+    "gain_dbi-override": lambda a: a.gain_dbi(10.0, steer_override_deg=25.0),
+    "gain_dbi_batch": lambda a: a.gain_dbi_batch(
+        np.linspace(-180.0, 180.0, 9)[:, None], np.linspace(-60.0, 60.0, 4)[None, :]
+    ),
+    "relative_pattern_db": lambda a: a.relative_pattern_db(10.0, 25.0),
+    "relative_pattern_db_batch": lambda a: a.relative_pattern_db_batch(
+        np.linspace(-180.0, 180.0, 9), 25.0
+    ),
+    "pattern": lambda a: a.pattern(0.0, resolution_deg=10.0),
+}
+
+
+class TestKernelBatchCount:
+    """Traced benchmark runs count one batch per kernel entry point, so
+    no entry point may reach the kernel twice or through another."""
+
+    @pytest.mark.parametrize("entry", sorted(KERNEL_CALLS))
+    def test_one_batch_per_call(self, entry):
+        array = PhasedArray(MOVR_ARRAY, boresight_deg=30.0)
+        with telemetry.scope("kernel") as sc:
+            KERNEL_CALLS[entry](array)
+        assert sc.registry.counter_value("kernel.batches") == 1
 
 
 class TestMultiPanelBatch:

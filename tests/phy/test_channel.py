@@ -85,9 +85,9 @@ class TestMmWaveChannel:
         tracer, channel = setup
         blocker = Circle(Vec2(2.5, 1.0), 0.15)
         path = tracer.line_of_sight(Vec2(1, 1), Vec2(4, 1), [blocker])
-        with_blockage = channel.path_gain_db(path)
-        without = channel.path_gain_db(path, include_blockage=False)
-        assert with_blockage < without - 5.0
+        clear = tracer.line_of_sight(Vec2(1, 1), Vec2(4, 1))
+        assert path.is_obstructed and not clear.is_obstructed
+        assert channel.path_gain_db(path) < channel.path_gain_db(clear) - 5.0
 
     def test_shadowing_adds_spread(self):
         import numpy as np
