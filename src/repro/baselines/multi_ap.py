@@ -90,9 +90,9 @@ class MultiApBaseline:
         """Best direct link over all deployed APs."""
         best: Optional[Tuple[LinkMeasurement, int]] = None
         for index, ap in enumerate(self.aps):
-            los = self.budget.cache.line_of_sight(
-                ap.position, headset_radio.position, extra_occluders
-            )
+            los = self.budget.cache.all_paths(
+                ap.position, headset_radio.position, extra_occluders=extra_occluders
+            )[0]
             m = self.budget.measure_aligned(
                 ap, headset_radio, los, extra_occluders=extra_occluders
             )

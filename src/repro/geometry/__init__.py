@@ -30,7 +30,7 @@ from repro.geometry.room import (
     standard_office,
 )
 from repro.geometry.shapes import AxisAlignedBox, Circle, Segment
-from repro.geometry.vectors import Vec2, bearing_deg, point_segment_distance
+from repro.geometry.vectors import Vec2, bearing_deg
 
 __all__ = [
     "HAND_RADIUS_M",
@@ -63,5 +63,4 @@ __all__ = [
     "Segment",
     "Vec2",
     "bearing_deg",
-    "point_segment_distance",
 ]

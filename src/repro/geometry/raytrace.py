@@ -6,15 +6,25 @@ obstruction records.  The tracer is purely geometric: converting
 lengths, bounces, and obstructions into dB of loss is the job of
 ``repro.phy.channel`` and ``repro.phy.blockage``, which keeps the
 geometry reusable and independently testable.
+
+Tracing runs on NumPy arrays, every wall chain or leg of a query at
+once.  Each array expression keeps the operation order of the scalar
+``Vec2`` formula it stands for, and every length that reaches an output
+field or a threshold comes from :func:`math.hypot` (``Vec2.norm``'s
+rounding, which ``np.hypot`` does not share), so the traced floats are
+those of the scalar geometry.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from repro.geometry.room import Occluder, Room, Wall
-from repro.geometry.shapes import EPSILON, Circle, Segment
+from repro.geometry.shapes import EPSILON, Circle
 from repro.geometry.vectors import Vec2, bearing_deg
 
 #: How close (meters) two nodes may be before the far-field assumption
@@ -107,20 +117,17 @@ class PropagationPath:
     def is_obstructed(self) -> bool:
         return bool(self.obstructions)
 
-    @property
-    def legs(self) -> List[Segment]:
-        return [
-            Segment(self.points[i], self.points[i + 1])
-            for i in range(len(self.points) - 1)
-        ]
-
     def propagation_delay_s(self, speed: float = 299_792_458.0) -> float:
         """Time of flight in seconds."""
         return self.total_length_m / speed
 
 
 class RayTracer:
-    """Traces LOS and specular reflection paths inside a :class:`Room`."""
+    """Traces LOS and specular reflection paths inside a :class:`Room`.
+
+    Wall and occluder arrays are built from the room on every query, so
+    editing ``room.walls`` or ``room.occluders`` takes effect at once.
+    """
 
     def __init__(self, room: Room) -> None:
         self.room = room
@@ -146,16 +153,10 @@ class RayTracer:
         deliberate correction for the floor plan being 2-D.
         """
         self._check_separation(tx, rx)
-        obstructions = self._leg_obstructions(
-            (tx, rx), extra_occluders, include_room_occluders
-        )
-        penetrated = self._walls_crossed(tx, rx)
-        return PropagationPath(
-            points=(tx, rx),
-            walls=(),
-            obstructions=tuple(obstructions),
-            penetrated_walls=tuple(penetrated),
-        )
+        occluders = (
+            list(self.room.occluders) if include_room_occluders else []
+        ) + list(extra_occluders)
+        return self._trace(tx, rx, 0, occluders)[0]
 
     def reflection_paths(
         self,
@@ -171,27 +172,7 @@ class RayTracer:
         be the best alternative, exactly the situation the paper's
         Opt-NLOS baseline probes.
         """
-        if max_bounces not in (1, 2):
-            raise ValueError(f"max_bounces must be 1 or 2, got {max_bounces}")
-        self._check_separation(tx, rx)
-        paths: List[PropagationPath] = []
-        # Image chains: a wall sequence and TX's image after each bounce
-        # on it.  Extending the chains one bounce at a time mirrors each
-        # prefix once and keeps the order: singles in wall order, then
-        # doubles.  A wall never follows itself.
-        chains: List[Tuple[Tuple[Wall, ...], Tuple[Vec2, ...]]] = [((), (tx,))]
-        for _ in range(max_bounces):
-            chains = [
-                (walls + (wall,), images + (wall.segment.mirror_point(images[-1]),))
-                for walls, images in chains
-                for wall in self.room.walls
-                if not walls or wall is not walls[-1]
-            ]
-            for walls, images in chains:
-                path = self._bounce_path(images, rx, walls, extra_occluders)
-                if path is not None:
-                    paths.append(path)
-        return paths
+        return self.all_paths(tx, rx, max_bounces, extra_occluders)[1:]
 
     def all_paths(
         self,
@@ -201,9 +182,11 @@ class RayTracer:
         extra_occluders: Sequence[Occluder] = (),
     ) -> List[PropagationPath]:
         """LOS plus every reflection path up to ``max_bounces``."""
-        return [self.line_of_sight(tx, rx, extra_occluders)] + self.reflection_paths(
-            tx, rx, max_bounces, extra_occluders
-        )
+        if max_bounces not in (1, 2):
+            raise ValueError(f"max_bounces must be 1 or 2, got {max_bounces}")
+        self._check_separation(tx, rx)
+        occluders = list(self.room.occluders) + list(extra_occluders)
+        return self._trace(tx, rx, max_bounces, occluders)
 
     # ------------------------------------------------------------------
     # Internals
@@ -216,101 +199,219 @@ class RayTracer:
                 f"TX and RX closer than {MIN_SEPARATION_M} m: far-field model invalid"
             )
 
-    def _bounce_path(
-        self,
-        images: Tuple[Vec2, ...],
-        rx: Vec2,
-        walls: Tuple[Wall, ...],
-        extra_occluders: Sequence[Occluder],
-    ) -> Optional[PropagationPath]:
-        """The specular path from TX to RX reflecting off ``walls`` in order.
+    @np.errstate(all="ignore")
+    def _trace(
+        self, tx: Vec2, rx: Vec2, max_bounces: int, occluders: List[Occluder]
+    ) -> List[PropagationPath]:
+        """The LOS, then every reflection path up to ``max_bounces``.
 
-        ``images`` is TX followed by its image across each wall in turn.
-        Walking back from RX, the line toward each image meets its wall
-        at the bounce point.  Returns ``None`` when a bounce point
-        misses its wall, a leg is shorter than the far-field limit, or
-        a leg crosses any wall other than the ones it bounces on.
+        Each path is a chain: its wall indices after a leading -1 for
+        TX, its points and its leg lengths; the LOS is the chain of no
+        walls.  A reflection chain is dropped when a leg crosses any
+        wall other than the ones it bounces on; the LOS is kept and
+        lists the walls it crosses as penetrated.  Paths come LOS first,
+        then by bounce count, then in room wall order.
         """
-        if images[-1].distance_to(rx) < EPSILON:
-            return None
-        points = [rx]
-        for wall, image in zip(reversed(walls), reversed(images)):
-            bounce = wall.segment.intersect(Segment(image, points[-1]))
-            if bounce is None:
-                return None
-            points.append(bounce)
-        points.append(images[0])
-        points.reverse()
-        legs = range(len(walls) + 1)
-        if any(points[i].distance_to(points[i + 1]) < MIN_SEPARATION_M for i in legs):
-            return None
-        for i in legs:
-            # A leg touches the walls it bounces on at its endpoints.
-            touching = walls[max(0, i - 1) : i + 1]
-            if any(self._walls_crossed(points[i], points[i + 1], touching)):
-                return None
-        points = tuple(points)
-        obstructions = self._leg_obstructions(points, extra_occluders)
-        return PropagationPath(points=points, walls=walls, obstructions=tuple(obstructions))
+        walls = list(self.room.walls)
+        # Per wall: start point, start-to-end vector, unit direction.
+        table = np.array(
+            [
+                (s.a.x, s.a.y, s.b.x - s.a.x, s.b.y - s.a.y, *s.direction.as_tuple())
+                for s in (wall.segment for wall in walls)
+            ],
+            dtype=float,
+        )
+        wall_a, wall_r = table[:, 0:2], table[:, 2:4]
+        # same[i, j]: walls i and j are one object.  Row -1, all False,
+        # stands for a chain end at TX or RX rather than on a wall.
+        ids = np.array([id(wall) for wall in walls] + [0])
+        same = ids[:, None] == ids[:-1]
+        los = np.array([tx.as_tuple(), rx.as_tuple()], dtype=float)
+        chains = [([-1], los, np.array([tx.distance_to(rx)]))]
+        chains += _reflection_chains(los, max_bounces, table, same)
 
-    def _walls_crossed(
-        self, a: Vec2, b: Vec2, exclude: Tuple[Wall, ...] = ()
-    ) -> Iterator[Wall]:
-        """Walls the open segment (a, b) passes through, in room order.
+        # Every leg of every chain, in path order.  A leg touches the
+        # walls it bounces on at its ends; those are not crossings.
+        leg_chain = [c for c, (seq, _, _) in enumerate(chains) for _ in seq]
+        leg_index = [i for seq, _, _ in chains for i in range(len(seq))]
+        starts = np.concatenate([points[:-1] for _, points, _ in chains])
+        ends = np.concatenate([points[1:] for _, points, _ in chains])
+        legs = ends - starts
+        lengths = np.concatenate([n for _, _, n in chains])
+        touching = np.array(
+            [(w, v) for seq, _, _ in chains for w, v in zip(seq, seq[1:] + [-1])]
+        )
+        meets, t = _intersect(starts[:, None], legs[:, None], wall_a, wall_r)
+        leg, wall = np.nonzero(meets & ~(same[touching[:, 0]] | same[touching[:, 1]]))
+        if leg.size:
+            # Endpoint grazes are ignored: a radio sits against a wall,
+            # not inside it.
+            t = _clamp(t[leg, wall], 0.0, 1.0)
+            hits = starts[leg] + legs[leg] * t[:, None]
+            gaps = np.concatenate([hits - starts[leg], hits - ends[leg]])
+            through = (_hypot(gaps[:, 0], gaps[:, 1]) > 1e-6).reshape(2, -1).all(axis=0)
+            leg, wall = leg[through], wall[through]
+        crossings = [(leg_chain[i], w) for i, w in zip(leg.tolist(), wall.tolist())]
+        dropped = {c for c, _ in crossings if c != 0}
+        penetrated = tuple(walls[w] for c, w in crossings if c == 0)
 
-        Endpoint grazes are ignored: a radio sits *against* a wall, not
-        inside it.  The ``exclude`` walls, matched by identity among the
-        room's walls, are skipped: a reflection leg touches its bounce
-        walls.  Lazy, so a caller asking only whether any wall is
-        crossed stops at the first.  LOS paths record the crossed walls
-        for penetration loss; reflection paths that cross a wall are
-        dropped instead, since penetration loss on top of reflection
-        loss makes them irrelevant.
-        """
-        leg = Segment(a, b)
-        skip = {id(wall) for wall in exclude}
-        for wall in self.room.walls:
-            if id(wall) in skip:
-                continue
-            hit = leg.intersect(wall.segment)
-            if hit is None:
-                continue
-            if hit.distance_to(a) > 1e-6 and hit.distance_to(b) > 1e-6:
-                yield wall
-
-    def _leg_obstructions(
-        self,
-        points: Tuple[Vec2, ...],
-        extra_occluders: Sequence[Occluder],
-        include_room_occluders: bool = True,
-    ) -> List[Obstruction]:
-        occluders = (
-            list(self.room.occluders) if include_room_occluders else []
-        ) + list(extra_occluders)
-        records: List[Obstruction] = []
-        for leg_index in range(len(points) - 1):
-            a, b = points[leg_index], points[leg_index + 1]
-            leg_vec = b - a
-            leg_length = leg_vec.norm
-            for occ in occluders:
-                depth = occ.chord_length(a, b)
-                if depth <= 0.0:
-                    continue
-                if isinstance(occ, Circle):
-                    clearance = occ.clearance(a, b)
-                    along = (occ.center - a).dot(leg_vec) / leg_length
-                else:
-                    clearance = -depth / 2.0
-                    along = (occ.center - a).dot(leg_vec) / leg_length
-                along = min(leg_length, max(0.0, along))
-                records.append(
-                    Obstruction(
-                        occluder=occ,
-                        leg_index=leg_index,
-                        depth_m=depth,
-                        clearance_m=clearance,
-                        along_leg_m=along,
-                        leg_length_m=leg_length,
-                    )
+        records: List[List[Obstruction]] = [[] for _ in chains]
+        leg_length = lengths.tolist()
+        for i, k, depth, clearance, along in _cuts(starts, legs, lengths, occluders):
+            records[leg_chain[i]].append(
+                Obstruction(
+                    occluder=occluders[k],
+                    leg_index=leg_index[i],
+                    depth_m=depth,
+                    clearance_m=clearance,
+                    along_leg_m=along,
+                    leg_length_m=leg_length[i],
                 )
-        return records
+            )
+        return [
+            PropagationPath(
+                points=(tx, *(Vec2(x, y) for x, y in points[1:-1].tolist()), rx),
+                walls=tuple(walls[w] for w in seq[1:]),
+                obstructions=tuple(records[c]),
+                penetrated_walls=penetrated if c == 0 else (),
+            )
+            for c, (seq, points, _) in enumerate(chains)
+            if c not in dropped
+        ]
+
+
+def _reflection_chains(
+    los: np.ndarray, max_bounces: int, walls: np.ndarray, same: np.ndarray
+) -> List[Tuple[List[int], np.ndarray, np.ndarray]]:
+    """Every chain of 1 to ``max_bounces`` walls whose bounces exist.
+
+    ``los`` holds TX and RX; ``walls`` is the tracer's wall table.  The
+    chains of one more bounce mirror each chain's last image of TX
+    across every wall but the one it just bounced on, in wall order.
+    Walking back from RX, the line toward each image meets its wall at
+    the bounce point.  A chain is dropped when its last image sits on
+    RX, a bounce point misses its wall or a leg is shorter than the
+    far-field limit.
+    """
+    src, dst = los
+    wall_a, wall_r, wall_d = walls[:, 0:2], walls[:, 2:4], walls[:, 4:6]
+    chains = []
+    seq, images = np.full((1, 1), -1), los[None, :1]
+    for _ in range(max_bounces):
+        last = images[:, -1, None]
+        ap = last - wall_a
+        dot = ap[..., 0] * wall_d[:, 0] + ap[..., 1] * wall_d[:, 1]
+        mirrored = last - (ap - wall_d * dot[..., None]) * 2.0
+        chain, wall = np.nonzero(~same[seq[:, -1]])
+        seq = np.column_stack([seq[chain], wall])
+        images = np.concatenate([images[chain], mirrored[chain, wall, None]], axis=1)
+        gap = images[:, -1] - dst
+        alive = _hypot(gap[:, 0], gap[:, 1]) >= EPSILON
+        points = np.empty((len(seq), seq.shape[1] + 1, 2))
+        points[:, 0], points[:, -1] = src, dst
+        for j in range(seq.shape[1] - 1, 0, -1):
+            a, r = wall_a[seq[:, j]], wall_r[seq[:, j]]
+            meets, t = _intersect(a, r, images[:, j], points[:, j + 1] - images[:, j])
+            points[:, j] = a + r * _clamp(t, 0.0, 1.0)[:, None]
+            alive &= meets
+        legs = points[:, 1:] - points[:, :-1]
+        lengths = _hypot(legs[..., 0], legs[..., 1])
+        alive &= (lengths >= MIN_SEPARATION_M).all(axis=1)
+        chains += zip(seq[alive].tolist(), points[alive], lengths[alive])
+    return chains
+
+
+def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`math.hypot`, the rounding of ``Vec2.norm``."""
+    flat = map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist())
+    return np.fromiter(flat, dtype=float, count=dx.size).reshape(dx.shape)
+
+
+def _clamp(t: np.ndarray, lo, hi) -> np.ndarray:
+    """``min(hi, max(lo, t))`` with Python's choice among equal values."""
+    t = np.where(t > lo, t, lo)
+    return np.where(t < hi, t, hi)
+
+
+def _intersect(
+    a: np.ndarray, r: np.ndarray, p: np.ndarray, s: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Where segments ``a + r·t`` meet segments ``p + s·u`` (broadcast).
+
+    Returns the mask of pairs that meet, within ``EPSILON`` of either
+    segment's ends, and ``t``; clamped to [0, 1] it places the meeting
+    point.  Parallel and collinear pairs never meet: a ray sliding
+    exactly along a wall is a measure-zero configuration the physics
+    does not model.
+    """
+    denom = r[..., 0] * s[..., 1] - r[..., 1] * s[..., 0]
+    q = p - a
+    t = (q[..., 0] * s[..., 1] - q[..., 1] * s[..., 0]) / denom
+    u = (q[..., 0] * r[..., 1] - q[..., 1] * r[..., 0]) / denom
+    meets = (np.abs(denom) >= EPSILON) & (np.minimum(t, u) >= -EPSILON)
+    return meets & (np.maximum(t, u) <= 1.0 + EPSILON), t
+
+
+def _cuts(
+    starts: np.ndarray, legs: np.ndarray, lengths: np.ndarray, occluders: List[Occluder]
+) -> List[Tuple[int, int, float, float, float]]:
+    """Every occluder cut of every leg, in (leg, occluder) order.
+
+    Legs run from ``starts`` along ``legs``.  Each cut is (leg row,
+    occluder index, chord depth, clearance, distance along the leg to
+    the occluder centre); clearance is the signed distance from the leg
+    to the edge, for a box minus half the depth.
+    """
+    if not occluders:
+        return []
+    # Per occluder: centre, radius (0 for a box), and the box whose slab
+    # test screens it.  For a circle that box is a little larger than
+    # the circle, so every leg cutting the circle passes it.
+    rows = []
+    for occ in occluders:
+        c = occ.center
+        if isinstance(occ, Circle):
+            radius, pad = occ.radius, 1.01 * occ.radius
+            lo, hi = (c.x - pad, c.y - pad), (c.x + pad, c.y + pad)
+        else:
+            radius, lo, hi = 0.0, occ.min_corner.as_tuple(), occ.max_corner.as_tuple()
+        rows.append((c.x, c.y, radius, *lo, *hi))
+    table = np.array(rows, dtype=float)
+    # Slab method: per axis, the leg parameters where it enters and
+    # leaves the box.  An axis the leg runs parallel to passes (0, 1) if
+    # the leg lies between the box's sides on it and (1, 0) if not.
+    t = (table[:, 3:].reshape(-1, 2, 2) - starts[:, None, None]) / legs[:, None, None]
+    near, far = t.min(axis=2), t.max(axis=2)
+    parallel = np.abs(legs[:, None]) < EPSILON
+    beside = (near > 0.0) | (far < 0.0)
+    t_min = np.maximum(np.where(parallel, beside, near).max(axis=2), 0.0)
+    t_max = np.minimum(np.where(parallel, ~beside, far).min(axis=2), 1.0)
+    row, k = np.nonzero(t_min < t_max)
+    if not row.size:
+        return []
+
+    # Circle chords of the candidates: distance from the centre to the
+    # leg, then the chord at that offset, clipped to the leg.
+    occ, a, v, length = table[k], starts[row], legs[row], lengths[row]
+    center, radius = occ[:, :2], occ[:, 2]
+    off = center - a
+    dot = off * v
+    dot = dot[:, 0] + dot[:, 1]
+    norm_sq = v * v
+    t = _clamp(dot / (norm_sq[:, 0] + norm_sq[:, 1]), 0.0, 1.0)
+    gap = center - (a + v * t[:, None])
+    dist = _hypot(gap[:, 0], gap[:, 1])
+    center_t = off * (v / length[:, None])
+    center_t = center_t[:, 0] + center_t[:, 1]
+    half = np.sqrt(radius * radius - dist * dist)
+    lo, hi = center_t - half, center_t + half
+    chord = np.where(hi < length, hi, length) - np.where(lo > 0.0, lo, 0.0)
+
+    is_circle = radius > 0.0
+    depth = np.where(
+        is_circle, np.where(dist < radius, chord, 0.0), (t_max - t_min)[row, k] * length
+    )
+    clearance = np.where(is_circle, dist - radius, -depth / 2.0)
+    along = _clamp(dot / length, 0.0, length)
+    cut = depth > 0.0
+    return list(zip(*(x[cut].tolist() for x in (row, k, depth, clearance, along))))

@@ -121,19 +121,3 @@ def bearing_deg(origin: Vec2, target: Vec2) -> float:
     if delta.norm == 0.0:
         raise ValueError("bearing is undefined between identical points")
     return delta.angle_deg()
-
-
-def project_point_on_segment(point: Vec2, seg_a: Vec2, seg_b: Vec2) -> Vec2:
-    """Closest point to ``point`` on the segment ``[seg_a, seg_b]``."""
-    ab = seg_b - seg_a
-    denom = ab.norm_squared
-    if denom == 0.0:
-        return seg_a
-    t = (point - seg_a).dot(ab) / denom
-    t = min(1.0, max(0.0, t))
-    return seg_a + ab * t
-
-
-def point_segment_distance(point: Vec2, seg_a: Vec2, seg_b: Vec2) -> float:
-    """Distance from a point to a segment."""
-    return point.distance_to(project_point_on_segment(point, seg_a, seg_b))

@@ -75,7 +75,8 @@ class TestPenetratedWalls:
         paths = tracer.reflection_paths(Vec2(1, 2.5), Vec2(7, 2.5), max_bounces=1)
         for path in paths:
             for i in range(len(path.points) - 1):
-                crossed = list(tracer._walls_crossed(path.points[i], path.points[i + 1]))
+                leg = tracer.line_of_sight(path.points[i], path.points[i + 1])
+                crossed = leg.penetrated_walls
                 # Bounce walls touch at endpoints; strict crossings are
                 # excluded by construction.
                 assert all(w in path.walls for w in crossed) or not crossed

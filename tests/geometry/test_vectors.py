@@ -2,14 +2,12 @@
 
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from repro.geometry.vectors import (
-    Vec2,
-    bearing_deg,
-    point_segment_distance,
-    project_point_on_segment,
-)
+from repro.geometry.raytrace import MIN_SEPARATION_M, RayTracer
+from repro.geometry.room import Room, Wall
+from repro.geometry.shapes import Circle, Segment
+from repro.geometry.vectors import Vec2, bearing_deg
 
 coords = st.floats(min_value=-100.0, max_value=100.0)
 vectors = st.builds(Vec2, coords, coords)
@@ -116,26 +114,39 @@ class TestBearing:
         )
 
 
+#: One wall far beyond every point the projection tests trace between.
+OPEN_TRACER = RayTracer(Room(walls=[Wall(Segment(Vec2(-1000, 1000), Vec2(1000, 1000)))]))
+
+
+def circle_cut(point, radius, a, b):
+    """The cut a circle of ``radius`` around ``point`` makes in leg a->b.
+
+    The ray tracer projects an occluder's centre onto each leg: the cut's
+    ``along_leg_m`` places the projection and ``clearance_m + radius`` is
+    the centre's distance to the leg.
+    """
+    (cut,) = OPEN_TRACER.line_of_sight(a, b, [Circle(point, radius)]).obstructions
+    return cut
+
+
 class TestProjection:
     def test_interior_projection(self):
-        p = project_point_on_segment(Vec2(1, 1), Vec2(0, 0), Vec2(2, 0))
-        assert p == Vec2(1, 0)
-
-    def test_clamps_to_endpoints(self):
-        p = project_point_on_segment(Vec2(-5, 1), Vec2(0, 0), Vec2(2, 0))
-        assert p == Vec2(0, 0)
-
-    def test_degenerate_segment(self):
-        p = project_point_on_segment(Vec2(1, 1), Vec2(3, 3), Vec2(3, 3))
-        assert p == Vec2(3, 3)
+        a, b = Vec2(0, 0), Vec2(2, 0)
+        cut = circle_cut(Vec2(1, 1), 1.5, a, b)
+        assert a + (b - a).normalized() * cut.along_leg_m == Vec2(1, 0)
 
     def test_distance_known(self):
-        assert point_segment_distance(Vec2(1, 2), Vec2(0, 0), Vec2(2, 0)) == 2.0
+        cut = circle_cut(Vec2(1, 2), 2.5, Vec2(0, 0), Vec2(2, 0))
+        assert cut.clearance_m + 2.5 == 2.0
 
     @given(vectors, nonzero_vectors)
     def test_projection_is_closest_endpointwise(self, point, delta):
+        # The tracer refuses legs shorter than the far-field limit.
+        assume(delta.norm >= MIN_SEPARATION_M)
         a = Vec2(0, 0)
         b = delta
-        d = point_segment_distance(point, a, b)
+        # A radius over twice the farthest leg end always leaves a cut.
+        radius = 2.0 * max(point.distance_to(a), point.distance_to(b)) + 1.0
+        d = circle_cut(point, radius, a, b).clearance_m + radius
         assert d <= point.distance_to(a) + 1e-9
         assert d <= point.distance_to(b) + 1e-9
