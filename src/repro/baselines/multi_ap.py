@@ -90,11 +90,8 @@ class MultiApBaseline:
         """Best direct link over all deployed APs."""
         best: Optional[Tuple[LinkMeasurement, int]] = None
         for index, ap in enumerate(self.aps):
-            los = self.budget.cache.all_paths(
-                ap.position, headset_radio.position, extra_occluders=extra_occluders
-            )[0]
             m = self.budget.measure_aligned(
-                ap, headset_radio, los, extra_occluders=extra_occluders
+                ap, headset_radio, extra_occluders=extra_occluders
             )
             if best is None or m.snr_db > best[0].snr_db:
                 best = (m, index)

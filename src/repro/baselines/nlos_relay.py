@@ -117,9 +117,6 @@ class DualAntennaBaseline:
             # The player's own head always occludes the hemisphere
             # behind each antenna.
             occluders = list(extra_occluders) + [head_occluder(head_position)]
-            los = self.budget.cache.all_paths(
-                ap.position, radio.position, extra_occluders=occluders
-            )[0]
-            m = self.budget.measure_aligned(ap, radio, los, extra_occluders=occluders)
+            m = self.budget.measure_aligned(ap, radio, extra_occluders=occluders)
             snrs.append(m.snr_db)
         return DualAntennaResult(front_snr_db=snrs[0], back_snr_db=snrs[1])

@@ -174,11 +174,8 @@ class MoVRSystem:
         extra_occluders: Sequence[Occluder] = (),
     ) -> LinkMeasurement:
         """The direct AP <-> headset link, both beams on the LOS path."""
-        los = self.budget.cache.line_of_sight(
-            self.ap.position, headset_radio.position, extra_occluders
-        )
         return self.budget.measure_aligned(
-            self.ap, headset_radio, los, extra_occluders=extra_occluders
+            self.ap, headset_radio, extra_occluders=extra_occluders
         )
 
     def _headset_local_occluders(

@@ -71,20 +71,15 @@ class LinkMeasurement:
 class LinkBudget:
     """Evaluates links inside one room/channel context.
 
-    Scene geometry is queried through a :class:`SceneCache` (one is
-    created over ``tracer`` when not supplied), so repeated
-    evaluations at fixed endpoints re-trace nothing.
+    Scene geometry is queried through the budget's own
+    :class:`SceneCache` over ``tracer``, so repeated evaluations at
+    fixed endpoints re-trace nothing.
     """
 
-    def __init__(
-        self,
-        tracer: RayTracer,
-        channel: MmWaveChannel,
-        cache: Optional[SceneCache] = None,
-    ) -> None:
+    def __init__(self, tracer: RayTracer, channel: MmWaveChannel) -> None:
         self.tracer = tracer
         self.channel = channel
-        self.cache = cache if cache is not None else SceneCache(tracer)
+        self.cache = SceneCache(tracer)
 
     # ------------------------------------------------------------------
 
@@ -268,19 +263,26 @@ class LinkBudget:
         self,
         tx: Radio,
         rx: Radio,
-        path: PropagationPath,
         extra_occluders: Sequence[Occluder] = (),
     ) -> LinkMeasurement:
-        """Measure with both beams steered onto a specific path.
+        """Measure with both beams steered onto the LOS path.
 
-        Steering passes through each radio's array (scan-range clipping
-        and phase quantization included), so an unreachable path shows
-        up as low gain rather than an idealized number.
+        One scene lookup serves both: the LOS that steers the beams is
+        the first path of the set the measurement sums.  Steering
+        passes through each radio's array (scan-range clipping and
+        phase quantization included), so an unreachable path shows up
+        as low gain rather than an idealized number.
         """
-        tx_steer = tx.steer_to(path.departure_angle_deg)
-        rx_steer = rx.steer_to(path.arrival_angle_deg)
-        return self.measure(
-            tx, rx, tx_steer, rx_steer, extra_occluders=extra_occluders
+        paths = self.cache.all_paths(
+            tx.position, rx.position, extra_occluders=extra_occluders
+        )
+        los = paths[0]
+        return self.measure_with_paths(
+            tx,
+            rx,
+            paths,
+            tx.steer_to(los.departure_angle_deg),
+            rx.steer_to(los.arrival_angle_deg),
         )
 
     def best_alignment(

@@ -12,15 +12,20 @@ Caching contract
 ----------------
 
 * Keys include both endpoints, the bounce budget, and a *signature* of
-  every occluder that can affect the query (the room's own furniture
-  plus the per-call extras).  Signatures are built from occluder
-  geometry values, so moving, adding, or removing an occluder — even
-  by mutating the room in place — changes the key and the stale entry
-  is never returned.  Pose changes likewise miss naturally.
+  the occluder list the trace reads: the room's own furniture plus the
+  per-call extras, or the extras alone for a LOS that skips the room's
+  furniture.  Signatures are built from occluder geometry values, so
+  moving, adding, or removing an occluder — even by mutating the room
+  in place — changes the key and the stale entry is never returned.
+  Pose changes likewise miss naturally.
+* One ``all_paths`` entry answers both :meth:`SceneCache.all_paths`
+  and :meth:`SceneCache.reflection_paths` (its paths after the LOS).
 * :meth:`SceneCache.invalidate` drops every entry.  Use it when scene
   state *outside* the keyed geometry changes (e.g. swapping wall
   materials on the traced room), which the signature cannot see.
-* Entries are evicted LRU beyond ``max_entries`` so motion traces with
+* Least-recently-used entries are evicted until the cache retains at
+  most :data:`MAX_PATHS` paths (a LOS entry holds one, a path set its
+  length; the newest entry always stays), so motion traces with
   thousands of distinct poses cannot grow the cache without bound.
 
 All queries record into the active telemetry scope
@@ -39,8 +44,8 @@ from repro.geometry.room import Occluder
 from repro.geometry.shapes import AxisAlignedBox, Circle
 from repro.geometry.vectors import Vec2
 
-#: Default cache capacity (entries, i.e. distinct traced scenes).
-DEFAULT_MAX_ENTRIES = 1024
+#: Most paths the cache retains, summed over its entries.
+MAX_PATHS = 4096
 
 
 def occluder_signature(occluders: Iterable[Occluder]) -> Tuple:
@@ -77,12 +82,11 @@ class SceneCache:
     of each distinct (endpoints, occluders, bounces) scene.
     """
 
-    def __init__(self, tracer: RayTracer, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
+    def __init__(self, tracer: RayTracer) -> None:
         self.tracer = tracer
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[Tuple, object]" = OrderedDict()
+        # A LOS entry is a one-path list, so every entry's size is its len.
+        self._entries: "OrderedDict[Tuple, List[PropagationPath]]" = OrderedDict()
+        self._paths = 0  # paths retained over all entries
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -96,22 +100,14 @@ class SceneCache:
         (wall edits, material swaps on the traced room).
         """
         self._entries.clear()
+        self._paths = 0
         telemetry.inc("scene.cache.invalidations")
 
-    def _scene_key(
-        self, kind: str, tx: Vec2, rx: Vec2, extra_occluders: Sequence[Occluder]
-    ) -> Tuple:
-        return (
-            kind,
-            tx.x,
-            tx.y,
-            rx.x,
-            rx.y,
-            occluder_signature(self.tracer.room.occluders),
-            occluder_signature(extra_occluders),
-        )
-
-    def _lookup(self, key: Tuple, compute):
+    def _lookup(
+        self, kind: str, tx: Vec2, rx: Vec2, occluders: Sequence[Occluder], trace
+    ) -> List[PropagationPath]:
+        """The paths of one scene, keyed by what ``trace`` reads on a miss."""
+        key = (kind, tx.x, tx.y, rx.x, rx.y, occluder_signature(occluders))
         entry = self._entries.get(key)
         if entry is not None:
             telemetry.inc("scene.cache.hits")
@@ -119,11 +115,23 @@ class SceneCache:
             return entry
         telemetry.inc("scene.cache.misses")
         telemetry.inc("scene.tracer_calls")
-        entry = compute()
+        entry = trace()
         self._entries[key] = entry
-        if len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
+        self._paths += len(entry)
+        while self._paths > MAX_PATHS and len(self._entries) > 1:
+            self._paths -= len(self._entries.popitem(last=False)[1])
         return entry
+
+    def _all(
+        self, tx: Vec2, rx: Vec2, max_bounces: int, extra_occluders: Sequence[Occluder]
+    ) -> List[PropagationPath]:
+        return self._lookup(
+            f"all{max_bounces}",
+            tx,
+            rx,
+            list(self.tracer.room.occluders) + list(extra_occluders),
+            lambda: self.tracer.all_paths(tx, rx, max_bounces, extra_occluders),
+        )
 
     # -- tracer-equivalent queries ---------------------------------------
 
@@ -135,15 +143,18 @@ class SceneCache:
         include_room_occluders: bool = True,
     ) -> PropagationPath:
         """Cached :meth:`RayTracer.line_of_sight`."""
-        key = self._scene_key(
-            "los" if include_room_occluders else "los-bare", tx, rx, extra_occluders
-        )
+        furniture = self.tracer.room.occluders if include_room_occluders else ()
         return self._lookup(
-            key,
-            lambda: self.tracer.line_of_sight(
-                tx, rx, extra_occluders, include_room_occluders
-            ),
-        )
+            "los",
+            tx,
+            rx,
+            list(furniture) + list(extra_occluders),
+            lambda: [
+                self.tracer.line_of_sight(
+                    tx, rx, extra_occluders, include_room_occluders
+                )
+            ],
+        )[0]
 
     def reflection_paths(
         self,
@@ -152,12 +163,9 @@ class SceneCache:
         max_bounces: int = 2,
         extra_occluders: Sequence[Occluder] = (),
     ) -> List[PropagationPath]:
-        """Cached :meth:`RayTracer.reflection_paths`."""
-        key = self._scene_key(f"refl{max_bounces}", tx, rx, extra_occluders)
-        return self._lookup(
-            key,
-            lambda: self.tracer.reflection_paths(tx, rx, max_bounces, extra_occluders),
-        )
+        """Cached :meth:`RayTracer.reflection_paths`, read from the
+        ``all_paths`` entry."""
+        return self._all(tx, rx, max_bounces, extra_occluders)[1:]
 
     def all_paths(
         self,
@@ -167,8 +175,4 @@ class SceneCache:
         extra_occluders: Sequence[Occluder] = (),
     ) -> List[PropagationPath]:
         """Cached :meth:`RayTracer.all_paths`."""
-        key = self._scene_key(f"all{max_bounces}", tx, rx, extra_occluders)
-        return self._lookup(
-            key,
-            lambda: self.tracer.all_paths(tx, rx, max_bounces, extra_occluders),
-        )
+        return self._all(tx, rx, max_bounces, extra_occluders)

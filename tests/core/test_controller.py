@@ -129,6 +129,13 @@ class TestDecide:
         assert decision.via is None
         assert decision.connected
 
+    def test_healthy_los_traces_the_scene_once(self, system):
+        # The direct link steers onto and measures over one path set.
+        system.budget.cache.invalidate()
+        with telemetry.scope("t") as sc:
+            assert system.decide(headset_at(2.2, 2.6)).mode == "los"
+            assert sc.registry.counter_value("scene.tracer_calls") == 1
+
     def test_hands_off_under_blockage(self, system):
         hs = headset_at(3.0, 3.0)
         hand = hand_occluder(hs.position, bearing_deg(hs.position, Vec2(0.3, 0.3)))

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.geometry.bodies import hand_occluder
 from repro.geometry.raytrace import MIN_SEPARATION_M, PropagationPath, RayTracer
 from repro.geometry.room import DRYWALL, METAL, Wall, rectangular_room, standard_office
-from repro.geometry.shapes import Circle, Segment
+from repro.geometry.shapes import AxisAlignedBox, Circle, Segment
 from repro.geometry.vectors import Vec2
 from repro.sim.cache import SceneCache
 
@@ -20,6 +20,19 @@ interior_points = st.builds(Vec2, interior, interior)
 OFFICE_TRACER = RayTracer(standard_office(furnished=True))
 office_coord = st.floats(min_value=0.1, max_value=4.9)
 office_points = st.builds(Vec2, office_coord, office_coord)
+BARE_OFFICE_TRACER = RayTracer(standard_office(furnished=False))
+extra_occluders = st.lists(
+    st.one_of(
+        st.builds(Circle, office_points, st.floats(min_value=0.05, max_value=0.6)),
+        st.builds(
+            lambda corner, w, h: AxisAlignedBox(corner, corner + Vec2(w, h)),
+            office_points,
+            st.floats(min_value=0.05, max_value=1.0),
+            st.floats(min_value=0.05, max_value=1.0),
+        ),
+    ),
+    max_size=3,
+)
 
 
 @pytest.fixture
@@ -176,6 +189,16 @@ class TestAllPaths:
         paths = tracer.all_paths(Vec2(1, 1), Vec2(4, 3))
         assert paths[0].is_line_of_sight
         assert all(not p.is_line_of_sight for p in paths[1:])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.booleans(), office_points, office_points, extra_occluders)
+    def test_line_of_sight_is_the_first_path(self, furnished, tx, rx, extras):
+        # The cache answers the direct link's LOS from all_paths(...)[0].
+        assume(tx.distance_to(rx) >= MIN_SEPARATION_M)
+        tracer = OFFICE_TRACER if furnished else BARE_OFFICE_TRACER
+        los = tracer.line_of_sight(tx, rx, extras)
+        for max_bounces in (1, 2):
+            assert tracer.all_paths(tx, rx, max_bounces, extras)[0] == los
 
     def test_occluders_annotated_on_reflections(self, tracer):
         rx = Vec2(4, 1)

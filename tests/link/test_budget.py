@@ -29,7 +29,7 @@ class TestMeasure:
     def test_aligned_beats_misaligned(self, setup):
         budget, tx, rx = setup
         los = budget.tracer.line_of_sight(tx.position, rx.position)
-        aligned = budget.measure_aligned(tx, rx, los)
+        aligned = budget.measure_aligned(tx, rx)
         misaligned = budget.measure(
             tx, rx, tx_steer_deg=los.departure_angle_deg + 30.0,
             rx_steer_deg=los.arrival_angle_deg + 30.0,
@@ -38,17 +38,15 @@ class TestMeasure:
 
     def test_los_dominant_when_aligned(self, setup):
         budget, tx, rx = setup
-        los = budget.tracer.line_of_sight(tx.position, rx.position)
-        m = budget.measure_aligned(tx, rx, los)
+        m = budget.measure_aligned(tx, rx)
         assert m.dominant_path is not None
         assert m.dominant_path.is_line_of_sight
 
     def test_blockage_reduces_snr(self, setup):
         budget, tx, rx = setup
-        los = budget.tracer.line_of_sight(tx.position, rx.position)
-        clear = budget.measure_aligned(tx, rx, los)
+        clear = budget.measure_aligned(tx, rx)
         hand = hand_occluder(rx.position, bearing_deg(rx.position, tx.position))
-        blocked = budget.measure_aligned(tx, rx, los, extra_occluders=[hand])
+        blocked = budget.measure_aligned(tx, rx, extra_occluders=[hand])
         assert blocked.snr_db < clear.snr_db - 8.0
 
     def test_budget_form(self, setup):

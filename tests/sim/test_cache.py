@@ -8,6 +8,7 @@ test.
 import math
 
 from repro import telemetry
+from repro.sim import cache as cache_module
 from repro.geometry.raytrace import RayTracer
 from repro.geometry.room import Room, standard_office
 from repro.geometry.shapes import Circle
@@ -18,8 +19,12 @@ TX = Vec2(0.5, 0.5)
 RX = Vec2(4.5, 4.5)
 
 
-def make_cache(furnished: bool = False, **kwargs) -> SceneCache:
-    return SceneCache(RayTracer(standard_office(furnished=furnished)), **kwargs)
+def make_cache(furnished: bool = False) -> SceneCache:
+    return SceneCache(RayTracer(standard_office(furnished=furnished)))
+
+
+def retained_paths(cache: SceneCache) -> int:
+    return sum(len(entry) for entry in cache._entries.values())
 
 
 class TestMemoization:
@@ -46,16 +51,71 @@ class TestMemoization:
             cache.all_paths(TX, RX, max_bounces=1)
             cache.all_paths(TX, RX, max_bounces=2)
             cache.all_paths(TX, Vec2(4.5, 4.4), max_bounces=2)
-            cache.reflection_paths(TX, RX, max_bounces=2)
             cache.line_of_sight(TX, RX)
             assert sc.registry.counter_value("scene.cache.hits") == 0
-            assert sc.registry.counter_value("scene.tracer_calls") == 5
+            assert sc.registry.counter_value("scene.tracer_calls") == 4
 
-    def test_lru_eviction_bounds_entries(self):
-        cache = make_cache(max_entries=4)
-        for i in range(10):
-            cache.line_of_sight(TX, Vec2(4.5, 0.5 + 0.4 * i))
-        assert len(cache) == 4
+    def test_reflection_paths_read_the_all_paths_entry(self):
+        cache = make_cache()
+        with telemetry.scope("t") as sc:
+            paths = cache.all_paths(TX, RX)
+            assert cache.reflection_paths(TX, RX) == paths[1:]
+            assert sc.registry.counter_value("scene.tracer_calls") == 1
+            assert sc.registry.counter_value("scene.cache.hits") == 1
+        assert len(cache) == 1
+
+    def test_bare_los_key_ignores_room_furniture(self):
+        # A LOS that skips the room's furniture never reads it, so
+        # moving that furniture keeps the entry.
+        room = standard_office(furnished=True)
+        cache = SceneCache(RayTracer(room))
+        bare = cache.line_of_sight(TX, RX, include_room_occluders=False)
+        room.occluders.pop()
+        with telemetry.scope("t") as sc:
+            again = cache.line_of_sight(TX, RX, include_room_occluders=False)
+            assert sc.registry.counter_value("scene.cache.hits") == 1
+        assert again is bare
+
+
+class TestPathBound:
+    """LRU eviction keeps the retained path count under MAX_PATHS."""
+
+    def test_mixed_queries_stay_under_the_bound(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "MAX_PATHS", 40)
+        cache = make_cache(furnished=True)
+        for i in range(12):
+            rx = Vec2(4.5, 0.5 + 0.3 * i)
+            cache.line_of_sight(TX, rx)
+            cache.all_paths(TX, rx, max_bounces=i % 2 + 1)
+            assert retained_paths(cache) <= 40
+        assert retained_paths(cache) == cache._paths
+        assert 1 < len(cache) < 24
+
+    def test_reread_entry_outlives_an_older_one(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "MAX_PATHS", 3)
+        cache = make_cache()
+        a, b, c, d = (Vec2(4.5, y) for y in (0.5, 1.5, 2.5, 3.5))
+        for rx in (a, b, c):
+            cache.line_of_sight(TX, rx)
+        cache.line_of_sight(TX, a)  # re-read: a is now the newest
+        cache.line_of_sight(TX, d)  # over the bound: evicts b, not a
+        with telemetry.scope("t") as sc:
+            cache.line_of_sight(TX, a)
+            assert sc.registry.counter_value("scene.tracer_calls") == 0
+            cache.line_of_sight(TX, b)
+            assert sc.registry.counter_value("scene.tracer_calls") == 1
+        assert retained_paths(cache) == 3
+
+    def test_entry_larger_than_the_bound_is_kept_alone(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "MAX_PATHS", 3)
+        cache = make_cache()
+        cache.line_of_sight(TX, RX)
+        paths = cache.all_paths(TX, RX)
+        assert len(paths) > 3
+        assert len(cache) == 1
+        with telemetry.scope("t") as sc:
+            assert cache.all_paths(TX, RX) is paths
+            assert sc.registry.counter_value("scene.cache.hits") == 1
 
 
 class TestStaleness:
