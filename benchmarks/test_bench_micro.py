@@ -7,11 +7,12 @@ useful when optimizing and as a regression guard on simulation cost.
 
 from repro.core.angle_search import BackscatterAngleSearch
 from repro.core.reflector import MoVRReflector
+from repro.experiments.testbed import default_testbed
 from repro.geometry.raytrace import RayTracer
 from repro.geometry.room import standard_office
 from repro.geometry.vectors import Vec2, bearing_deg
 from repro.link.budget import LinkBudget
-from repro.link.radios import DEFAULT_RADIO_CONFIG, Radio
+from repro.link.radios import DEFAULT_RADIO_CONFIG, HEADSET_RADIO_CONFIG, Radio
 from repro.phy.channel import MmWaveChannel
 from repro.phy.ofdm import measure_link_snr_db
 
@@ -33,6 +34,22 @@ def test_bench_link_measure(benchmark):
     assert result.snr_db > 0.0
 
 
+def test_bench_relay_candidates(benchmark):
+    # Three calibrated reflectors; the first call traces and caches
+    # every hop, so the benchmark times the relay ranking on a cached
+    # scene (the seated-player case).
+    system = default_testbed(
+        seed=2016, num_reflectors=3, shadowing_sigma_db=0.0
+    ).system
+    headset = Radio(
+        Vec2(2.5, 2.0), boresight_deg=-135.0, config=HEADSET_RADIO_CONFIG
+    )
+    expected = system.relay_candidates(headset)
+    result = benchmark(system.relay_candidates, headset)
+    assert len(result) == 3
+    assert result == expected
+
+
 def test_bench_ofdm_snr_measurement(benchmark):
     result = benchmark(
         measure_link_snr_db, 20.0, 0.0, 0.0, None, 7
@@ -43,7 +60,12 @@ def test_bench_ofdm_snr_measurement(benchmark):
 def test_bench_leakage_eval(benchmark):
     reflector = MoVRReflector(Vec2(4.7, 4.7), boresight_deg=-135.0)
     reflector.point_at(Vec2(0.3, 0.3), Vec2(2.5, 2.5))
-    result = benchmark(reflector.leakage_db)
+    # The model itself: the reflector would answer from its memo.
+    angles = (
+        reflector.azimuth_to_prototype(reflector.tx_azimuth_deg),
+        reflector.azimuth_to_prototype(reflector.rx_azimuth_deg),
+    )
+    result = benchmark(reflector.leakage_model.leakage_db, *angles)
     assert -85.0 < result < -45.0
 
 

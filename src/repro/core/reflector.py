@@ -101,6 +101,9 @@ class MoVRReflector:
             noise_figure_db=amplifier.noise_figure_db,
         )
         self.modulation_on = False
+        # Last leakage evaluation: (tx prototype angle, rx prototype
+        # angle, leakage model, leakage dB).  See :meth:`leakage_db`.
+        self._leakage_memo: Optional[tuple] = None
 
     # -- angle conventions ------------------------------------------------
 
@@ -163,11 +166,25 @@ class MoVRReflector:
     # -- feedback loop ------------------------------------------------------
 
     def leakage_db(self) -> float:
-        """TX->RX coupling at the current beam angles (negative dB)."""
-        return self.leakage_model.leakage_db(
-            self.azimuth_to_prototype(self.tx_azimuth_deg),
-            self.azimuth_to_prototype(self.rx_azimuth_deg),
-        )
+        """TX->RX coupling at the current beam angles (negative dB).
+
+        The coupling depends only on the two prototype angles (which
+        fold in the boresight) and the leakage model, so the last value
+        is kept and returned again while all three are unchanged: a
+        relay evaluation asks twice per beam state (stability, then
+        closed-loop gain) and gain calibration asks at fixed beams.
+        The model is compared by identity and assumed not to be
+        mutated in place, as its own batch memo assumes.
+        """
+        tx = self.azimuth_to_prototype(self.tx_azimuth_deg)
+        rx = self.azimuth_to_prototype(self.rx_azimuth_deg)
+        model = self.leakage_model
+        memo = self._leakage_memo
+        if memo is not None and memo[2] is model and memo[0] == tx and memo[1] == rx:
+            return memo[3]
+        value = model.leakage_db(tx, rx)
+        self._leakage_memo = (tx, rx, model, value)
+        return value
 
     def is_stable(self) -> bool:
         """Is the feedback loop stable at the current gain and beams?"""

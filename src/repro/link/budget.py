@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -116,8 +116,10 @@ class LinkBudget:
         """Per-path received power over broadcast steering grids.
 
         Returns shape ``(P,) + broadcast(tx_steer, rx_steer).shape``;
-        ``axis=0`` holds the paths.  The channel gain is computed once
-        per path; each side's antenna kernel evaluates every path and
+        ``axis=0`` holds the paths.  Angles and unshadowed channel gains
+        come from the path set's link columns (kept by the scene cache
+        for a cached set); shadowing is drawn per call, one draw per
+        path.  Each side's antenna kernel evaluates every path and
         steering in one call, with the paths on a new leading axis.
         """
         tx_steer = np.asarray(tx_steer_deg, dtype=float)
@@ -125,13 +127,24 @@ class LinkBudget:
         shape = np.broadcast(tx_steer, rx_steer).shape
         # Paths along axis 0, broadcasting against every steering axis.
         per_path = (len(paths),) + (1,) * len(shape)
-        departures = np.reshape([p.departure_angle_deg for p in paths], per_path)
-        arrivals = np.reshape([p.arrival_angle_deg for p in paths], per_path)
-        channel = np.reshape([self.channel.path_gain_db(p) for p in paths], per_path)
+        departures, arrivals, unshadowed = self.cache.link_columns(paths, self.channel)
+        channel = self.channel.shadowed_db(unshadowed).reshape(per_path)
         const = tx.config.tx_power_dbm - tx.config.implementation_loss_db
-        tx_gain = tx.array.gain_dbi_batch(departures, tx_steer)
-        rx_gain = rx.array.gain_dbi_batch(arrivals, rx_steer)
+        tx_gain = tx.array.gain_dbi_batch(departures.reshape(per_path), tx_steer)
+        rx_gain = rx.array.gain_dbi_batch(arrivals.reshape(per_path), rx_steer)
         return const + channel + tx_gain + rx_gain
+
+    def hop_columns(self, hop: PropagationPath) -> Tuple[float, float, float]:
+        """Departure azimuth, arrival azimuth and channel gain (dB) of
+        one traced hop, read from its cached link columns.
+
+        ``hop`` is what :meth:`SceneCache.line_of_sight` returned, so a
+        relay hop re-read from the cache costs one shadowing draw.  The
+        gain is what :meth:`MmWaveChannel.path_gain_db` would give.
+        """
+        columns = self.cache.link_columns((hop,), self.channel)
+        departure, arrival = columns[:2, 0].tolist()
+        return departure, arrival, float(self.channel.shadowed_db(columns[2])[0])
 
     def sweep(
         self,

@@ -1,18 +1,28 @@
 """mmWave channel model: path loss, reflections, blockage, fading.
 
 The channel converts a geometric :class:`PropagationPath` into a path
-*gain* in dB (always negative): free-space spreading loss over the
-traveled distance, atmospheric absorption, per-bounce reflection loss,
-and blockage attenuation from the path's obstruction records.  An
-optional log-normal shadowing/fading term models the run-to-run spread
-visible in the paper's measurements.
+*gain* in dB (always negative) in two parts:
+
+* the **unshadowed gain** (:meth:`MmWaveChannel.unshadowed_gain_db`):
+  free-space spreading loss over the traveled distance, atmospheric
+  absorption, per-bounce reflection loss, wall penetration and
+  blockage attenuation from the path's obstruction records.  It is a
+  pure function of the path, the carrier and the blockage model, so
+  :class:`repro.sim.cache.SceneCache` keeps it per cached path set;
+* an optional log-normal **shadowing** term
+  (:meth:`MmWaveChannel.shadowed_db`), drawn afresh on every query,
+  one draw per path in path order, which models the run-to-run spread
+  visible in the paper's measurements.
+
+:meth:`MmWaveChannel.path_gains_db` adds the two over a list of paths;
+:meth:`MmWaveChannel.path_gain_db` is its one-path form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -86,13 +96,15 @@ class MmWaveChannel:
     def wavelength_m(self) -> float:
         return wavelength(self.carrier_hz)
 
-    def path_gain_db(self, path: PropagationPath) -> float:
-        """Channel gain (negative dB) along a propagation path.
+    def unshadowed_gain_db(self, path: PropagationPath) -> float:
+        """Deterministic channel gain (negative dB) along a path.
 
-        Includes spreading loss over the *total* path length (each
-        reflection leg adds distance — the reason NLOS paths are weak
-        even off good reflectors), per-bounce reflection loss, gaseous
-        absorption, blockage, and optional shadowing.
+        Spreading loss over the *total* path length (each reflection
+        leg adds distance — the reason NLOS paths are weak even off
+        good reflectors), gaseous absorption, per-bounce reflection
+        loss, wall penetration and blockage: everything but shadowing.
+        It depends only on the path, the carrier and the blockage
+        model, which is what lets a scene cache keep it per path set.
         """
         length = path.total_length_m
         gain = -free_space_path_loss_db(length, self.carrier_hz)
@@ -101,9 +113,31 @@ class MmWaveChannel:
         gain -= path.total_penetration_loss_db
         if path.obstructions:
             gain -= self.blockage_model.path_blockage_db(path.obstructions)
-        if self.shadowing_sigma_db > 0.0:
-            gain += float(self.rng.normal(0.0, self.shadowing_sigma_db))
         return gain
+
+    def shadowed_db(self, unshadowed_db: np.ndarray) -> np.ndarray:
+        """Add one shadowing draw per entry of ``unshadowed_db``, in order.
+
+        One vector draw takes the same values from ``rng``, and leaves
+        it in the same state, as one scalar draw per entry.  Without
+        shadowing the input comes back as it is.
+        """
+        if self.shadowing_sigma_db > 0.0:
+            return unshadowed_db + self.rng.normal(
+                0.0, self.shadowing_sigma_db, size=np.shape(unshadowed_db)
+            )
+        return unshadowed_db
+
+    def path_gains_db(self, paths: Sequence[PropagationPath]) -> np.ndarray:
+        """Channel gain (negative dB) per path, shadowing drawn in path order."""
+        return self.shadowed_db(
+            np.array([self.unshadowed_gain_db(p) for p in paths], dtype=float)
+        )
+
+    def path_gain_db(self, path: PropagationPath) -> float:
+        """Channel gain (negative dB) along one path: the unshadowed
+        gain plus one shadowing draw."""
+        return float(self.path_gains_db((path,))[0])
 
     def complex_gain(self, path: PropagationPath) -> complex:
         """Complex baseband channel coefficient for the path.

@@ -28,6 +28,27 @@ Caching contract
   length; the newest entry always stays), so motion traces with
   thousands of distinct poses cannot grow the cache without bound.
 
+Link columns
+------------
+
+Every entry also carries its **link columns**
+(:meth:`SceneCache.link_columns`): one ``(3, P)`` array holding each
+path's departure azimuth, arrival azimuth and unshadowed channel gain
+(:meth:`repro.phy.channel.MmWaveChannel.unshadowed_gain_db`).  They are
+built on the entry's first link evaluation, read by every later one,
+and dropped with the entry on eviction or :meth:`SceneCache.invalidate`.
+
+* Columns are found by path identity: a sequence holding, in order,
+  exactly the paths of a live entry reads that entry's columns (the
+  path set itself, or the one-path list behind a LOS hop).  Any other
+  sequence — a caller's candidate list, the ``[1:]`` slice
+  :meth:`SceneCache.reflection_paths` returns — gets columns computed
+  for the call and not retained.
+* Columns record the carrier and blockage model they were built with
+  and are rebuilt when the channel asked differs, so editing the
+  channel never returns stale gains.  Shadowing is never cached: it is
+  drawn per call on top of the unshadowed column.
+
 All queries record into the active telemetry scope
 (``scene.cache.hits`` / ``scene.cache.misses`` / ``scene.tracer_calls``
 in :func:`repro.telemetry.metrics`), which experiment reports surface.
@@ -35,14 +56,18 @@ in :func:`repro.telemetry.metrics`), which experiment reports surface.
 
 from __future__ import annotations
 
+import operator
 from collections import OrderedDict
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro import telemetry
 from repro.geometry.raytrace import PropagationPath, RayTracer
 from repro.geometry.room import Occluder
 from repro.geometry.shapes import AxisAlignedBox, Circle
 from repro.geometry.vectors import Vec2
+from repro.phy.channel import MmWaveChannel
 
 #: Most paths the cache retains, summed over its entries.
 MAX_PATHS = 4096
@@ -74,6 +99,55 @@ def occluder_signature(occluders: Iterable[Occluder]) -> Tuple:
     return tuple(sig)
 
 
+def link_columns(
+    paths: Sequence[PropagationPath], channel: MmWaveChannel
+) -> np.ndarray:
+    """The ``(3, P)`` link columns of a path set: departure azimuths,
+    arrival azimuths and unshadowed channel gains, one column per path.
+
+    >>> from repro.geometry.room import rectangular_room
+    >>> tracer = RayTracer(rectangular_room(5.0, 5.0))
+    >>> paths = tracer.all_paths(Vec2(1.0, 1.0), Vec2(1.0, 4.0))
+    >>> columns = link_columns(paths, MmWaveChannel())
+    >>> columns.shape == (3, len(paths))
+    True
+    >>> float(columns[0, 0]), float(columns[1, 0])  # the LOS: north, back south
+    (90.0, -90.0)
+    """
+    columns = np.array(
+        [
+            [p.departure_angle_deg for p in paths],
+            [p.arrival_angle_deg for p in paths],
+            [channel.unshadowed_gain_db(p) for p in paths],
+        ],
+        dtype=float,
+    )
+    columns.flags.writeable = False
+    return columns
+
+
+class _Entry:
+    """One cached path set and its lazily built link columns."""
+
+    __slots__ = ("paths", "columns", "built_with")
+
+    def __init__(self, paths: List[PropagationPath]) -> None:
+        self.paths = paths
+        self.columns: Optional[np.ndarray] = None
+        # (carrier_hz, blockage_model) the columns were built with.
+        self.built_with: Optional[Tuple] = None
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def holds(self, paths: Sequence[PropagationPath]) -> bool:
+        """Are ``paths`` exactly this entry's paths, in order?"""
+        own = self.paths
+        return paths is own or (
+            len(paths) == len(own) and all(map(operator.is_, paths, own))
+        )
+
+
 class SceneCache:
     """Memoizes :class:`RayTracer` queries for one room.
 
@@ -85,7 +159,11 @@ class SceneCache:
     def __init__(self, tracer: RayTracer) -> None:
         self.tracer = tracer
         # A LOS entry is a one-path list, so every entry's size is its len.
-        self._entries: "OrderedDict[Tuple, List[PropagationPath]]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple, _Entry]" = OrderedDict()
+        # Live entries by the identity of their first path (every trace
+        # starts with its LOS, and traces never share path objects), for
+        # the link columns.
+        self._by_first_path: Dict[int, _Entry] = {}
         self._paths = 0  # paths retained over all entries
 
     # -- bookkeeping -----------------------------------------------------
@@ -100,6 +178,7 @@ class SceneCache:
         (wall edits, material swaps on the traced room).
         """
         self._entries.clear()
+        self._by_first_path.clear()
         self._paths = 0
         telemetry.inc("scene.cache.invalidations")
 
@@ -112,15 +191,38 @@ class SceneCache:
         if entry is not None:
             telemetry.inc("scene.cache.hits")
             self._entries.move_to_end(key)
-            return entry
+            return entry.paths
         telemetry.inc("scene.cache.misses")
         telemetry.inc("scene.tracer_calls")
-        entry = trace()
+        entry = _Entry(trace())
         self._entries[key] = entry
+        self._by_first_path[id(entry.paths[0])] = entry
         self._paths += len(entry)
         while self._paths > MAX_PATHS and len(self._entries) > 1:
-            self._paths -= len(self._entries.popitem(last=False)[1])
-        return entry
+            evicted = self._entries.popitem(last=False)[1]
+            self._paths -= len(evicted)
+            del self._by_first_path[id(evicted.paths[0])]
+        return entry.paths
+
+    # -- link columns ----------------------------------------------------
+
+    def link_columns(
+        self, paths: Sequence[PropagationPath], channel: MmWaveChannel
+    ) -> np.ndarray:
+        """The read-only ``(3, P)`` link columns of ``paths`` under ``channel``.
+
+        Reads (building on first use) the columns of the live entry
+        whose paths ``paths`` are; any other sequence gets columns
+        computed for this call only (see the module docstring).
+        """
+        entry = self._by_first_path.get(id(paths[0])) if paths else None
+        if entry is None or not entry.holds(paths):
+            return link_columns(paths, channel)
+        built_with = (channel.carrier_hz, channel.blockage_model)
+        if entry.built_with != built_with:
+            entry.columns = link_columns(paths, channel)
+            entry.built_with = built_with
+        return entry.columns
 
     def _all(
         self, tx: Vec2, rx: Vec2, max_bounces: int, extra_occluders: Sequence[Occluder]

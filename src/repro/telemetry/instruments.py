@@ -11,17 +11,20 @@ accounting under free threading.
 Quantile estimates are exact (they match ``numpy.percentile`` on the
 raw stream) until the stream outgrows ``max_samples``; beyond that the
 reservoir is decimated to every ``stride``-th observation, which keeps
-memory constant while preserving the stream's coverage in time.
-``merge`` is a pure function (neither operand is mutated) that applies
-the same capacity rule: exact aggregates combine exactly, reservoirs
-concatenate and are halved while they are at or over the cap.  Merges
-that stay under the cap are therefore associative sample-for-sample.
+memory constant while preserving the stream's coverage in time.  The
+reservoir is held in flat ``array('d')`` columns (8 bytes per value),
+not as Python objects.  ``merge`` is a pure function (neither operand
+is mutated) that applies the same capacity rule: exact aggregates
+combine exactly, reservoirs concatenate and are halved while they are
+at or over the cap.  Merges that stay under the cap are therefore
+associative sample-for-sample.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List
+from array import array
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -44,6 +47,9 @@ class Histogram:
     only on the arrival sequence, so equal streams keep equal samples.
     """
 
+    #: Reservoir columns per retained sample.
+    _COLUMNS = 1
+
     __slots__ = (
         "name",
         "max_samples",
@@ -65,9 +71,12 @@ class Histogram:
         self.total = 0.0
         self.minimum = math.inf
         self.maximum = -math.inf
-        # Retained reservoir entries: the values themselves here,
-        # ``(t, value)`` pairs in a time series.
-        self._kept: List[Any] = []
+        # The reservoir as parallel flat float columns, one entry per
+        # retained sample: the values alone here; a time series keeps
+        # its times first and the values last.
+        self._kept: Tuple[array, ...] = tuple(
+            array("d") for _ in range(self._COLUMNS)
+        )
         self._stride = 1
         self._phase = 0
 
@@ -77,10 +86,11 @@ class Histogram:
         v = float(value)
         if not math.isfinite(v):
             raise ValueError(f"histogram {self.name!r} observed non-finite {value!r}")
-        self._add(v, v)
+        self._add(v, (v,))
 
-    def _add(self, value: float, entry: Any) -> None:
-        """Fold ``value`` into the aggregates and offer ``entry`` for keeping."""
+    def _add(self, value: float, row: Tuple[float, ...]) -> None:
+        """Fold ``value`` into the aggregates and offer ``row`` (one entry
+        per reservoir column) for keeping."""
         self.count += 1
         self.total += value
         if value < self.minimum:
@@ -88,14 +98,15 @@ class Histogram:
         if value > self.maximum:
             self.maximum = value
         if self._phase == 0:
-            self._kept.append(entry)
+            for column, entry in zip(self._kept, row):
+                column.append(entry)
             self._decimate()
         self._phase = (self._phase + 1) % self._stride
 
     def _decimate(self) -> None:
         """Halve the reservoir (doubling the stride) until it is under the cap."""
-        while len(self._kept) >= self.max_samples:
-            self._kept = self._kept[::2]
+        while len(self._kept[0]) >= self.max_samples:
+            self._kept = tuple(column[::2] for column in self._kept)
             self._stride *= 2
 
     # -- derived values --------------------------------------------------
@@ -107,12 +118,12 @@ class Histogram:
     @property
     def retained(self) -> int:
         """Number of samples currently held in the reservoir."""
-        return len(self._kept)
+        return len(self._kept[0])
 
     @property
     def samples(self) -> List[float]:
-        """The retained sample values (a copy)."""
-        return list(self._kept)
+        """The retained sample values (a copy, arrival order)."""
+        return self._kept[-1].tolist()
 
     def quantile(self, q: float) -> float:
         """Estimate the ``q`` quantile (``0 <= q <= 1``) of the stream.
@@ -122,9 +133,9 @@ class Histogram:
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError("q must be in [0, 1]")
-        if not self._kept:
+        if not self.retained:
             raise ValueError(f"histogram {self.name!r} is empty")
-        return float(np.percentile(self.samples, 100.0 * q))
+        return float(np.percentile(self._kept[-1], 100.0 * q))
 
     def summary(self) -> Dict[str, object]:
         """JSON-ready digest: count, mean, extrema, p50/p95/p99."""
@@ -136,7 +147,7 @@ class Histogram:
         }
         for q in SUMMARY_QUANTILES:
             key = f"p{int(q * 100)}"
-            out[key] = self.quantile(q) if self._kept else None
+            out[key] = self.quantile(q) if self.retained else None
         return out
 
     # -- combination -----------------------------------------------------
@@ -153,7 +164,7 @@ class Histogram:
         out.total = self.total + other.total
         out.minimum = min(self.minimum, other.minimum)
         out.maximum = max(self.maximum, other.maximum)
-        out._kept = self._kept + other._kept
+        out._kept = tuple(a + b for a, b in zip(self._kept, other._kept))
         out._stride = max(self._stride, other._stride)
         out._decimate()
         return out

@@ -10,7 +10,8 @@ questions become windowed computations over the session timeline (see
 :mod:`repro.telemetry.slo`).
 
 It is a :class:`~repro.telemetry.instruments.Histogram` whose
-reservoir entries carry their timestamps, so exact aggregates,
+reservoir carries a column of timestamps beside the values (two flat
+float arrays, 16 bytes per retained sample), so exact aggregates,
 deterministic decimation and the capped pure merge are the
 histogram's.  On top it adds:
 
@@ -41,6 +42,9 @@ DEFAULT_MIN_INTERVAL_S = 0.005
 
 class TimeSeries(Histogram):
     """A bounded ``(t, value)`` reservoir with exact aggregates."""
+
+    #: Reservoir columns: times, then values.
+    _COLUMNS = 2
 
     __slots__ = ("min_interval_s", "first_t_s", "last_t_s", "_gate_t")
 
@@ -84,11 +88,6 @@ class TimeSeries(Histogram):
 
     # -- reading ---------------------------------------------------------
 
-    @property
-    def samples(self) -> List[float]:
-        """The retained sample values (a copy, arrival order)."""
-        return [v for _, v in self._kept]
-
     def points(self) -> List[Tuple[float, float]]:
         """Retained ``(t, value)`` samples in time order.
 
@@ -96,7 +95,7 @@ class TimeSeries(Histogram):
         experiments that restart their clock) interleave timelines.
         The sort is stable, so equal timestamps keep arrival order.
         """
-        return sorted(self._kept, key=lambda p: p[0])
+        return sorted(zip(*self._kept), key=lambda p: p[0])
 
     def summary(self) -> Dict[str, object]:
         """JSON-ready digest (no raw points)."""

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.leakage import ReflectorLeakageModel
 from repro.core.reflector import REFLECTOR_SCAN_DEG, MoVRReflector
 from repro.geometry.vectors import Vec2
 from repro.phy.amplifier import loop_is_stable
@@ -133,6 +134,66 @@ class TestFeedbackBehaviour:
         assert not reflector.is_saturated_at(-60.0)
         reflector.amplifier.set_gain_db(60.0)
         assert reflector.is_saturated_at(-30.0)
+
+
+class TestLeakageMemo:
+    """``leakage_db`` keeps its last value per beam state and model."""
+
+    @pytest.fixture
+    def counted(self, reflector, monkeypatch):
+        calls = []
+
+        def spy(model):
+            original = model.leakage_db
+
+            def counting(tx, rx):
+                calls.append((tx, rx))
+                return original(tx, rx)
+
+            monkeypatch.setattr(model, "leakage_db", counting)
+
+        spy(reflector.leakage_model)
+        reflector.point_at(Vec2(0.3, 0.3), Vec2(2.5, 2.5))
+        return reflector, calls, spy
+
+    def test_same_beams_evaluate_once(self, counted):
+        reflector, calls, _ = counted
+        first = reflector.leakage_db()
+        assert reflector.is_stable() in (True, False)
+        reflector.effective_gain_db()
+        assert reflector.leakage_db() == first
+        assert len(calls) == 1
+        assert first == reflector.leakage_model.leakage_db(*calls[0])
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda r: r.point_at(Vec2(0.3, 0.3), Vec2(1.5, 3.5)),
+            lambda r: r.set_beams(-150.0, -120.0),
+            lambda r: setattr(r, "boresight_deg", r.boresight_deg + 10.0),
+        ],
+        ids=["point_at", "set_beams", "boresight"],
+    )
+    def test_beam_state_change_misses(self, counted, change):
+        reflector, calls, _ = counted
+        before = reflector.leakage_db()
+        change(reflector)
+        after = reflector.leakage_db()
+        assert len(calls) == 2
+        assert calls[0] != calls[1]
+        assert after == reflector.leakage_model.leakage_db(*calls[1])
+        assert after != before
+
+    def test_swapped_model_misses(self, counted):
+        reflector, calls, spy = counted
+        reflector.leakage_db()
+        swapped = ReflectorLeakageModel(board_isolation_db=70.0)
+        spy(swapped)
+        reflector.leakage_model = swapped
+        value = reflector.leakage_db()
+        assert len(calls) == 2
+        assert calls[0] == calls[1]  # same angles, new model
+        assert value == swapped.leakage_db(*calls[1])
 
 
 class TestThroughGain:

@@ -152,6 +152,82 @@ class TestMerge:
         assert a.count == 1 and b.count == 1
 
 
+class TupleReservoir:
+    """Reference reservoir: ``(t, value)`` tuples in a list, decimated
+    and merged by the rule the flat columns implement."""
+
+    def __init__(self, max_samples):
+        self.max_samples = max_samples
+        self.kept = []
+        self.stride = 1
+        self.phase = 0
+
+    def add(self, entry):
+        if self.phase == 0:
+            self.kept.append(entry)
+            self.decimate()
+        self.phase = (self.phase + 1) % self.stride
+
+    def decimate(self):
+        while len(self.kept) >= self.max_samples:
+            self.kept = self.kept[::2]
+            self.stride *= 2
+
+    def merge(self, other):
+        out = TupleReservoir(max(self.max_samples, other.max_samples))
+        out.kept = self.kept + other.kept
+        out.stride = max(self.stride, other.stride)
+        out.decimate()
+        return out
+
+
+class TestFlatReservoirMatchesTupleReference:
+    """The flat ``array('d')`` columns keep exactly the samples, in the
+    same order, that a list of ``(t, value)`` tuples kept."""
+
+    streams = st.lists(
+        st.tuples(st.floats(min_value=-10.0, max_value=100.0), finite_values),
+        max_size=120,
+    )
+
+    @staticmethod
+    def fill(points, max_samples):
+        series = TimeSeries("s", max_samples=max_samples)
+        histogram = Histogram("h", max_samples=max_samples)
+        reference = TupleReservoir(max_samples)
+        for t, v in points:
+            series.sample(t, v)
+            histogram.record(v)
+            reference.add((t, v))
+        return series, histogram, reference
+
+    @staticmethod
+    def check(series, histogram, reference):
+        values = [v for _, v in reference.kept]
+        assert series.samples == values
+        assert histogram.samples == values
+        assert series.retained == histogram.retained == len(values)
+        by_time = sorted(reference.kept, key=lambda p: p[0])
+        assert series.points() == by_time
+        assert series.to_dict()["points"] == [[t, v] for t, v in by_time]
+        if values:
+            for q in (0.0, 0.5, 0.95, 1.0):
+                expected = float(np.percentile(values, 100.0 * q))
+                assert series.quantile(q) == histogram.quantile(q) == expected
+
+    @given(streams, streams, st.integers(min_value=2, max_value=16))
+    @settings(max_examples=100, deadline=None)
+    def test_decimation_and_merge(self, left, right, max_samples):
+        a_series, a_hist, a_ref = self.fill(left, max_samples)
+        self.check(a_series, a_hist, a_ref)
+        b_series, b_hist, b_ref = self.fill(right, max_samples)
+        merged_ref = a_ref.merge(b_ref)
+        self.check(a_series.merge(b_series), a_hist.merge(b_hist), merged_ref)
+        # The merge is pure: both operands still match their references.
+        self.check(a_series, a_hist, a_ref)
+        self.check(b_series, b_hist, b_ref)
+
+
 class TestScopeIntegration:
     def test_sample_helper_records_in_active_scope(self):
         with telemetry.scope("t") as sc:
