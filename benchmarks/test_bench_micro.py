@@ -4,10 +4,12 @@ These time the primitives that dominate the figure regenerations —
 useful when optimizing and as a regression guard on simulation cost.
 """
 
+import itertools
 
 from repro.core.angle_search import BackscatterAngleSearch
 from repro.core.reflector import MoVRReflector
 from repro.experiments.testbed import default_testbed
+from repro.geometry.bodies import PersonModel
 from repro.geometry.raytrace import RayTracer
 from repro.geometry.room import standard_office
 from repro.geometry.vectors import Vec2, bearing_deg
@@ -48,6 +50,33 @@ def test_bench_relay_candidates(benchmark):
     result = benchmark(system.relay_candidates, headset)
     assert len(result) == 3
     assert result == expected
+
+
+def test_bench_scene_miss(benchmark):
+    # The serving miss: the AP measures a headset among six players'
+    # bodies (12 circles) in the furnished office, and every round
+    # moves the headset 1 mm, so every round traces a scene the cache
+    # has not seen and builds its link columns.
+    budget = LinkBudget(RayTracer(standard_office()), MmWaveChannel())
+    ap = Radio(Vec2(0.3, 0.3), boresight_deg=45.0)
+    players = [(1.4, 1.1), (3.1, 1.2), (1.0, 2.9), (3.9, 3.1), (2.2, 3.9), (4.2, 2.0)]
+    bodies = [
+        occ
+        for x, y in players
+        for occ in PersonModel(Vec2(x, y), heading_deg=-135.0).occluders()
+    ]
+    step = itertools.count()
+
+    def new_scene():
+        position = Vec2(2.5 + 0.001 * next(step), 2.2)
+        headset = Radio(position, boresight_deg=-135.0, config=HEADSET_RADIO_CONFIG)
+        return (ap, headset), {"extra_occluders": bodies}
+
+    rounds = 40
+    result = benchmark.pedantic(budget.measure_aligned, setup=new_scene, rounds=rounds)
+    assert len(bodies) == 12
+    assert len(budget.cache) == rounds
+    assert result.snr_db > 0.0
 
 
 def test_bench_ofdm_snr_measurement(benchmark):

@@ -18,7 +18,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.telemetry.slo import SERVING_MODE_CODES
@@ -142,6 +142,9 @@ class MoVRSystem:
         # handoff until the coordinator reports recovery.
         self._control_down: Dict[str, Optional[float]] = {}
         self._degraded_emitted = False
+        # Per reflector, the last feed-hop antenna gains and what they
+        # were computed from.  See :meth:`_feed_antenna_gains`.
+        self._feed_memo: Dict[MoVRReflector, tuple] = {}
 
     # ------------------------------------------------------------------
     # Calibration
@@ -221,10 +224,48 @@ class MoVRSystem:
                 self.ap.position, reflector.position, extra_occluders
             )
         departure, arrival, feed_gain = self.budget.hop_columns(feed)
-        ap_steer = bearing_deg(self.ap.position, reflector.position)
-        ap_gain = self.ap.array.gain_dbi(departure, steer_override_deg=ap_steer)
-        rx_gain = reflector.rx_array.gain_dbi(arrival)
+        ap_gain, rx_gain = self._feed_antenna_gains(reflector, departure, arrival)
         return self.ap.config.tx_power_dbm + ap_gain + feed_gain + rx_gain
+
+    def _feed_antenna_gains(
+        self, reflector: MoVRReflector, departure: float, arrival: float
+    ) -> Tuple[float, float]:
+        """The AP's gain toward ``reflector`` and the reflector's receive
+        gain toward the AP, over the feed hop leaving at ``departure``
+        and arriving at ``arrival``.
+
+        Between ticks neither the hop nor the beams on it move, so the
+        last pair is kept per reflector and returned again while every
+        input is unchanged: the hop's angles, the AP's steering toward
+        the reflector, both arrays (by identity) with their boresights,
+        and the receive array's steering.  As with
+        :meth:`MoVRReflector.leakage_db`, an array's configuration is
+        assumed not to be replaced in place.
+        """
+        ap_array, rx_array = self.ap.array, reflector.rx_array
+        ap_steer = bearing_deg(self.ap.position, reflector.position)
+        state = (
+            departure,
+            arrival,
+            ap_steer,
+            ap_array.boresight_deg,
+            rx_array.steering_deg,
+            rx_array.boresight_deg,
+        )
+        memo = self._feed_memo.get(reflector)
+        if (
+            memo is not None
+            and memo[0] is ap_array
+            and memo[1] is rx_array
+            and memo[2] == state
+        ):
+            return memo[3]
+        gains = (
+            ap_array.gain_dbi(departure, steer_override_deg=ap_steer),
+            rx_array.gain_dbi(arrival),
+        )
+        self._feed_memo[reflector] = (ap_array, rx_array, state, gains)
+        return gains
 
     def relay_link(
         self,

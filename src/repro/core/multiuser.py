@@ -117,13 +117,7 @@ class MultiUserSystem:
     ) -> List[Occluder]:
         """The occluders in ``user``'s scene: shared extras plus every
         *other* player's body."""
-        occluders = list(extra_occluders)
-        for j, pose in enumerate(poses):
-            if j == user:
-                continue
-            body = PersonModel(position=pose.position, heading_deg=pose.yaw_deg)
-            occluders.extend(body.occluders())
-        return occluders
+        return _others_bodies(user, _bodies(poses), extra_occluders)
 
     # ------------------------------------------------------------------
     # Joint decision
@@ -154,9 +148,11 @@ class MultiUserSystem:
             )
         system = self.system
         radios = [self.headset_radio(i, pose) for i, pose in enumerate(poses)]
+        # Each player's body is built once and shared by every other
+        # user's scene (same values and order as mutual_occluders).
+        bodies = _bodies(poses)
         occluders = [
-            self.mutual_occluders(i, poses, extra_occluders)
-            for i in range(self.num_users)
+            _others_bodies(i, bodies, extra_occluders) for i in range(self.num_users)
         ]
 
         # Pass 1: direct links; users clearing the handoff threshold
@@ -361,6 +357,25 @@ class MultiUserSystem:
         telemetry.sample(
             "users.connected", t_s, sum(1 for d in decisions if d.connected)
         )
+
+
+def _bodies(poses: Sequence[PoseSample]) -> List[List[Occluder]]:
+    """Each pose's body occluders, torso before head."""
+    return [
+        PersonModel(position=pose.position, heading_deg=pose.yaw_deg).occluders()
+        for pose in poses
+    ]
+
+
+def _others_bodies(
+    user: int, bodies: Sequence[List[Occluder]], extra_occluders: Sequence[Occluder]
+) -> List[Occluder]:
+    """The shared extras, then every other player's body by index."""
+    occluders = list(extra_occluders)
+    for j, body in enumerate(bodies):
+        if j != user:
+            occluders.extend(body)
+    return occluders
 
 
 __all__ = [

@@ -13,13 +13,21 @@ once.  Each array expression keeps the operation order of the scalar
 field or a threshold comes from :func:`math.hypot` (``Vec2.norm``'s
 rounding, which ``np.hypot`` does not share), so the traced floats are
 those of the scalar geometry.
+
+What does not depend on the receiver is kept between queries: the
+room's wall table, and per transmitter position the image tree (every
+mirror image of TX and its wall sequence).  A query only walks the
+bounce points back from its receiver, tests its legs against the walls
+and cuts them with the occluders whose bounding boxes they overlap.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +38,15 @@ from repro.geometry.vectors import Vec2, bearing_deg
 #: How close (meters) two nodes may be before the far-field assumption
 #: (and the Friis equation) breaks down.
 MIN_SEPARATION_M = 0.05
+
+#: Most image trees a tracer keeps, one per (transmitter position,
+#: bounce budget), least recently used dropped first.  Serving traces
+#: every multipath query from the AP, so one tree answers nearly all.
+MAX_IMAGE_TREES = 8
+
+#: Slack (meters) on a leg's bounding box when screening occluders: far
+#: above the rounding of the slab test, far below any occluder.
+BOX_SCREEN_PAD_M = 1e-6
 
 
 @dataclass(frozen=True)
@@ -83,10 +100,11 @@ class PropagationPath:
 
     @property
     def total_length_m(self) -> float:
-        """Total traveled distance in meters."""
+        """Total traveled distance in meters: ``Vec2.distance_to`` per
+        leg, summed, without building a ``Vec2``."""
+        points = self.points
         return sum(
-            self.points[i].distance_to(self.points[i + 1])
-            for i in range(len(self.points) - 1)
+            math.hypot(a.x - b.x, a.y - b.y) for a, b in zip(points, points[1:])
         )
 
     @property
@@ -125,12 +143,24 @@ class PropagationPath:
 class RayTracer:
     """Traces LOS and specular reflection paths inside a :class:`Room`.
 
-    Wall and occluder arrays are built from the room on every query, so
-    editing ``room.walls`` or ``room.occluders`` takes effect at once.
+    The tracer keeps the room's wall table and, for up to
+    :data:`MAX_IMAGE_TREES` transmitter positions and bounce budgets,
+    the image tree of TX.  Every query checks that ``room.walls`` still
+    holds the same wall objects in the same order, and rebuilds both
+    when it does not; walls are frozen, so any edit of ``room.walls``
+    shows as a changed object and takes effect at the next query.
+    Occluder arrays are built per query, so editing ``room.occluders``
+    takes effect at once too.
     """
 
     def __init__(self, room: Room) -> None:
         self.room = room
+        # The walls the wall table and same-wall mask were built from,
+        # None until the first query.
+        self._walls: Optional[Tuple[Wall, ...]] = None
+        self._table: Optional[np.ndarray] = None
+        self._same: Optional[np.ndarray] = None
+        self._trees: "OrderedDict[Tuple[float, float, int], list]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # Public API
@@ -199,6 +229,47 @@ class RayTracer:
                 f"TX and RX closer than {MIN_SEPARATION_M} m: far-field model invalid"
             )
 
+    def _room_tables(self) -> Tuple[Tuple[Wall, ...], np.ndarray, np.ndarray]:
+        """The walls, their table and same-wall mask, rebuilt (and the
+        image trees dropped) when ``room.walls`` changed."""
+        walls, built = self.room.walls, self._walls
+        if (
+            built is None
+            or len(walls) != len(built)
+            or not all(map(operator.is_, walls, built))
+        ):
+            built = self._walls = tuple(walls)
+            # Per wall: start point, start-to-end vector, unit direction.
+            self._table = np.array(
+                [
+                    (s.a.x, s.a.y, s.b.x - s.a.x, s.b.y - s.a.y, *s.direction.as_tuple())
+                    for s in (wall.segment for wall in built)
+                ],
+                dtype=float,
+            )
+            # same[i, j]: walls i and j are one object.  Row -1, all
+            # False, stands for a chain end at TX or RX rather than on a
+            # wall.
+            ids = np.array([id(wall) for wall in built] + [0])
+            self._same = ids[:, None] == ids[:-1]
+            self._trees.clear()
+        return built, self._table, self._same
+
+    def _image_tree(self, tx: Vec2, max_bounces: int) -> list:
+        """The image tree of ``tx`` (see :func:`_build_image_tree`), kept
+        per transmitter position and bounce budget."""
+        key = (tx.x, tx.y, max_bounces)
+        tree = self._trees.get(key)
+        if tree is None:
+            tx_xy = np.array(tx.as_tuple())
+            tree = _build_image_tree(tx_xy, max_bounces, self._table, self._same)
+            self._trees[key] = tree
+            if len(self._trees) > MAX_IMAGE_TREES:
+                self._trees.popitem(last=False)
+        else:
+            self._trees.move_to_end(key)
+        return tree
+
     @np.errstate(all="ignore")
     def _trace(
         self, tx: Vec2, rx: Vec2, max_bounces: int, occluders: List[Occluder]
@@ -212,23 +283,12 @@ class RayTracer:
         lists the walls it crosses as penetrated.  Paths come LOS first,
         then by bounce count, then in room wall order.
         """
-        walls = list(self.room.walls)
-        # Per wall: start point, start-to-end vector, unit direction.
-        table = np.array(
-            [
-                (s.a.x, s.a.y, s.b.x - s.a.x, s.b.y - s.a.y, *s.direction.as_tuple())
-                for s in (wall.segment for wall in walls)
-            ],
-            dtype=float,
-        )
+        walls, table, same = self._room_tables()
         wall_a, wall_r = table[:, 0:2], table[:, 2:4]
-        # same[i, j]: walls i and j are one object.  Row -1, all False,
-        # stands for a chain end at TX or RX rather than on a wall.
-        ids = np.array([id(wall) for wall in walls] + [0])
-        same = ids[:, None] == ids[:-1]
         los = np.array([tx.as_tuple(), rx.as_tuple()], dtype=float)
         chains = [([-1], los, np.array([tx.distance_to(rx)]))]
-        chains += _reflection_chains(los, max_bounces, table, same)
+        if max_bounces:
+            chains += _reflection_chains(self._image_tree(tx, max_bounces), los)
 
         # Every leg of every chain, in path order.  A leg touches the
         # walls it bounces on at its ends; those are not crossings.
@@ -257,7 +317,8 @@ class RayTracer:
 
         records: List[List[Obstruction]] = [[] for _ in chains]
         leg_length = lengths.tolist()
-        for i, k, depth, clearance, along in _cuts(starts, legs, lengths, occluders):
+        cuts = _cuts(starts, ends, legs, lengths, occluders)
+        for i, k, depth, clearance, along in cuts:
             records[leg_chain[i]].append(
                 Obstruction(
                     occluder=occluders[k],
@@ -280,23 +341,23 @@ class RayTracer:
         ]
 
 
-def _reflection_chains(
-    los: np.ndarray, max_bounces: int, walls: np.ndarray, same: np.ndarray
-) -> List[Tuple[List[int], np.ndarray, np.ndarray]]:
-    """Every chain of 1 to ``max_bounces`` walls whose bounces exist.
+def _build_image_tree(
+    tx: np.ndarray, max_bounces: int, walls: np.ndarray, same: np.ndarray
+) -> list:
+    """Every chain of 1 to ``max_bounces`` walls, with its images of TX.
 
-    ``los`` holds TX and RX; ``walls`` is the tracer's wall table.  The
-    chains of one more bounce mirror each chain's last image of TX
-    across every wall but the one it just bounced on, in wall order.
-    Walking back from RX, the line toward each image meets its wall at
-    the bounce point.  A chain is dropped when its last image sits on
-    RX, a bounce point misses its wall or a leg is shorter than the
-    far-field limit.
+    ``walls`` and ``same`` are the tracer's wall table and same-wall
+    mask.  The chains of one more bounce mirror each chain's last image
+    of TX across every wall but the one it just bounced on, in wall
+    order.  One level per bounce count holds the chains' wall sequences
+    (after a leading -1 for TX), their images (TX first), and, from the
+    last bounce to the first, each bounce's index with the start and
+    start-to-end vector of its wall: all a receiver's walk back along
+    the chain reads.
     """
-    src, dst = los
     wall_a, wall_r, wall_d = walls[:, 0:2], walls[:, 2:4], walls[:, 4:6]
-    chains = []
-    seq, images = np.full((1, 1), -1), los[None, :1]
+    tree = []
+    seq, images = np.full((1, 1), -1), tx[None, None]
     for _ in range(max_bounces):
         last = images[:, -1, None]
         ap = last - wall_a
@@ -305,12 +366,32 @@ def _reflection_chains(
         chain, wall = np.nonzero(~same[seq[:, -1]])
         seq = np.column_stack([seq[chain], wall])
         images = np.concatenate([images[chain], mirrored[chain, wall, None]], axis=1)
+        bounces = [
+            (j, wall_a[seq[:, j]], wall_r[seq[:, j]])
+            for j in range(seq.shape[1] - 1, 0, -1)
+        ]
+        tree.append((seq, images, bounces))
+    return tree
+
+
+def _reflection_chains(
+    tree: list, los: np.ndarray
+) -> List[Tuple[List[int], np.ndarray, np.ndarray]]:
+    """The chains of an image tree whose bounces exist for ``los``.
+
+    ``los`` holds TX and RX.  Walking back from RX, the line toward each
+    image meets its wall at the bounce point.  A chain is dropped when
+    its last image sits on RX, a bounce point misses its wall or a leg
+    is shorter than the far-field limit.
+    """
+    src, dst = los
+    chains = []
+    for seq, images, bounces in tree:
         gap = images[:, -1] - dst
         alive = _hypot(gap[:, 0], gap[:, 1]) >= EPSILON
         points = np.empty((len(seq), seq.shape[1] + 1, 2))
         points[:, 0], points[:, -1] = src, dst
-        for j in range(seq.shape[1] - 1, 0, -1):
-            a, r = wall_a[seq[:, j]], wall_r[seq[:, j]]
+        for j, a, r in bounces:
             meets, t = _intersect(a, r, images[:, j], points[:, j + 1] - images[:, j])
             points[:, j] = a + r * _clamp(t, 0.0, 1.0)[:, None]
             alive &= meets
@@ -353,14 +434,18 @@ def _intersect(
 
 
 def _cuts(
-    starts: np.ndarray, legs: np.ndarray, lengths: np.ndarray, occluders: List[Occluder]
+    starts: np.ndarray,
+    ends: np.ndarray,
+    legs: np.ndarray,
+    lengths: np.ndarray,
+    occluders: List[Occluder],
 ) -> List[Tuple[int, int, float, float, float]]:
     """Every occluder cut of every leg, in (leg, occluder) order.
 
-    Legs run from ``starts`` along ``legs``.  Each cut is (leg row,
-    occluder index, chord depth, clearance, distance along the leg to
-    the occluder centre); clearance is the signed distance from the leg
-    to the edge, for a box minus half the depth.
+    Legs run from ``starts`` to ``ends`` along ``legs``.  Each cut is
+    (leg row, occluder index, chord depth, clearance, distance along the
+    leg to the occluder centre); clearance is the signed distance from
+    the leg to the edge, for a box minus half the depth.
     """
     if not occluders:
         return []
@@ -377,22 +462,33 @@ def _cuts(
             radius, lo, hi = 0.0, occ.min_corner.as_tuple(), occ.max_corner.as_tuple()
         rows.append((c.x, c.y, radius, *lo, *hi))
     table = np.array(rows, dtype=float)
+    # Bounding boxes first: a leg whose box, padded by BOX_SCREEN_PAD_M,
+    # misses the occluder's box cannot pass the slab test, whose
+    # rounding stays far inside the pad.
+    leg_lo = np.minimum(starts, ends) - BOX_SCREEN_PAD_M
+    leg_hi = np.maximum(starts, ends) + BOX_SCREEN_PAD_M
+    overlap = (leg_lo[:, None] <= table[:, 5:7]) & (leg_hi[:, None] >= table[:, 3:5])
+    row, k = np.nonzero(overlap[..., 0] & overlap[..., 1])
+    if not row.size:
+        return []
+    occ, a, v = table[k], starts[row], legs[row]
     # Slab method: per axis, the leg parameters where it enters and
     # leaves the box.  An axis the leg runs parallel to passes (0, 1) if
     # the leg lies between the box's sides on it and (1, 0) if not.
-    t = (table[:, 3:].reshape(-1, 2, 2) - starts[:, None, None]) / legs[:, None, None]
-    near, far = t.min(axis=2), t.max(axis=2)
-    parallel = np.abs(legs[:, None]) < EPSILON
+    t = (occ[:, 3:].reshape(-1, 2, 2) - a[:, None]) / v[:, None]
+    near, far = t.min(axis=1), t.max(axis=1)
+    parallel = np.abs(v) < EPSILON
     beside = (near > 0.0) | (far < 0.0)
-    t_min = np.maximum(np.where(parallel, beside, near).max(axis=2), 0.0)
-    t_max = np.minimum(np.where(parallel, ~beside, far).min(axis=2), 1.0)
-    row, k = np.nonzero(t_min < t_max)
-    if not row.size:
+    t_min = np.maximum(np.where(parallel, beside, near).max(axis=1), 0.0)
+    t_max = np.minimum(np.where(parallel, ~beside, far).min(axis=1), 1.0)
+    hit = t_min < t_max
+    if not hit.any():
         return []
+    row, k, occ, a, v = row[hit], k[hit], occ[hit], a[hit], v[hit]
+    length, box_span = lengths[row], (t_max - t_min)[hit]
 
     # Circle chords of the candidates: distance from the centre to the
     # leg, then the chord at that offset, clipped to the leg.
-    occ, a, v, length = table[k], starts[row], legs[row], lengths[row]
     center, radius = occ[:, :2], occ[:, 2]
     off = center - a
     dot = off * v
@@ -408,9 +504,7 @@ def _cuts(
     chord = np.where(hi < length, hi, length) - np.where(lo > 0.0, lo, 0.0)
 
     is_circle = radius > 0.0
-    depth = np.where(
-        is_circle, np.where(dist < radius, chord, 0.0), (t_max - t_min)[row, k] * length
-    )
+    depth = np.where(is_circle, np.where(dist < radius, chord, 0.0), box_span * length)
     clearance = np.where(is_circle, dist - radius, -depth / 2.0)
     along = _clamp(dot / length, 0.0, length)
     cut = depth > 0.0

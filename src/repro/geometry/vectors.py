@@ -114,10 +114,13 @@ class Vec2:
 def bearing_deg(origin: Vec2, target: Vec2) -> float:
     """Azimuth (degrees) of the direction from ``origin`` to ``target``.
 
+    Computed from the coordinates in the operation order of
+    ``(target - origin).angle_deg()``, without building the difference.
+
     >>> bearing_deg(Vec2(0, 0), Vec2(0, 1))
     90.0
     """
-    delta = target - origin
-    if delta.norm == 0.0:
+    dx, dy = target.x - origin.x, target.y - origin.y
+    if dx == 0.0 and dy == 0.0:
         raise ValueError("bearing is undefined between identical points")
-    return delta.angle_deg()
+    return wrap_angle_deg(rad_to_deg(math.atan2(dy, dx)))

@@ -16,9 +16,10 @@ maximum data rate.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 
 class PhyType(Enum):
@@ -96,6 +97,35 @@ def mcs_by_index(index: int) -> Mcs:
     raise KeyError(f"no 802.11ad MCS with index {index}")
 
 
+#: Per PHY set: the ascending distinct SNR thresholds of its MCSs, and
+#: the best MCS usable at each.  See :func:`_ladder`.
+_LADDERS: Dict[FrozenSet[PhyType], Tuple[List[float], List[Mcs]]] = {}
+
+
+def _ladder(phys: Sequence[PhyType]) -> Tuple[List[float], List[Mcs]]:
+    """The rate ladder of a PHY set, built on its first use.
+
+    The best MCS at a threshold is the highest rate (then the lowest
+    threshold) among the rows that threshold clears, chosen as
+    :func:`best_mcs_for_snr` defines it; an SNR between two thresholds
+    gets the lower one's.
+    """
+    key = frozenset(phys)
+    ladder = _LADDERS.get(key)
+    if ladder is None:
+        rows = [m for m in MCS_TABLE if m.phy in key]
+        thresholds = sorted({m.snr_threshold_db for m in rows})
+        best = [
+            max(
+                (m for m in rows if m.snr_threshold_db <= threshold),
+                key=lambda m: (m.data_rate_mbps, -m.snr_threshold_db),
+            )
+            for threshold in thresholds
+        ]
+        ladder = _LADDERS[key] = (thresholds, best)
+    return ladder
+
+
 def best_mcs_for_snr(
     snr_db: float,
     phys: Sequence[PhyType] = (PhyType.CONTROL, PhyType.SINGLE_CARRIER, PhyType.OFDM),
@@ -104,16 +134,21 @@ def best_mcs_for_snr(
     """Highest-rate MCS whose threshold is met at ``snr_db - margin``.
 
     Returns ``None`` when even the control PHY cannot decode (deep
-    outage) — the situation the paper describes as "no connectivity".
+    outage) — the situation the paper describes as "no connectivity" —
+    and for a NaN SNR, which meets no threshold.  The answer is looked
+    up by bisection in the PHY set's precomputed ladder.
+
+    >>> best_mcs_for_snr(20.0).index
+    24
+    >>> best_mcs_for_snr(float("nan")) is None
+    True
     """
-    usable = [
-        m
-        for m in MCS_TABLE
-        if m.phy in phys and m.snr_threshold_db <= snr_db - margin_db
-    ]
-    if not usable:
+    thresholds, best = _ladder(phys)
+    snr = snr_db - margin_db
+    # Written so a NaN SNR (which compares False) finds no MCS.
+    if not (thresholds and snr >= thresholds[0]):
         return None
-    return max(usable, key=lambda m: (m.data_rate_mbps, -m.snr_threshold_db))
+    return best[bisect_right(thresholds, snr) - 1]
 
 
 def data_rate_mbps_for_snr(snr_db: float, **kwargs) -> float:

@@ -12,6 +12,7 @@ from repro.geometry.room import standard_office
 from repro.geometry.vectors import Vec2, bearing_deg
 from repro.link.budget import LinkMeasurement
 from repro.link.radios import HEADSET_RADIO_CONFIG, Radio
+from repro.phy.antenna import PhasedArray, PhasedArrayConfig
 from repro.phy.channel import MmWaveChannel
 from repro.rate.mcs import data_rate_mbps_for_snr
 
@@ -376,3 +377,83 @@ class TestRelayCandidates:
         with pytest.raises(ValueError, match="unknown reflector"):
             fleet.reflector("nope")
 
+
+
+class TestFeedGainMemo:
+    """The relay feed's two antenna gains are kept per reflector and
+    recomputed whenever a beam, a boresight or an array changes."""
+
+    @staticmethod
+    def feed(system, reflector):
+        """The amplifier input and the antenna-kernel calls it made."""
+        with telemetry.scope("feed") as sc:
+            value = system._amp_input_dbm(reflector, ())
+        return value, sc.registry.counter_value("kernel.batches")
+
+    @staticmethod
+    def fresh(system, reflector):
+        """The same input from a system with no memo over the same
+        room, AP and reflectors."""
+        twin = MoVRSystem(
+            system.room, system.ap, system.reflectors, channel=system.channel
+        )
+        return twin._amp_input_dbm(reflector, ())
+
+    def test_unchanged_feed_is_read_back(self):
+        system = _three_reflector_system()
+        reflector = system.reflector("movr0")
+        reflector.point_at(system.ap.position, Vec2(2.5, 3.5))
+        first, _ = self.feed(system, reflector)
+        # A different headset leaves the receive beam on the AP.
+        reflector.point_at(system.ap.position, Vec2(3.5, 2.0))
+        again, batches = self.feed(system, reflector)
+        assert (again, batches) == (first, 0)
+        assert again == self.fresh(system, reflector)
+
+    def test_beam_changes_miss(self):
+        system = _three_reflector_system()
+        reflector = system.reflector("movr0")
+        reflector.point_at(system.ap.position, Vec2(2.5, 3.5))
+        aimed, _ = self.feed(system, reflector)
+        reflector.set_beams(reflector.rx_azimuth_deg + 12.0, reflector.tx_azimuth_deg)
+        off_beam, batches = self.feed(system, reflector)
+        assert batches == 2
+        assert off_beam == self.fresh(system, reflector)
+        assert off_beam < aimed
+        reflector.point_at(system.ap.position, Vec2(2.5, 3.5))
+        back, batches = self.feed(system, reflector)
+        assert (back, batches) == (aimed, 2)
+
+    def test_ap_boresight_change_misses(self):
+        system = _three_reflector_system()
+        reflector = system.reflector("movr1")
+        reflector.point_at(system.ap.position, Vec2(2.5, 3.5))
+        self.feed(system, reflector)
+        system.ap.boresight_deg = 80.0
+        value, batches = self.feed(system, reflector)
+        assert batches == 2
+        assert value == self.fresh(system, reflector)
+
+    def test_swapped_arrays_miss(self):
+        system = _three_reflector_system()
+        reflector = system.reflector("movr0")
+        reflector.point_at(system.ap.position, Vec2(2.5, 3.5))
+        self.feed(system, reflector)
+        reflector.rx_array = PhasedArray(reflector.rx_array.config, reflector.boresight_deg)
+        value, batches = self.feed(system, reflector)
+        assert batches == 2
+        assert value == self.fresh(system, reflector)
+        system.ap.array = PhasedArray(PhasedArrayConfig(num_elements=8), 45.0)
+        value, batches = self.feed(system, reflector)
+        assert batches == 2
+        assert value == self.fresh(system, reflector)
+
+    def test_relay_candidates_match_a_fresh_system(self):
+        system = _three_reflector_system()
+        for x, y in [(2.5, 3.5), (3.0, 2.0), (2.5, 3.5), (1.5, 3.8)]:
+            hs = headset_at(x, y)
+            got = system.relay_candidates(hs)
+            twin = MoVRSystem(
+                system.room, system.ap, system.reflectors, channel=system.channel
+            )
+            assert got == twin.relay_candidates(hs)

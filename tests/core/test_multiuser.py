@@ -7,7 +7,7 @@ import pytest
 from repro import telemetry
 from repro.core.multiuser import DEFAULT_PROBES_PER_SEARCH, MultiUserSystem
 from repro.experiments.testbed import default_testbed
-from repro.geometry.bodies import hand_occluder, person_blocking_path
+from repro.geometry.bodies import PersonModel, hand_occluder, person_blocking_path
 from repro.geometry.mobility import PoseSample
 from repro.geometry.vectors import Vec2, bearing_deg
 from repro.link.budget import LinkMeasurement
@@ -147,6 +147,33 @@ class TestMutualBlockage:
         _, mu = make_multiuser(1)
         occluders = mu.mutual_occluders(0, clear_poses(1))
         assert occluders == []
+
+    def test_step_builds_each_scene_as_mutual_occluders(self, monkeypatch):
+        """Every user's scene in ``step`` holds the shared extras, then
+        each other player's torso and head by index: the same values in
+        the same order as ``mutual_occluders``."""
+        _, mu = make_multiuser(4, num_reflectors=2)
+        poses = [
+            PoseSample(0.0, pose.position, yaw)
+            for pose, yaw in zip(clear_poses(4), (-135.0, 10.0, 95.0, -60.0))
+        ]
+        extras = [hand_occluder(Vec2(3.0, 4.0), 200.0)]
+        seen = {}
+        direct_link = mu.system.direct_link
+
+        def spy(radio, extra_occluders=()):
+            seen[radio.name] = list(extra_occluders)
+            return direct_link(radio, extra_occluders)
+
+        monkeypatch.setattr(mu.system, "direct_link", spy)
+        mu.step(0.0, poses, extras)
+        for i in range(4):
+            expected = list(extras)
+            for j, pose in enumerate(poses):
+                if j != i:
+                    expected += PersonModel(pose.position, pose.yaw_deg).occluders()
+            assert seen[f"headset{i}"] == expected
+            assert mu.mutual_occluders(i, poses, extras) == expected
 
     def test_each_user_sees_all_other_bodies(self):
         _, mu = make_multiuser(3, num_reflectors=1)

@@ -2,14 +2,31 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.geometry.bodies import hand_occluder
-from repro.geometry.raytrace import MIN_SEPARATION_M, PropagationPath, RayTracer
-from repro.geometry.room import DRYWALL, METAL, Wall, rectangular_room, standard_office
-from repro.geometry.shapes import AxisAlignedBox, Circle, Segment
-from repro.geometry.vectors import Vec2
+from repro.geometry.raytrace import (
+    MAX_IMAGE_TREES,
+    MIN_SEPARATION_M,
+    PropagationPath,
+    RayTracer,
+    _clamp,
+    _cuts,
+    _hypot,
+)
+from repro.geometry.room import (
+    CONCRETE,
+    DRYWALL,
+    GLASS,
+    METAL,
+    Wall,
+    rectangular_room,
+    standard_office,
+)
+from repro.geometry.shapes import EPSILON, AxisAlignedBox, Circle, Segment
+from repro.geometry.vectors import Vec2, bearing_deg
 from repro.sim.cache import SceneCache
 
 interior = st.floats(min_value=0.5, max_value=4.5)
@@ -273,3 +290,215 @@ class TestFlushFixtures:
         paths = OFFICE_TRACER.reflection_paths(Vec2(3, 3), Vec2(3, 4))
         points = [path.points for path in paths]
         assert len(set(points)) == len(points)
+
+
+class TestRoomTables:
+    """The tracer keeps its wall table and image trees between queries,
+    yet answers every query as a fresh tracer would."""
+
+    TX, RX = Vec2(1.0, 2.0), Vec2(6.5, 2.5)
+
+    def test_appended_partition_takes_effect(self):
+        room = rectangular_room(8.0, 5.0)
+        tracer = RayTracer(room)
+        before = tracer.all_paths(self.TX, self.RX)
+        room.walls.append(Wall(Segment(Vec2(4.0, 0.0), Vec2(4.0, 3.5)), CONCRETE))
+        after = tracer.all_paths(self.TX, self.RX)
+        assert after == RayTracer(room).all_paths(self.TX, self.RX)
+        assert after != before
+        assert after[0].penetrated_walls == (room.walls[-1],)
+
+    def test_replaced_wall_material_takes_effect(self):
+        room = rectangular_room(8.0, 5.0)
+        tracer = RayTracer(room)
+        before = tracer.all_paths(self.TX, self.RX, max_bounces=1)
+        room.walls[2] = Wall(room.walls[2].segment, GLASS)
+        after = tracer.all_paths(self.TX, self.RX, max_bounces=1)
+        assert after == RayTracer(room).all_paths(self.TX, self.RX, max_bounces=1)
+        north = [p for p in after if p.walls == (room.walls[2],)]
+        assert len(north) == 1
+        assert north[0].total_reflection_loss_db == GLASS.reflection_loss_db
+        assert [p.points for p in after] == [p.points for p in before]
+
+    def test_removed_wall_takes_effect(self):
+        room = standard_office()
+        tracer = RayTracer(room)
+        tracer.all_paths(self.TX, Vec2(3.0, 4.0))
+        del room.walls[-1]
+        assert tracer.all_paths(self.TX, Vec2(3.0, 4.0)) == RayTracer(room).all_paths(
+            self.TX, Vec2(3.0, 4.0)
+        )
+
+    def test_more_transmitters_than_trees(self):
+        """Queries interleaved over more transmitters (and bounce
+        budgets) than the tracer keeps trees for match a fresh tracer's,
+        and the trees stay bounded."""
+        room = standard_office()
+        tracer = RayTracer(room)
+        ap = Vec2(0.3, 0.3)
+        others = [Vec2(0.6 + 0.35 * i, 1.0 + 0.2 * i) for i in range(MAX_IMAGE_TREES + 2)]
+        rx = Vec2(3.3, 3.9)
+        for _ in range(2):
+            for tx in others:
+                for source in (ap, tx):
+                    for max_bounces in (1, 2):
+                        got = tracer.all_paths(source, rx, max_bounces)
+                        assert got == RayTracer(room).all_paths(source, rx, max_bounces)
+                        assert len(tracer._trees) <= MAX_IMAGE_TREES
+        # The AP, asked every other query, kept its trees throughout.
+        assert (ap.x, ap.y, 2) in tracer._trees
+
+
+def reference_cuts(starts, legs, lengths, occluders):
+    """Every occluder cut of every leg: the slab test on every (leg,
+    occluder) pair, with no bounding-box screen in front of it."""
+    rows = []
+    for occ in occluders:
+        c = occ.center
+        if isinstance(occ, Circle):
+            radius, pad = occ.radius, 1.01 * occ.radius
+            lo, hi = (c.x - pad, c.y - pad), (c.x + pad, c.y + pad)
+        else:
+            radius, lo, hi = 0.0, occ.min_corner.as_tuple(), occ.max_corner.as_tuple()
+        rows.append((c.x, c.y, radius, *lo, *hi))
+    table = np.array(rows, dtype=float)
+    t = (table[:, 3:].reshape(-1, 2, 2) - starts[:, None, None]) / legs[:, None, None]
+    near, far = t.min(axis=2), t.max(axis=2)
+    parallel = np.abs(legs[:, None]) < EPSILON
+    beside = (near > 0.0) | (far < 0.0)
+    t_min = np.maximum(np.where(parallel, beside, near).max(axis=2), 0.0)
+    t_max = np.minimum(np.where(parallel, ~beside, far).min(axis=2), 1.0)
+    row, k = np.nonzero(t_min < t_max)
+    occ, a, v, length = table[k], starts[row], legs[row], lengths[row]
+    center, radius = occ[:, :2], occ[:, 2]
+    off = center - a
+    dot = off * v
+    dot = dot[:, 0] + dot[:, 1]
+    norm_sq = v * v
+    t = _clamp(dot / (norm_sq[:, 0] + norm_sq[:, 1]), 0.0, 1.0)
+    gap = center - (a + v * t[:, None])
+    dist = _hypot(gap[:, 0], gap[:, 1])
+    center_t = off * (v / length[:, None])
+    center_t = center_t[:, 0] + center_t[:, 1]
+    half = np.sqrt(radius * radius - dist * dist)
+    lo, hi = center_t - half, center_t + half
+    chord = np.where(hi < length, hi, length) - np.where(lo > 0.0, lo, 0.0)
+    is_circle = radius > 0.0
+    depth = np.where(
+        is_circle, np.where(dist < radius, chord, 0.0), (t_max - t_min)[row, k] * length
+    )
+    clearance = np.where(is_circle, dist - radius, -depth / 2.0)
+    along = _clamp(dot / length, 0.0, length)
+    cut = depth > 0.0
+    return list(zip(*(x[cut].tolist() for x in (row, k, depth, clearance, along))))
+
+
+coord = st.floats(min_value=-4.0, max_value=4.0)
+screen_occluders = st.lists(
+    st.one_of(
+        st.builds(Circle, st.builds(Vec2, coord, coord), st.floats(0.01, 2.0)),
+        st.builds(
+            lambda corner, w, h: AxisAlignedBox(corner, corner + Vec2(w, h)),
+            st.builds(Vec2, coord, coord),
+            st.floats(0.01, 3.0),
+            st.floats(0.01, 3.0),
+        ),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@st.composite
+def anchor(draw, occluders):
+    """A free point, or one on an occluder's outline: a box edge or
+    corner, a circle's rim or the edge of the box that screens it."""
+    occ = draw(st.sampled_from(occluders))
+    kind = draw(st.sampled_from(["free", "outline", "corner"]))
+    if kind == "free":
+        return Vec2(draw(coord), draw(coord))
+    if isinstance(occ, Circle):
+        c, r = occ.center, occ.radius
+        if kind == "outline":
+            angle = draw(st.one_of(st.sampled_from([0.0, 90.0, 180.0, 270.0]), st.floats(0, 360)))
+            return c + Vec2.from_polar(r, angle)
+        pad = 1.01 * r
+        lo, hi = Vec2(c.x - pad, c.y - pad), Vec2(c.x + pad, c.y + pad)
+    else:
+        lo, hi = occ.min_corner, occ.max_corner
+    xs, ys = [lo.x, hi.x], [lo.y, hi.y]
+    if kind == "corner":
+        return Vec2(draw(st.sampled_from(xs)), draw(st.sampled_from(ys)))
+    u = draw(st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        return Vec2(lo.x + u * (hi.x - lo.x), draw(st.sampled_from(ys)))
+    return Vec2(draw(st.sampled_from(xs)), lo.y + u * (hi.y - lo.y))
+
+
+@st.composite
+def screened_legs(draw):
+    """Occluders and legs among them: free legs, legs parallel to an
+    axis (a zero component, or one under EPSILON), and legs that start
+    or end on an occluder outline."""
+    occluders = draw(screen_occluders)
+    ends = []
+    for _ in range(draw(st.integers(1, 8))):
+        start = draw(anchor(occluders))
+        kind = draw(st.sampled_from(["free", "along x", "along y", "under epsilon"]))
+        if kind == "free":
+            end = draw(anchor(occluders))
+        elif kind == "along x":
+            end = Vec2(draw(anchor(occluders)).x, start.y)
+        elif kind == "along y":
+            end = Vec2(start.x, draw(anchor(occluders)).y)
+        else:
+            end = Vec2(start.x + draw(st.floats(-0.9 * EPSILON, 0.9 * EPSILON)), draw(coord))
+        if draw(st.booleans()):
+            start, end = end, start
+        assume(start.distance_to(end) > 1e-3)
+        ends.append((start.as_tuple(), end.as_tuple()))
+    return occluders, np.array(ends, dtype=float)
+
+
+class TestOccluderScreen:
+    @settings(max_examples=400, deadline=None)
+    @given(screened_legs())
+    def test_screen_keeps_every_slab_cut(self, scene):
+        """The bounding-box screen in front of the slab test drops no
+        cut: the cuts equal the slab test run on every pair."""
+        occluders, ends = scene
+        starts, stops = ends[:, 0], ends[:, 1]
+        legs = stops - starts
+        lengths = _hypot(legs[:, 0], legs[:, 1])
+        with np.errstate(all="ignore"):
+            got = _cuts(starts, stops, legs, lengths, occluders)
+            want = reference_cuts(starts, legs, lengths, occluders)
+        assert got == want
+
+
+path_coord = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5]), st.floats(-10.0, 10.0))
+
+
+class TestPathGeometry:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.builds(Vec2, path_coord, path_coord), min_size=2, max_size=4))
+    def test_properties_equal_vec2_formulas(self, points):
+        """Length and angles read straight from the coordinates equal
+        the ``Vec2`` formulas bit for bit; identical points still have
+        no bearing."""
+        wall = Wall(Segment(Vec2(0.0, 0.0), Vec2(1.0, 0.0)))
+        path = PropagationPath(points=tuple(points), walls=(wall,) * (len(points) - 2))
+        assert path.total_length_m == sum(
+            a.distance_to(b) for a, b in zip(points, points[1:])
+        )
+        for angle, origin, target in (
+            ("departure_angle_deg", points[0], points[1]),
+            ("arrival_angle_deg", points[-1], points[-2]),
+        ):
+            delta = target - origin
+            if delta.norm == 0.0:
+                with pytest.raises(ValueError, match="identical points"):
+                    getattr(path, angle)
+            else:
+                assert getattr(path, angle) == delta.angle_deg()
+                assert getattr(path, angle) == bearing_deg(origin, target)

@@ -1,5 +1,8 @@
 """Unit tests for the 802.11ad MCS tables."""
 
+import itertools
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -81,6 +84,58 @@ class TestBestMcsForSnr:
         mcs = best_mcs_for_snr(snr)
         if mcs is not None:
             assert mcs.snr_threshold_db <= snr
+
+
+def reference_best_mcs(snr_db, phys, margin_db):
+    """The linear scan the ladder lookup stands for."""
+    usable = [
+        m
+        for m in MCS_TABLE
+        if m.phy in phys and m.snr_threshold_db <= snr_db - margin_db
+    ]
+    if not usable:
+        return None
+    return max(usable, key=lambda m: (m.data_rate_mbps, -m.snr_threshold_db))
+
+
+#: Every non-empty PHY set, as tuples and as lists.
+PHY_SETS = [
+    kind(combo)
+    for n in (1, 2, 3)
+    for combo in itertools.combinations(list(PhyType), n)
+    for kind in (tuple, list)
+]
+
+
+class TestMcsLadder:
+    """The bisected ladder answers exactly as a scan of the table."""
+
+    @given(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from(PHY_SETS),
+        st.floats(min_value=-10.0, max_value=10.0),
+    )
+    def test_matches_linear_scan(self, snr, phys, margin):
+        got = best_mcs_for_snr(snr, phys=phys, margin_db=margin)
+        assert got is reference_best_mcs(snr, phys, margin)
+
+    @pytest.mark.parametrize("phys", PHY_SETS, ids=repr)
+    def test_every_threshold_and_its_neighbours(self, phys):
+        snrs = [math.inf, -math.inf, math.nan]
+        for m in MCS_TABLE:
+            t = m.snr_threshold_db
+            snrs += [t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)]
+        for snr in snrs:
+            for margin in (0.0, 0.5, -1.0):
+                got = best_mcs_for_snr(snr, phys=phys, margin_db=margin)
+                assert got is reference_best_mcs(snr, phys, margin), (snr, margin)
+
+    def test_nan_snr_decodes_nothing(self):
+        assert best_mcs_for_snr(math.nan) is None
+        assert data_rate_mbps_for_snr(math.nan) == 0.0
+
+    def test_empty_phy_set_decodes_nothing(self):
+        assert best_mcs_for_snr(40.0, phys=()) is None
 
 
 class TestRequiredSnr:
