@@ -109,3 +109,31 @@ def test_bench_fast_angle_sweep(benchmark):
     search = BackscatterAngleSearch(ap, reflector, tracer, MmWaveChannel(), rng=1)
     result = benchmark(search.estimate_incidence_angle)
     assert result.reflector_error_deg <= 2.0
+
+
+def test_bench_link_columns(benchmark):
+    # A scene miss plus its link columns: the AP's two-bounce path set to
+    # a headset among six players' bodies in the furnished office, and
+    # the array formula over it.  The headset moves 1 mm per round, so
+    # every round traces a new set and builds its columns.
+    budget = LinkBudget(RayTracer(standard_office(furnished=True)), MmWaveChannel())
+    ap = Vec2(0.3, 0.3)
+    players = [(1.4, 1.1), (3.1, 1.2), (1.0, 2.9), (3.9, 3.1), (2.2, 3.9), (4.2, 2.0)]
+    bodies = [
+        occ
+        for x, y in players
+        for occ in PersonModel(Vec2(x, y), heading_deg=-135.0).occluders()
+    ]
+    step = itertools.count()
+
+    def new_scene():
+        return (Vec2(2.5 + 0.001 * next(step), 2.2),), {}
+
+    def miss_and_columns(headset):
+        paths = budget.cache.all_paths(ap, headset, 2, bodies)
+        return budget.cache.link_columns(paths, budget.channel)
+
+    rounds = 40
+    columns = benchmark.pedantic(miss_and_columns, setup=new_scene, rounds=rounds)
+    assert len(budget.cache) == rounds
+    assert columns.shape[0] == 3 and columns.shape[1] > 10

@@ -234,20 +234,20 @@ class MoVRSystem:
         gain toward the AP, over the feed hop leaving at ``departure``
         and arriving at ``arrival``.
 
+        The AP steers at the reflector: along ``departure``, which is
+        the bearing from the AP to the reflector, float for float.
+
         Between ticks neither the hop nor the beams on it move, so the
         last pair is kept per reflector and returned again while every
-        input is unchanged: the hop's angles, the AP's steering toward
-        the reflector, both arrays (by identity) with their boresights,
-        and the receive array's steering.  As with
-        :meth:`MoVRReflector.leakage_db`, an array's configuration is
-        assumed not to be replaced in place.
+        input is unchanged: the hop's angles, both arrays (by identity)
+        with their boresights, and the receive array's steering.  As
+        with :meth:`MoVRReflector.leakage_db`, an array's configuration
+        is assumed not to be replaced in place.
         """
         ap_array, rx_array = self.ap.array, reflector.rx_array
-        ap_steer = bearing_deg(self.ap.position, reflector.position)
         state = (
             departure,
             arrival,
-            ap_steer,
             ap_array.boresight_deg,
             rx_array.steering_deg,
             rx_array.boresight_deg,
@@ -261,7 +261,7 @@ class MoVRSystem:
         ):
             return memo[3]
         gains = (
-            ap_array.gain_dbi(departure, steer_override_deg=ap_steer),
+            ap_array.gain_dbi(departure, steer_override_deg=departure),
             rx_array.gain_dbi(arrival),
         )
         self._feed_memo[reflector] = (ap_array, rx_array, state, gains)
@@ -303,8 +303,9 @@ class MoVRSystem:
             )
         departure, arrival, out_gain = self.budget.hop_columns(out_path)
         tx_gain = reflector.tx_array.gain_dbi(departure)
-        hs_steer = bearing_deg(headset_radio.position, reflector.position)
-        hs_gain = headset_radio.array.gain_dbi(arrival, steer_override_deg=hs_steer)
+        # The headset steers back at the reflector: the out hop's
+        # arrival is that bearing, float for float.
+        hs_gain = headset_radio.array.gain_dbi(arrival, steer_override_deg=arrival)
         received = (
             amp_output
             + tx_gain
@@ -339,15 +340,21 @@ class MoVRSystem:
         AP cannot steer them, so handing off to one would serve the
         headset with stale beams.  They rejoin automatically when
         :meth:`mark_control_recovered` is called.  Reflectors that
-        cannot steer at both the AP and the headset are skipped too.
+        cannot steer at both the AP and the headset are skipped too; the
+        others are aimed at both along the bearings that check computed.
         Equal SNRs keep reflector order (the sort is stable).
         """
-        candidates = [
-            self.relay_link(r, headset_radio, extra_occluders)
-            for r in self.reflectors
-            if r.name not in self._control_down
-            and r.can_serve(self.ap.position, headset_radio.position)
-        ]
+        ap, headset = self.ap.position, headset_radio.position
+        candidates = []
+        for reflector in self.reflectors:
+            if reflector.name in self._control_down:
+                continue
+            beams = reflector.bearings_to(ap, headset)
+            if reflector.can_steer(*beams):
+                reflector.set_beams(*beams)
+                candidates.append(
+                    self.relay_link(reflector, headset_radio, extra_occluders, repoint=False)
+                )
         candidates.sort(key=lambda m: -m.end_to_end_snr_db)
         return candidates
 

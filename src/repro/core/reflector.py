@@ -133,13 +133,16 @@ class MoVRReflector:
         achieved_tx = self.tx_array.steer_to(tx_azimuth_deg)
         return achieved_rx, achieved_tx
 
+    def bearings_to(self, rx_target: Vec2, tx_target: Vec2) -> Tuple[float, float]:
+        """Scene azimuths from the reflector to its receive and transmit
+        targets: what :meth:`point_at` steers to and :meth:`can_serve`
+        checks."""
+        return bearing_deg(self.position, rx_target), bearing_deg(self.position, tx_target)
+
     def point_at(self, rx_target: Vec2, tx_target: Vec2) -> Tuple[float, float]:
         """Aim the receive beam at one point and the transmit beam at
         another (AP and headset, respectively)."""
-        return self.set_beams(
-            bearing_deg(self.position, rx_target),
-            bearing_deg(self.position, tx_target),
-        )
+        return self.set_beams(*self.bearings_to(rx_target, tx_target))
 
     @property
     def rx_azimuth_deg(self) -> float:
@@ -151,9 +154,13 @@ class MoVRReflector:
 
     def can_serve(self, rx_target: Vec2, tx_target: Vec2) -> bool:
         """Are both targets within the arrays' scan range?"""
-        return self.rx_array.can_steer_to(
-            bearing_deg(self.position, rx_target)
-        ) and self.tx_array.can_steer_to(bearing_deg(self.position, tx_target))
+        return self.can_steer(*self.bearings_to(rx_target, tx_target))
+
+    def can_steer(self, rx_azimuth_deg: float, tx_azimuth_deg: float) -> bool:
+        """Are both scene azimuths within the arrays' scan range?"""
+        return self.rx_array.can_steer_to(rx_azimuth_deg) and self.tx_array.can_steer_to(
+            tx_azimuth_deg
+        )
 
     def state(self) -> ReflectorState:
         return ReflectorState(

@@ -1,18 +1,25 @@
 """Image-method ray tracer for indoor mmWave propagation.
 
-Produces :class:`PropagationPath` objects — the line-of-sight path and
-specular wall reflections up to two bounces — annotated with per-leg
-obstruction records.  The tracer is purely geometric: converting
-lengths, bounces, and obstructions into dB of loss is the job of
-``repro.phy.channel`` and ``repro.phy.blockage``, which keeps the
-geometry reusable and independently testable.
+Produces the line-of-sight path and specular wall reflections up to two
+bounces, annotated with per-leg obstruction records.  The tracer is
+purely geometric: converting lengths, bounces, and obstructions into dB
+of loss is the job of ``repro.phy.channel`` and ``repro.phy.blockage``,
+which keeps the geometry reusable and independently testable.
+
+Each query describes its scene once, as a :class:`PathSet`: per path its
+length, departure and arrival azimuths and summed reflection and
+penetration loss, plus one obstruction table.  The link layer reads
+those arrays.  The query returns one :class:`PropagationPath` per path,
+a view of the set whose points, walls and obstruction records are built
+the first time a caller reads them.
 
 Tracing runs on NumPy arrays, every wall chain or leg of a query at
 once.  Each array expression keeps the operation order of the scalar
 ``Vec2`` formula it stands for, and every length that reaches an output
 field or a threshold comes from :func:`math.hypot` (``Vec2.norm``'s
 rounding, which ``np.hypot`` does not share), so the traced floats are
-those of the scalar geometry.
+those of the scalar geometry; the per-path values equal what the
+:class:`PropagationPath` properties compute from the built objects.
 
 What does not depend on the receiver is kept between queries: the
 room's wall table, and per transmitter position the image tree (every
@@ -23,17 +30,20 @@ and cuts them with the occluders whose bounding boxes they overlap.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.geometry.room import Occluder, Room, Wall
 from repro.geometry.shapes import EPSILON, Circle
 from repro.geometry.vectors import Vec2, bearing_deg
+from repro.utils import exactmath
 
 #: How close (meters) two nodes may be before the far-field assumption
 #: (and the Friis equation) breaks down.
@@ -47,6 +57,9 @@ MAX_IMAGE_TREES = 8
 #: Slack (meters) on a leg's bounding box when screening occluders: far
 #: above the rounding of the slab test, far below any occluder.
 BOX_SCREEN_PAD_M = 1e-6
+
+#: The wall sequence of the LOS chain: TX, and no wall.
+_LOS_SEQUENCE = np.full((1, 1), -1)
 
 
 @dataclass(frozen=True)
@@ -68,7 +81,58 @@ class Obstruction:
     leg_length_m: float
 
 
-@dataclass(frozen=True)
+class ObstructionTable(NamedTuple):
+    """Every occluder cut of a path set, one row per cut.
+
+    Rows are grouped by path, in path order.  ``path`` and ``leg``
+    locate a cut (the path's index in its set, the leg's index along
+    the path) and ``occluder`` indexes the set's occluder list; the
+    float columns are the :class:`Obstruction` fields.
+    """
+
+    path: np.ndarray
+    leg: np.ndarray
+    occluder: np.ndarray
+    depth: np.ndarray
+    clearance: np.ndarray
+    along: np.ndarray
+    leg_length: np.ndarray
+
+    @classmethod
+    def of_records(cls, records: Sequence[Tuple[int, Obstruction]]) -> "ObstructionTable":
+        """The table of (path index, record) pairs, in the order given;
+        ``occluder`` numbers the records themselves."""
+        ints = np.array([(i, o.leg_index) for i, o in records], dtype=np.intp)
+        floats = np.array(
+            [(o.depth_m, o.clearance_m, o.along_leg_m, o.leg_length_m) for _, o in records],
+            dtype=float,
+        )
+        ints, floats = ints.reshape(-1, 2), floats.reshape(-1, 4)
+        return cls(ints[:, 0], ints[:, 1], np.arange(len(records)), *floats.T)
+
+
+class _ViewField:
+    """A path field: the value given to the constructor, or, for a view
+    of a traced set, the value the set's ``build`` method makes on first
+    read (then kept in the slot ``_<name>``)."""
+
+    def __init__(self, build: str) -> None:
+        self.build = build
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.slot = "_" + name
+
+    def __get__(self, path, owner=None):
+        if path is None:
+            return self
+        try:
+            return getattr(path, self.slot)
+        except AttributeError:
+            value = getattr(path._set, self.build)(path._index)
+            setattr(path, self.slot, value)
+            return value
+
+
 class PropagationPath:
     """A geometric propagation path from TX to RX.
 
@@ -77,18 +141,53 @@ class PropagationPath:
     ``penetrated_walls`` lists walls the direct path passes *through*
     (interior partitions) — each contributes its material's
     penetration loss, which at mmWave is usually fatal.
+
+    A traced path is a view of its scene's :class:`PathSet`: each of the
+    four fields is built from the set the first time it is read.  Paths
+    are immutable and compare by their fields.
     """
 
-    points: Tuple[Vec2, ...]
-    walls: Tuple[Wall, ...]
-    obstructions: Tuple[Obstruction, ...] = ()
-    penetrated_walls: Tuple[Wall, ...] = ()
+    __slots__ = ("_points", "_walls", "_obstructions", "_penetrated_walls", "_set", "_index")
 
-    def __post_init__(self) -> None:
-        if len(self.points) < 2:
+    def __init__(
+        self,
+        points: Tuple[Vec2, ...],
+        walls: Tuple[Wall, ...],
+        obstructions: Tuple[Obstruction, ...] = (),
+        penetrated_walls: Tuple[Wall, ...] = (),
+    ) -> None:
+        if len(points) < 2:
             raise ValueError("a path needs at least TX and RX points")
-        if len(self.walls) != len(self.points) - 2:
+        if len(walls) != len(points) - 2:
             raise ValueError("need exactly one wall per interior bounce point")
+        self._points = points
+        self._walls = walls
+        self._obstructions = obstructions
+        self._penetrated_walls = penetrated_walls
+        self._set: Optional[PathSet] = None
+
+    points = _ViewField("points_of")
+    walls = _ViewField("walls_of")
+    obstructions = _ViewField("obstructions_of")
+    penetrated_walls = _ViewField("penetrated_of")
+
+    def _fields(self) -> tuple:
+        return (self.points, self.walls, self.obstructions, self.penetrated_walls)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"PropagationPath(points={self.points!r}, walls={self.walls!r}, "
+            f"obstructions={self.obstructions!r}, "
+            f"penetrated_walls={self.penetrated_walls!r})"
+        )
 
     @property
     def num_bounces(self) -> int:
@@ -140,6 +239,153 @@ class PropagationPath:
         return self.total_length_m / speed
 
 
+class PathSet:
+    """The paths of one scene as a struct of arrays, one entry per path.
+
+    ``length`` (meters), ``departure`` and ``arrival`` (degrees),
+    ``reflection_db`` and ``penetration_db`` hold, for every path, what
+    the :class:`PropagationPath` properties ``total_length_m``,
+    ``departure_angle_deg``, ``arrival_angle_deg``,
+    ``total_reflection_loss_db`` and ``total_penetration_loss_db`` give;
+    ``cuts`` is the obstruction table and ``occluders`` the occluders
+    its rows index.
+
+    A set the tracer built also keeps what its paths' objects are built
+    from when read (see :meth:`_views`).  A set gathered from path
+    objects (:meth:`of`) keeps only the arrays.
+    """
+
+    __slots__ = (
+        "length",
+        "departure",
+        "arrival",
+        "reflection_db",
+        "penetration_db",
+        "cuts",
+        "occluders",
+        "_tx",
+        "_rx",
+        "_walls",
+        "_penetrated",
+        "_leg_starts",
+        "_leg_walls",
+        "_first",
+        "_width",
+    )
+
+    def __init__(
+        self,
+        length: np.ndarray,
+        departure: np.ndarray,
+        arrival: np.ndarray,
+        reflection_db: np.ndarray,
+        penetration_db: np.ndarray,
+        cuts: ObstructionTable,
+        occluders: Sequence[Occluder],
+    ) -> None:
+        self.length = length
+        self.departure = departure
+        self.arrival = arrival
+        self.reflection_db = reflection_db
+        self.penetration_db = penetration_db
+        self.cuts = cuts
+        self.occluders = occluders
+
+    def __len__(self) -> int:
+        return len(self.length)
+
+    @classmethod
+    def of(cls, paths: Sequence[PropagationPath]) -> "PathSet":
+        """The set ``paths`` describe: the traced set itself when they
+        are exactly its paths in order, else one gathered from the path
+        objects' properties and obstruction records."""
+        whole = traced_set(paths)
+        if whole is not None:
+            return whole
+        records = [(i, o) for i, p in enumerate(paths) for o in p.obstructions]
+        return cls(
+            np.array([p.total_length_m for p in paths], dtype=float),
+            np.array([p.departure_angle_deg for p in paths], dtype=float),
+            np.array([p.arrival_angle_deg for p in paths], dtype=float),
+            np.array([p.total_reflection_loss_db for p in paths], dtype=float),
+            np.array([p.total_penetration_loss_db for p in paths], dtype=float),
+            ObstructionTable.of_records(records),
+            [o.occluder for _, o in records],
+        )
+
+    # -- the objects of one path, built when a view reads them -----------
+
+    def points_of(self, index: int) -> Tuple[Vec2, ...]:
+        bounces = self._leg_starts[self._bounce_rows(index)].tolist()
+        return (self._tx, *(Vec2(x, y) for x, y in bounces), self._rx)
+
+    def walls_of(self, index: int) -> Tuple[Wall, ...]:
+        walls = self._walls
+        return tuple(walls[w] for w in self._leg_walls[self._bounce_rows(index)].tolist())
+
+    def _bounce_rows(self, index: int) -> slice:
+        """The leg rows of path ``index`` that start at a bounce."""
+        first = self._first[index]
+        return slice(first + 1, first + self._width[index])
+
+    def obstructions_of(self, index: int) -> Tuple[Obstruction, ...]:
+        cuts, occluders = self.cuts, self.occluders
+        lo, hi = np.searchsorted(cuts.path, (index, index + 1)).tolist()
+        rows = zip(*(column[lo:hi].tolist() for column in cuts[1:]))
+        return tuple(
+            Obstruction(occluders[k], leg, depth, clearance, along, leg_length)
+            for leg, k, depth, clearance, along, leg_length in rows
+        )
+
+    def penetrated_of(self, index: int) -> Tuple[Wall, ...]:
+        return self._penetrated if index == 0 else ()
+
+    def _views(
+        self,
+        tx: Vec2,
+        rx: Vec2,
+        walls: Tuple[Wall, ...],
+        leg_starts: np.ndarray,
+        leg_walls: np.ndarray,
+        first: List[int],
+        width: List[int],
+        penetrated: Tuple[Wall, ...],
+    ) -> List[PropagationPath]:
+        """Keep what the paths' objects are built from and return one
+        view per path.
+
+        Besides the endpoints, the room's walls and the walls the LOS
+        crosses, that is the traced legs' start points and the walls
+        they start on (-1 at TX), and per path its first leg row and leg
+        count: a path's bounces are the starts of its legs after the
+        first.
+        """
+        self._tx, self._rx, self._walls, self._penetrated = tx, rx, walls, penetrated
+        self._leg_starts, self._leg_walls = leg_starts, leg_walls
+        self._first, self._width = first, width
+        views = []
+        for index in range(len(first)):
+            # A view: no fields yet, each built from the set when read.
+            path = object.__new__(PropagationPath)
+            path._set, path._index = self, index
+            views.append(path)
+        return views
+
+
+def traced_set(paths: Sequence[PropagationPath]) -> Optional[PathSet]:
+    """The traced :class:`PathSet` whose paths are exactly ``paths``, in
+    order, or None."""
+    if not paths:
+        return None
+    path_set = paths[0]._set
+    if path_set is None or len(paths) != len(path_set):
+        return None
+    for i, path in enumerate(paths):
+        if path._set is not path_set or path._index != i:
+            return None
+    return path_set
+
+
 class RayTracer:
     """Traces LOS and specular reflection paths inside a :class:`Room`.
 
@@ -160,7 +406,7 @@ class RayTracer:
         self._walls: Optional[Tuple[Wall, ...]] = None
         self._table: Optional[np.ndarray] = None
         self._same: Optional[np.ndarray] = None
-        self._trees: "OrderedDict[Tuple[float, float, int], list]" = OrderedDict()
+        self._trees: "OrderedDict[Tuple[float, float, int], tuple]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # Public API
@@ -239,14 +485,22 @@ class RayTracer:
             or not all(map(operator.is_, walls, built))
         ):
             built = self._walls = tuple(walls)
-            # Per wall: start point, start-to-end vector, unit direction.
+            # Per wall: start point, start-to-end vector, unit direction
+            # and reflection loss (materials are frozen, like walls).
             self._table = np.array(
                 [
-                    (s.a.x, s.a.y, s.b.x - s.a.x, s.b.y - s.a.y, *s.direction.as_tuple())
-                    for s in (wall.segment for wall in built)
+                    (
+                        s.a.x,
+                        s.a.y,
+                        s.b.x - s.a.x,
+                        s.b.y - s.a.y,
+                        *s.direction.as_tuple(),
+                        material.reflection_loss_db,
+                    )
+                    for s, material in ((w.segment, w.material) for w in built)
                 ],
                 dtype=float,
-            )
+            ).reshape(-1, 7)
             # same[i, j]: walls i and j are one object.  Row -1, all
             # False, stands for a chain end at TX or RX rather than on a
             # wall.
@@ -255,7 +509,7 @@ class RayTracer:
             self._trees.clear()
         return built, self._table, self._same
 
-    def _image_tree(self, tx: Vec2, max_bounces: int) -> list:
+    def _image_tree(self, tx: Vec2, max_bounces: int) -> tuple:
         """The image tree of ``tx`` (see :func:`_build_image_tree`), kept
         per transmitter position and bounce budget."""
         key = (tx.x, tx.y, max_bounces)
@@ -274,138 +528,202 @@ class RayTracer:
     def _trace(
         self, tx: Vec2, rx: Vec2, max_bounces: int, occluders: List[Occluder]
     ) -> List[PropagationPath]:
-        """The LOS, then every reflection path up to ``max_bounces``.
+        """The LOS, then every reflection path up to ``max_bounces``, as
+        views of one :class:`PathSet`.
 
-        Each path is a chain: its wall indices after a leading -1 for
-        TX, its points and its leg lengths; the LOS is the chain of no
-        walls.  A reflection chain is dropped when a leg crosses any
-        wall other than the ones it bounces on; the LOS is kept and
-        lists the walls it crosses as penetrated.  Paths come LOS first,
-        then by bounce count, then in room wall order.
+        Chains come grouped by bounce count: wall indices after a
+        leading -1 for TX, points and leg lengths, one row per chain;
+        the LOS is the one chain of no walls.  A reflection chain is
+        dropped when a leg crosses any wall other than the ones it
+        bounces on; the LOS is kept and lists the walls it crosses as
+        penetrated.  Paths come LOS first, then by bounce count, then in
+        room wall order.
         """
         walls, table, same = self._room_tables()
         wall_a, wall_r = table[:, 0:2], table[:, 2:4]
         los = np.array([tx.as_tuple(), rx.as_tuple()], dtype=float)
-        chains = [([-1], los, np.array([tx.distance_to(rx)]))]
+        # The LOS chain: no wall, one leg, touching no wall (row -1).
+        levels = [
+            (_LOS_SEQUENCE, los[None], np.array([[tx.distance_to(rx)]]), same[-1:][None])
+        ]
         if max_bounces:
-            chains += _reflection_chains(self._image_tree(tx, max_bounces), los)
+            levels += _reflection_chains(self._image_tree(tx, max_bounces), los)
 
-        # Every leg of every chain, in path order.  A leg touches the
-        # walls it bounces on at its ends; those are not crossings.
-        leg_chain = [c for c, (seq, _, _) in enumerate(chains) for _ in seq]
-        leg_index = [i for seq, _, _ in chains for i in range(len(seq))]
-        starts = np.concatenate([points[:-1] for _, points, _ in chains])
-        ends = np.concatenate([points[1:] for _, points, _ in chains])
+        # Every leg of every chain, chain by chain: start, end, length,
+        # the wall it starts on (-1 at TX) and the walls it touches at
+        # its ends, which it bounces on rather than crosses.
+        starts = np.concatenate([points[:, :-1].reshape(-1, 2) for _, points, _, _ in levels])
+        ends = np.concatenate([points[:, 1:].reshape(-1, 2) for _, points, _, _ in levels])
         legs = ends - starts
-        lengths = np.concatenate([n for _, _, n in chains])
-        touching = np.array(
-            [(w, v) for seq, _, _ in chains for w, v in zip(seq, seq[1:] + [-1])]
-        )
+        lengths = np.concatenate([n.ravel() for _, _, n, _ in levels])
+        start_wall = np.concatenate([seq.ravel() for seq, _, _, _ in levels])
+        touching = np.concatenate([m.reshape(-1, len(walls)) for _, _, _, m in levels])
         meets, t = _intersect(starts[:, None], legs[:, None], wall_a, wall_r)
-        leg, wall = np.nonzero(meets & ~(same[touching[:, 0]] | same[touching[:, 1]]))
+        leg, wall = np.nonzero(meets & ~touching)
         if leg.size:
             # Endpoint grazes are ignored: a radio sits against a wall,
             # not inside it.
             t = _clamp(t[leg, wall], 0.0, 1.0)
             hits = starts[leg] + legs[leg] * t[:, None]
             gaps = np.concatenate([hits - starts[leg], hits - ends[leg]])
-            through = (_hypot(gaps[:, 0], gaps[:, 1]) > 1e-6).reshape(2, -1).all(axis=0)
+            through = exactmath.hypot(gaps[:, 0], gaps[:, 1]) > 1e-6
+            through = through[: len(leg)] & through[len(leg) :]
             leg, wall = leg[through], wall[through]
-        crossings = [(leg_chain[i], w) for i, w in zip(leg.tolist(), wall.tolist())]
-        dropped = {c for c, _ in crossings if c != 0}
-        penetrated = tuple(walls[w] for c, w in crossings if c == 0)
 
-        records: List[List[Obstruction]] = [[] for _ in chains]
-        leg_length = lengths.tolist()
-        cuts = _cuts(starts, ends, legs, lengths, occluders)
-        for i, k, depth, clearance, along in cuts:
-            records[leg_chain[i]].append(
-                Obstruction(
-                    occluder=occluders[k],
-                    leg_index=leg_index[i],
-                    depth_m=depth,
-                    clearance_m=clearance,
-                    along_leg_m=along,
-                    leg_length_m=leg_length[i],
-                )
+        # Per chain its first leg row and leg count.  There are a few
+        # dozen chains, few enough that lists beat arrays.
+        first: List[int] = []
+        width: List[int] = []
+        row = 0
+        for seq, _, _, _ in levels:
+            count, legs_per_chain = seq.shape
+            first += range(row, row + count * legs_per_chain, legs_per_chain)
+            width += [legs_per_chain] * count
+            row += count * legs_per_chain
+        # A crossing drops its chain, but the LOS (leg 0, the only leg of
+        # chain 0) penetrates the walls it crosses.
+        dropped = {bisect.bisect_right(first, r) - 1 for r in leg.tolist()}
+        dropped.discard(0)
+        penetrated = tuple(walls[w] for w in wall[leg == 0].tolist())
+        if dropped:
+            first = [a for c, a in enumerate(first) if c not in dropped]
+            width = [w for c, w in enumerate(width) if c not in dropped]
+
+        # The obstruction table: the cuts of the kept paths' legs, which
+        # run path by path.
+        cuts = _NO_OBSTRUCTIONS
+        if occluders:
+            kept_legs = np.array([row for a, w in zip(first, width) for row in range(a, a + w)])
+            cut, occluder, depth, clearance, along = _cuts(
+                starts[kept_legs], ends[kept_legs], legs[kept_legs], lengths[kept_legs], occluders
             )
-        return [
-            PropagationPath(
-                points=(tx, *(Vec2(x, y) for x, y in points[1:-1].tolist()), rx),
-                walls=tuple(walls[w] for w in seq[1:]),
-                obstructions=tuple(records[c]),
-                penetrated_walls=penetrated if c == 0 else (),
+            path_start = np.array(list(accumulate(width[:-1], initial=0)))
+            path = np.searchsorted(path_start, cut, side="right") - 1
+            cuts = ObstructionTable(
+                path,
+                cut - path_start[path],
+                occluder,
+                depth,
+                clearance,
+                along,
+                lengths[kept_legs[cut]],
             )
-            for c, (seq, points, _) in enumerate(chains)
-            if c not in dropped
-        ]
+
+        # Per path: length (legs summed in order, as Python sums them),
+        # the reflection loss of the walls its legs start on after the
+        # first, and the bearings of its first leg from TX and of its
+        # last leg back from RX.
+        leg_lengths = lengths.tolist()
+        wall_loss = table[start_wall, 6].tolist()
+        deltas = legs.tolist()
+        length, reflection, departure, arrival = [], [], [], []
+        for a, w in zip(first, width):
+            b = a + w
+            length.append(sum(leg_lengths[a:b]))
+            reflection.append(sum(wall_loss[a + 1 : b]))
+            departure.append(_bearing_deg(*deltas[a]))
+            dx, dy = deltas[b - 1]
+            arrival.append(_bearing_deg(-dx, -dy))
+        penetration = [0.0] * len(first)
+        penetration[0] = sum(w.material.penetration_loss_db for w in penetrated)
+
+        path_set = PathSet(
+            np.array(length),
+            np.array(departure),
+            np.array(arrival),
+            np.array(reflection, dtype=float),
+            np.array(penetration),
+            cuts,
+            occluders,
+        )
+        return path_set._views(tx, rx, walls, starts, start_wall, first, width, penetrated)
 
 
 def _build_image_tree(
     tx: np.ndarray, max_bounces: int, walls: np.ndarray, same: np.ndarray
-) -> list:
+) -> tuple:
     """Every chain of 1 to ``max_bounces`` walls, with its images of TX.
 
     ``walls`` and ``same`` are the tracer's wall table and same-wall
     mask.  The chains of one more bounce mirror each chain's last image
     of TX across every wall but the one it just bounced on, in wall
     order.  One level per bounce count holds the chains' wall sequences
-    (after a leading -1 for TX), their images (TX first), and, from the
-    last bounce to the first, each bounce's index with the start and
-    start-to-end vector of its wall: all a receiver's walk back along
-    the chain reads.
+    (after a leading -1 for TX), their images (TX first), from the
+    second-to-last bounce back to the first each bounce's index with the
+    start and start-to-end vector of its wall, and per leg the walls it
+    touches at its ends.  Every chain's last image and last wall (start,
+    start-to-end vector) are also stacked over all levels: a receiver's
+    walk back along the chains starts with those, all at once.
     """
     wall_a, wall_r, wall_d = walls[:, 0:2], walls[:, 2:4], walls[:, 4:6]
-    tree = []
+    levels, last = [], []
     seq, images = np.full((1, 1), -1), tx[None, None]
     for _ in range(max_bounces):
-        last = images[:, -1, None]
-        ap = last - wall_a
+        mirror = images[:, -1, None]
+        ap = mirror - wall_a
         dot = ap[..., 0] * wall_d[:, 0] + ap[..., 1] * wall_d[:, 1]
-        mirrored = last - (ap - wall_d * dot[..., None]) * 2.0
+        mirrored = mirror - (ap - wall_d * dot[..., None]) * 2.0
         chain, wall = np.nonzero(~same[seq[:, -1]])
         seq = np.column_stack([seq[chain], wall])
         images = np.concatenate([images[chain], mirrored[chain, wall, None]], axis=1)
-        bounces = [
+        earlier = [
             (j, wall_a[seq[:, j]], wall_r[seq[:, j]])
-            for j in range(seq.shape[1] - 1, 0, -1)
+            for j in range(seq.shape[1] - 2, 0, -1)
         ]
-        tree.append((seq, images, bounces))
-    return tree
+        # A leg starts on its chain's wall and ends on the next (the
+        # leading -1 rolls round to stand for RX).
+        touching = same[seq] | same[np.roll(seq, -1, axis=1)]
+        levels.append((seq, images, earlier, touching))
+        last.append((images[:, -1], wall_a[wall], wall_r[wall]))
+    return levels, tuple(np.concatenate(column) for column in zip(*last))
 
 
 def _reflection_chains(
-    tree: list, los: np.ndarray
-) -> List[Tuple[List[int], np.ndarray, np.ndarray]]:
+    tree: tuple, los: np.ndarray
+) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """The chains of an image tree whose bounces exist for ``los``.
 
     ``los`` holds TX and RX.  Walking back from RX, the line toward each
-    image meets its wall at the bounce point.  A chain is dropped when
-    its last image sits on RX, a bounce point misses its wall or a leg
-    is shorter than the far-field limit.
+    image meets its wall at the bounce point: the last bounce of every
+    chain first, then each level's earlier bounces.  A chain is dropped
+    when its last image sits on RX, a bounce point misses its wall or a
+    leg is shorter than the far-field limit.  Per bounce count: the wall
+    sequences, points, leg lengths and touched walls of the chains kept,
+    one row each.
     """
+    levels, (last_image, last_a, last_r) = tree
     src, dst = los
+    gap = last_image - dst
+    alive = exactmath.hypot(gap[:, 0], gap[:, 1]) >= EPSILON
+    meets, t = _intersect(last_a, last_r, last_image, dst - last_image)
+    last_bounce = last_a + last_r * _clamp(t, 0.0, 1.0)[:, None]
+    alive &= meets
     chains = []
-    for seq, images, bounces in tree:
-        gap = images[:, -1] - dst
-        alive = _hypot(gap[:, 0], gap[:, 1]) >= EPSILON
+    row = 0
+    for seq, images, earlier, touching in levels:
+        rows = slice(row, row + len(seq))
+        row += len(seq)
+        level_alive = alive[rows]
         points = np.empty((len(seq), seq.shape[1] + 1, 2))
-        points[:, 0], points[:, -1] = src, dst
-        for j, a, r in bounces:
+        points[:, 0], points[:, -2], points[:, -1] = src, last_bounce[rows], dst
+        for j, a, r in earlier:
             meets, t = _intersect(a, r, images[:, j], points[:, j + 1] - images[:, j])
             points[:, j] = a + r * _clamp(t, 0.0, 1.0)[:, None]
-            alive &= meets
+            level_alive &= meets
         legs = points[:, 1:] - points[:, :-1]
-        lengths = _hypot(legs[..., 0], legs[..., 1])
-        alive &= (lengths >= MIN_SEPARATION_M).all(axis=1)
-        chains += zip(seq[alive].tolist(), points[alive], lengths[alive])
+        lengths = exactmath.hypot(legs[..., 0], legs[..., 1])
+        level_alive &= (lengths >= MIN_SEPARATION_M).all(axis=1)
+        chains.append(
+            (seq[level_alive], points[level_alive], lengths[level_alive], touching[level_alive])
+        )
     return chains
 
 
-def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Elementwise :func:`math.hypot`, the rounding of ``Vec2.norm``."""
-    flat = map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist())
-    return np.fromiter(flat, dtype=float, count=dx.size).reshape(dx.shape)
+def _bearing_deg(dx: float, dy: float) -> float:
+    """:func:`bearing_deg` of the direction ``(dx, dy)``: ``rad_to_deg``
+    and ``wrap_angle_deg`` inlined, in their operation order.  An
+    ``atan2`` in [-pi, pi] never reaches the wrap's 180-degree edge."""
+    return (math.atan2(dy, dx) * 180.0 / math.pi + 180.0) % 360.0 - 180.0
 
 
 def _clamp(t: np.ndarray, lo, hi) -> np.ndarray:
@@ -433,22 +751,29 @@ def _intersect(
     return meets & (np.maximum(t, u) <= 1.0 + EPSILON), t
 
 
+#: :func:`_cuts` of no cut.
+_NO_CUTS = (np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),) * 3
+#: The obstruction table of a scene with no occluders.
+_NO_OBSTRUCTIONS = ObstructionTable.of_records([])
+
+
 def _cuts(
     starts: np.ndarray,
     ends: np.ndarray,
     legs: np.ndarray,
     lengths: np.ndarray,
     occluders: List[Occluder],
-) -> List[Tuple[int, int, float, float, float]]:
+) -> Tuple[np.ndarray, ...]:
     """Every occluder cut of every leg, in (leg, occluder) order.
 
-    Legs run from ``starts`` to ``ends`` along ``legs``.  Each cut is
-    (leg row, occluder index, chord depth, clearance, distance along the
-    leg to the occluder centre); clearance is the signed distance from
-    the leg to the edge, for a box minus half the depth.
+    Legs run from ``starts`` to ``ends`` along ``legs``.  Returns five
+    columns, one row per cut: leg row, occluder index, chord depth,
+    clearance and distance along the leg to the occluder centre;
+    clearance is the signed distance from the leg to the edge, for a box
+    minus half the depth.
     """
     if not occluders:
-        return []
+        return _NO_CUTS
     # Per occluder: centre, radius (0 for a box), and the box whose slab
     # test screens it.  For a circle that box is a little larger than
     # the circle, so every leg cutting the circle passes it.
@@ -470,20 +795,24 @@ def _cuts(
     overlap = (leg_lo[:, None] <= table[:, 5:7]) & (leg_hi[:, None] >= table[:, 3:5])
     row, k = np.nonzero(overlap[..., 0] & overlap[..., 1])
     if not row.size:
-        return []
+        return _NO_CUTS
     occ, a, v = table[k], starts[row], legs[row]
     # Slab method: per axis, the leg parameters where it enters and
     # leaves the box.  An axis the leg runs parallel to passes (0, 1) if
     # the leg lies between the box's sides on it and (1, 0) if not.
+    # (Two-element minima and maxima run as elementwise ufuncs, which
+    # round alike and cost far less than axis reductions.)
     t = (occ[:, 3:].reshape(-1, 2, 2) - a[:, None]) / v[:, None]
-    near, far = t.min(axis=1), t.max(axis=1)
+    near, far = np.minimum(t[:, 0], t[:, 1]), np.maximum(t[:, 0], t[:, 1])
     parallel = np.abs(v) < EPSILON
     beside = (near > 0.0) | (far < 0.0)
-    t_min = np.maximum(np.where(parallel, beside, near).max(axis=1), 0.0)
-    t_max = np.minimum(np.where(parallel, ~beside, far).min(axis=1), 1.0)
+    enter = np.where(parallel, beside, near)
+    leave = np.where(parallel, ~beside, far)
+    t_min = np.maximum(np.maximum(enter[:, 0], enter[:, 1]), 0.0)
+    t_max = np.minimum(np.minimum(leave[:, 0], leave[:, 1]), 1.0)
     hit = t_min < t_max
     if not hit.any():
-        return []
+        return _NO_CUTS
     row, k, occ, a, v = row[hit], k[hit], occ[hit], a[hit], v[hit]
     length, box_span = lengths[row], (t_max - t_min)[hit]
 
@@ -496,7 +825,7 @@ def _cuts(
     norm_sq = v * v
     t = _clamp(dot / (norm_sq[:, 0] + norm_sq[:, 1]), 0.0, 1.0)
     gap = center - (a + v * t[:, None])
-    dist = _hypot(gap[:, 0], gap[:, 1])
+    dist = exactmath.hypot(gap[:, 0], gap[:, 1])
     center_t = off * (v / length[:, None])
     center_t = center_t[:, 0] + center_t[:, 1]
     half = np.sqrt(radius * radius - dist * dist)
@@ -508,4 +837,4 @@ def _cuts(
     clearance = np.where(is_circle, dist - radius, -depth / 2.0)
     along = _clamp(dot / length, 0.0, length)
     cut = depth > 0.0
-    return list(zip(*(x[cut].tolist() for x in (row, k, depth, clearance, along))))
+    return row[cut], k[cut], depth[cut], clearance[cut], along[cut]

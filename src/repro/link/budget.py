@@ -281,21 +281,18 @@ class LinkBudget:
         """Measure with both beams steered onto the LOS path.
 
         One scene lookup serves both: the LOS that steers the beams is
-        the first path of the set the measurement sums.  Steering
-        passes through each radio's array (scan-range clipping and
-        phase quantization included), so an unreachable path shows up
-        as low gain rather than an idealized number.
+        the first path of the set the measurement sums, and its angles
+        are the set's first link columns.  Steering passes through each
+        radio's array (scan-range clipping and phase quantization
+        included), so an unreachable path shows up as low gain rather
+        than an idealized number.
         """
         paths = self.cache.all_paths(
             tx.position, rx.position, extra_occluders=extra_occluders
         )
-        los = paths[0]
+        departure, arrival = self.cache.link_columns(paths, self.channel)[:2, 0].tolist()
         return self.measure_with_paths(
-            tx,
-            rx,
-            paths,
-            tx.steer_to(los.departure_angle_deg),
-            rx.steer_to(los.arrival_angle_deg),
+            tx, rx, paths, tx.steer_to(departure), rx.steer_to(arrival)
         )
 
     def best_alignment(
@@ -318,7 +315,10 @@ class LinkBudget:
 
         The scene is traced once; all candidate alignments (both beams
         steered onto each path, through the arrays' clipping and
-        quantization) are evaluated in one batched pass.  As the
+        quantization) are evaluated in one batched pass.  Without
+        ``candidate_paths`` the steering angles are the set's link
+        columns (the LOS is its first path, the only one without a
+        bounce).  As the
         batched stand-in for a physical joint sweep it feeds the same
         ``link.sweeps`` / ``link.sweep_ms`` metrics as :meth:`sweep`.
         """
@@ -327,18 +327,25 @@ class LinkBudget:
         all_paths = self.cache.all_paths(
             tx.position, rx.position, max_bounces=max_bounces, extra_occluders=extra_occluders
         )
-        candidates = list(all_paths if candidate_paths is None else candidate_paths)
-        if not include_los:
-            candidates = [p for p in candidates if not p.is_line_of_sight]
-        if not candidates or not all_paths:
+        if candidate_paths is None:
+            angles = self.cache.link_columns(all_paths, self.channel)[:2]
+            if not include_los:
+                angles = angles[:, 1:]
+        else:
+            candidates = [
+                p for p in candidate_paths if include_los or not p.is_line_of_sight
+            ]
+            angles = np.array(
+                [
+                    [p.departure_angle_deg for p in candidates],
+                    [p.arrival_angle_deg for p in candidates],
+                ]
+            ).reshape(2, -1)
+        if not angles.shape[1] or not all_paths:
             result = LinkMeasurement.outage(tx.steering_deg, rx.steering_deg)
         else:
-            tx_steers = tx.array.steer_to_batch(
-                np.asarray([p.departure_angle_deg for p in candidates])
-            )
-            rx_steers = rx.array.steer_to_batch(
-                np.asarray([p.arrival_angle_deg for p in candidates])
-            )
+            tx_steers = tx.array.steer_to_batch(angles[0])
+            rx_steers = rx.array.steer_to_batch(angles[1])
             powers = self.path_powers_dbm(tx, rx, all_paths, tx_steers, rx_steers)
             totals = np.asarray(db_sum_powers(powers, axis=0))
             best = int(np.argmax(totals))

@@ -16,18 +16,28 @@ combination of
 
 Calibration against the paper's measurements (section 3):
 hand >= 14 dB, head ~ 20 dB, walking person ~ 18-22 dB.
+
+The model evaluates a whole obstruction table at once
+(:meth:`BlockageModel.path_blockages_db`), in the rounding of the
+scalar formulas it states.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.geometry.raytrace import Obstruction
-from repro.utils.db import db_sum_powers
+import numpy as np
+
+from repro.geometry.raytrace import Obstruction, ObstructionTable
+from repro.utils import exactmath
 from repro.utils.units import MOVR_CARRIER_HZ, wavelength
 from repro.utils.validation import require_non_negative, require_positive
+
+
+#: Cuts on one leg within this distance (meters) of the previous one
+#: along the leg shadow it as one occluder.
+MERGE_DISTANCE_M = 0.5
 
 
 @dataclass(frozen=True)
@@ -67,71 +77,109 @@ class BlockageModel:
 
         Uses the standard approximation
         ``J(v) = 6.9 + 20 log10(sqrt((v-0.1)^2 + 1) + v - 0.1)`` for
-        ``v > -0.78`` and 0 otherwise.
+        ``v > -0.78`` and 0 otherwise.  The one-edge form of
+        :meth:`knife_edge_losses_db`.
         """
-        d1 = max(dist_to_a_m, 1e-3)
-        d2 = max(dist_to_b_m, 1e-3)
+        return float(
+            self.knife_edge_losses_db(
+                np.array([shadow_depth_m], dtype=float),
+                np.array([dist_to_a_m], dtype=float),
+                np.array([dist_to_b_m], dtype=float),
+            )[0]
+        )
+
+    def knife_edge_losses_db(
+        self, shadow_depth_m: np.ndarray, dist_to_a_m: np.ndarray, dist_to_b_m: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`knife_edge_loss_db` of every edge at once."""
+        d1 = np.maximum(dist_to_a_m, 1e-3)
+        d2 = np.maximum(dist_to_b_m, 1e-3)
         lam = wavelength(self.carrier_hz)
-        v = shadow_depth_m * math.sqrt(2.0 * (d1 + d2) / (lam * d1 * d2))
-        if v <= -0.78:
-            return 0.0
-        return 6.9 + 20.0 * math.log10(math.sqrt((v - 0.1) ** 2 + 1.0) + v - 0.1)
+        v = shadow_depth_m * np.sqrt(2.0 * (d1 + d2) / (lam * d1 * d2))
+        loss = np.zeros_like(v)
+        shadowed = ~(v <= -0.78)
+        w = v[shadowed]
+        edge = np.sqrt(exactmath.square(w - 0.1) + 1.0) + w - 0.1
+        loss[shadowed] = 6.9 + 20.0 * exactmath.log10(edge)
+        return loss
 
     def absorption_loss_db(self, depth_m: float) -> float:
         """Through-obstacle absorption over a chord of ``depth_m``."""
         require_non_negative(depth_m, "depth_m")
         return self.absorption_db_per_m * depth_m
 
-    def obstruction_loss_db(self, obstruction: Obstruction) -> float:
-        """Total attenuation contributed by one obstruction record."""
-        # Shadow depth: how far the ray is inside the occluder edge.
-        shadow = -obstruction.clearance_m
-        around_db = self.knife_edge_loss_db(
-            shadow_depth_m=shadow,
-            dist_to_a_m=obstruction.along_leg_m,
-            dist_to_b_m=obstruction.leg_length_m - obstruction.along_leg_m,
-        )
-        through_db = self.absorption_loss_db(obstruction.depth_m)
-        # Energy arrives by the stronger of the two mechanisms;
-        # combine incoherently.
-        combined_db = -db_sum_powers([-around_db, -through_db])
-        return min(self.max_blockage_db, combined_db)
-
     def path_blockage_db(self, obstructions: Sequence[Obstruction]) -> float:
-        """Total blockage attenuation for a path's obstruction list.
+        """Total blockage attenuation for one path's obstruction list:
+        the one-path form of :meth:`path_blockages_db`."""
+        table = ObstructionTable.of_records([(0, o) for o in obstructions])
+        return float(self.path_blockages_db(table, 1)[0])
 
-        Obstructions that overlap on the same leg (e.g. the torso and
-        head circles of one person) shadow the path as a *union*, so
-        only the strongest of each overlapping cluster counts;
-        spatially separate obstacles (a hand near the headset plus a
-        person mid-room) attenuate independently and their losses add.
-        Total loss is capped at ``2 * max_blockage_db``.
+    def path_blockages_db(self, cuts: ObstructionTable, num_paths: int) -> np.ndarray:
+        """Total blockage attenuation of each of ``num_paths`` paths,
+        from their obstruction table.
+
+        Each cut loses the stronger of diffraction around the occluder
+        and absorption through it, combined incoherently and capped at
+        ``max_blockage_db``.  Cuts that overlap on the same leg (e.g.
+        the torso and head circles of one person) shadow the path as a
+        *union*: sorted by distance along the leg, a cut more than
+        0.5 m past the previous one starts a new cluster, and only each
+        cluster's strongest cut counts.  Spatially separate obstacles (a
+        hand near the headset plus a person mid-room) attenuate
+        independently: a path's cluster maxima add, legs in order of
+        their first cut and clusters along the leg, summed as Python's
+        ``sum`` does.  Total loss is capped at ``2 * max_blockage_db``.
         """
-        clusters = self._cluster(obstructions)
-        total = sum(max(self.obstruction_loss_db(o) for o in group) for group in clusters)
-        return min(2.0 * self.max_blockage_db, total)
+        totals = np.zeros(num_paths)
+        if not len(cuts.path):
+            return totals
+        loss = self._cut_losses_db(cuts)
+        # Order: path, leg by first appearance, along the leg, then row
+        # (the sort is stable).  A traced table lists each path's legs in
+        # ascending order, so there the (path, leg) key itself ranks the
+        # legs by first appearance; otherwise the row of each leg's first
+        # cut does.
+        group = cuts.path * (int(cuts.leg.max()) + 1) + cuts.leg
+        if (group[1:] < group[:-1]).any():
+            _, first, inverse = np.unique(group, return_index=True, return_inverse=True)
+            group = first[inverse]
+        order = np.lexsort((cuts.along, group, cuts.path))
+        group, along = group[order], cuts.along[order]
+        starts = np.flatnonzero(
+            np.concatenate(
+                ([True], (group[1:] != group[:-1]) | (along[1:] - along[:-1] > MERGE_DISTANCE_M))
+            )
+        )
+        maxima = np.maximum.reduceat(loss[order], starts).tolist()
+        path = cuts.path[order][starts]
+        edges = np.flatnonzero(np.concatenate(([True], path[1:] != path[:-1]))).tolist()
+        totals[path[edges]] = [
+            sum(maxima[lo:hi]) for lo, hi in zip(edges, edges[1:] + [len(maxima)])
+        ]
+        return _capped(totals, 2.0 * self.max_blockage_db)
 
-    @staticmethod
-    def _cluster(
-        obstructions: Sequence[Obstruction],
-        merge_distance_m: float = 0.5,
-    ) -> Iterable[Sequence[Obstruction]]:
-        """Group obstructions that overlap along the same leg."""
-        by_leg: dict = {}
-        for o in obstructions:
-            by_leg.setdefault(o.leg_index, []).append(o)
-        clusters = []
-        for leg_records in by_leg.values():
-            leg_records.sort(key=lambda o: o.along_leg_m)
-            group = [leg_records[0]]
-            for o in leg_records[1:]:
-                if o.along_leg_m - group[-1].along_leg_m <= merge_distance_m:
-                    group.append(o)
-                else:
-                    clusters.append(group)
-                    group = [o]
-            clusters.append(group)
-        return clusters
+    def _cut_losses_db(self, cuts: ObstructionTable) -> np.ndarray:
+        """Each cut's attenuation: diffraction around and absorption
+        through, combined incoherently, capped at ``max_blockage_db``."""
+        depth = cuts.depth
+        if not (np.isfinite(depth) & (depth >= 0.0)).all():
+            raise ValueError("obstruction depths must be finite and non-negative")
+        around = self.knife_edge_losses_db(
+            -cuts.clearance, cuts.along, cuts.leg_length - cuts.along
+        )
+        through = self.absorption_db_per_m * depth
+        # -db_sum_powers([-around, -through]): linear powers add, and a
+        # dark total is infinitely lossy.
+        total = exactmath.exp10(-around / 10.0) + exactmath.exp10(-through / 10.0)
+        combined = np.full_like(total, np.inf)
+        lit = ~(total <= 0.0)
+        combined[lit] = -(10.0 * exactmath.log10(total[lit]))
+        return _capped(combined, self.max_blockage_db)
+
+
+def _capped(values: np.ndarray, cap: float) -> np.ndarray:
+    """Elementwise ``min(cap, value)``, Python's choice included."""
+    return np.where(values < cap, values, cap)
 
 
 #: Shared default instance used throughout the library.

@@ -1,13 +1,14 @@
 """mmWave channel model: path loss, reflections, blockage, fading.
 
-The channel converts a geometric :class:`PropagationPath` into a path
-*gain* in dB (always negative) in two parts:
+The channel converts geometric propagation paths into path *gains* in
+dB (always negative) in two parts:
 
-* the **unshadowed gain** (:meth:`MmWaveChannel.unshadowed_gain_db`):
+* the **unshadowed gain** (:meth:`MmWaveChannel.unshadowed_gains_db`):
   free-space spreading loss over the traveled distance, atmospheric
   absorption, per-bounce reflection loss, wall penetration and
-  blockage attenuation from the path's obstruction records.  It is a
-  pure function of the path, the carrier and the blockage model, so
+  blockage attenuation from the obstruction table, one array formula
+  over a whole :class:`~repro.geometry.raytrace.PathSet`.  It is a
+  pure function of the paths, the carrier and the blockage model, so
   :class:`repro.sim.cache.SceneCache` keeps it per cached path set;
 * an optional log-normal **shadowing** term
   (:meth:`MmWaveChannel.shadowed_db`), drawn afresh on every query,
@@ -26,8 +27,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.geometry.raytrace import PropagationPath
+from repro.geometry.raytrace import PathSet, PropagationPath
 from repro.phy.blockage import BlockageModel
+from repro.utils import exactmath
 from repro.utils.rng import make_rng
 from repro.utils.units import MOVR_CARRIER_HZ, wavelength
 from repro.utils.validation import require_non_negative, require_positive
@@ -42,8 +44,12 @@ def free_space_path_loss_db(distance_m: float, carrier_hz: float) -> float:
     require_positive(carrier_hz, "carrier_hz")
     if distance_m <= 0.0:
         raise ValueError(f"distance must be positive, got {distance_m}")
-    lam = wavelength(carrier_hz)
-    return 20.0 * math.log10(4.0 * math.pi * distance_m / lam)
+    return float(_free_space_db(np.array([distance_m], dtype=float), carrier_hz)[0])
+
+
+def _free_space_db(distance_m: np.ndarray, carrier_hz: float) -> np.ndarray:
+    """:func:`free_space_path_loss_db` of every (positive) distance."""
+    return 20.0 * exactmath.log10(4.0 * math.pi * distance_m / wavelength(carrier_hz))
 
 
 def atmospheric_loss_db(distance_m: float, carrier_hz: float) -> float:
@@ -54,6 +60,11 @@ def atmospheric_loss_db(distance_m: float, carrier_hz: float) -> float:
     correct if configured for 802.11ad's 60 GHz band.
     """
     require_non_negative(distance_m, "distance_m")
+    return float(_atmospheric_db(np.array([distance_m], dtype=float), carrier_hz)[0])
+
+
+def _atmospheric_db(distance_m: np.ndarray, carrier_hz: float) -> np.ndarray:
+    """:func:`atmospheric_loss_db` of every distance."""
     ghz = carrier_hz / 1e9
     if ghz < 45.0:
         db_per_km = 0.1
@@ -96,23 +107,25 @@ class MmWaveChannel:
     def wavelength_m(self) -> float:
         return wavelength(self.carrier_hz)
 
-    def unshadowed_gain_db(self, path: PropagationPath) -> float:
-        """Deterministic channel gain (negative dB) along a path.
+    def unshadowed_gains_db(self, path_set: PathSet) -> np.ndarray:
+        """Deterministic channel gain (negative dB) along every path of
+        a set.
 
         Spreading loss over the *total* path length (each reflection
         leg adds distance — the reason NLOS paths are weak even off
         good reflectors), gaseous absorption, per-bounce reflection
         loss, wall penetration and blockage: everything but shadowing.
-        It depends only on the path, the carrier and the blockage
+        It depends only on the paths, the carrier and the blockage
         model, which is what lets a scene cache keep it per path set.
+        Each term is subtracted in that order, path by path.
         """
-        length = path.total_length_m
-        gain = -free_space_path_loss_db(length, self.carrier_hz)
-        gain -= atmospheric_loss_db(length, self.carrier_hz)
-        gain -= path.total_reflection_loss_db
-        gain -= path.total_penetration_loss_db
-        if path.obstructions:
-            gain -= self.blockage_model.path_blockage_db(path.obstructions)
+        length = path_set.length  # traced lengths are positive and finite
+        gain = -_free_space_db(length, self.carrier_hz)
+        gain -= _atmospheric_db(length, self.carrier_hz)
+        gain -= path_set.reflection_db
+        gain -= path_set.penetration_db
+        if len(path_set.cuts.path):
+            gain -= self.blockage_model.path_blockages_db(path_set.cuts, len(path_set))
         return gain
 
     def shadowed_db(self, unshadowed_db: np.ndarray) -> np.ndarray:
@@ -130,9 +143,7 @@ class MmWaveChannel:
 
     def path_gains_db(self, paths: Sequence[PropagationPath]) -> np.ndarray:
         """Channel gain (negative dB) per path, shadowing drawn in path order."""
-        return self.shadowed_db(
-            np.array([self.unshadowed_gain_db(p) for p in paths], dtype=float)
-        )
+        return self.shadowed_db(self.unshadowed_gains_db(PathSet.of(paths)))
 
     def path_gain_db(self, path: PropagationPath) -> float:
         """Channel gain (negative dB) along one path: the unshadowed

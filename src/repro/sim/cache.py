@@ -28,22 +28,30 @@ Caching contract
   length; the newest entry always stays), so motion traces with
   thousands of distinct poses cannot grow the cache without bound.
 
-Link columns
-------------
+Path sets and link columns
+--------------------------
+
+Every entry holds the :class:`~repro.geometry.raytrace.PathSet` its
+trace described the scene with, and the list of paths the query
+returns: views of the set whose points, walls and obstruction records
+are built only if a caller reads them (experiments, baselines,
+``repro.viz``, a measurement's dominant path).  Serving reads none.
 
 Every entry also carries its **link columns**
 (:meth:`SceneCache.link_columns`): one ``(3, P)`` array holding each
-path's departure azimuth, arrival azimuth and unshadowed channel gain
-(:meth:`repro.phy.channel.MmWaveChannel.unshadowed_gain_db`).  They are
-built on the entry's first link evaluation, read by every later one,
-and dropped with the entry on eviction or :meth:`SceneCache.invalidate`.
+path's departure azimuth, arrival azimuth and unshadowed channel gain,
+read from the set's arrays and computed by one array formula
+(:meth:`repro.phy.channel.MmWaveChannel.unshadowed_gains_db`).  They
+are built on the entry's first link evaluation, read by every later
+one, and dropped with the entry on eviction or
+:meth:`SceneCache.invalidate`.
 
-* Columns are found by path identity: a sequence holding, in order,
-  exactly the paths of a live entry reads that entry's columns (the
-  path set itself, or the one-path list behind a LOS hop).  Any other
-  sequence — a caller's candidate list, the ``[1:]`` slice
-  :meth:`SceneCache.reflection_paths` returns — gets columns computed
-  for the call and not retained.
+* Columns are found through the path set: a sequence holding, in
+  order, exactly the paths of a live entry reads that entry's columns
+  (the path list itself or a copy of it, or the one-path list behind
+  a LOS hop).  Any other sequence — a caller's candidate list, the
+  ``[1:]`` slice :meth:`SceneCache.reflection_paths` returns — gets
+  columns computed for the call and not retained.
 * Columns record the carrier and blockage model they were built with
   and are rebuilt when the channel asked differs, so editing the
   channel never returns stale gains.  Shadowing is never cached: it is
@@ -56,14 +64,13 @@ in :func:`repro.telemetry.metrics`), which experiment reports surface.
 
 from __future__ import annotations
 
-import operator
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import telemetry
-from repro.geometry.raytrace import PropagationPath, RayTracer
+from repro.geometry.raytrace import PathSet, PropagationPath, RayTracer, traced_set
 from repro.geometry.room import Occluder
 from repro.geometry.shapes import AxisAlignedBox, Circle
 from repro.geometry.vectors import Vec2
@@ -100,10 +107,12 @@ def occluder_signature(occluders: Iterable[Occluder]) -> Tuple:
 
 
 def link_columns(
-    paths: Sequence[PropagationPath], channel: MmWaveChannel
+    paths: Union[Sequence[PropagationPath], PathSet], channel: MmWaveChannel
 ) -> np.ndarray:
     """The ``(3, P)`` link columns of a path set: departure azimuths,
     arrival azimuths and unshadowed channel gains, one column per path.
+    ``paths`` is a :class:`PathSet` or any sequence of paths
+    (:meth:`PathSet.of`).
 
     >>> from repro.geometry.room import rectangular_room
     >>> tracer = RayTracer(rectangular_room(5.0, 5.0))
@@ -114,38 +123,29 @@ def link_columns(
     >>> float(columns[0, 0]), float(columns[1, 0])  # the LOS: north, back south
     (90.0, -90.0)
     """
-    columns = np.array(
-        [
-            [p.departure_angle_deg for p in paths],
-            [p.arrival_angle_deg for p in paths],
-            [channel.unshadowed_gain_db(p) for p in paths],
-        ],
-        dtype=float,
-    )
+    path_set = paths if isinstance(paths, PathSet) else PathSet.of(paths)
+    columns = np.empty((3, len(path_set)))
+    columns[0], columns[1] = path_set.departure, path_set.arrival
+    columns[2] = channel.unshadowed_gains_db(path_set)
     columns.flags.writeable = False
     return columns
 
 
 class _Entry:
-    """One cached path set and its lazily built link columns."""
+    """One cached scene: its path set, the path list queries return, and
+    the lazily built link columns."""
 
-    __slots__ = ("paths", "columns", "built_with")
+    __slots__ = ("paths", "path_set", "columns", "built_with")
 
     def __init__(self, paths: List[PropagationPath]) -> None:
         self.paths = paths
+        self.path_set: Optional[PathSet] = traced_set(paths)
         self.columns: Optional[np.ndarray] = None
         # (carrier_hz, blockage_model) the columns were built with.
         self.built_with: Optional[Tuple] = None
 
     def __len__(self) -> int:
         return len(self.paths)
-
-    def holds(self, paths: Sequence[PropagationPath]) -> bool:
-        """Are ``paths`` exactly this entry's paths, in order?"""
-        own = self.paths
-        return paths is own or (
-            len(paths) == len(own) and all(map(operator.is_, paths, own))
-        )
 
 
 class SceneCache:
@@ -160,10 +160,9 @@ class SceneCache:
         self.tracer = tracer
         # A LOS entry is a one-path list, so every entry's size is its len.
         self._entries: "OrderedDict[Tuple, _Entry]" = OrderedDict()
-        # Live entries by the identity of their first path (every trace
-        # starts with its LOS, and traces never share path objects), for
-        # the link columns.
-        self._by_first_path: Dict[int, _Entry] = {}
+        # Live entries by the identity of their path set (every trace
+        # builds its own), for the link columns.
+        self._by_set: Dict[int, _Entry] = {}
         self._paths = 0  # paths retained over all entries
 
     # -- bookkeeping -----------------------------------------------------
@@ -178,7 +177,7 @@ class SceneCache:
         (wall edits, material swaps on the traced room).
         """
         self._entries.clear()
-        self._by_first_path.clear()
+        self._by_set.clear()
         self._paths = 0
         telemetry.inc("scene.cache.invalidations")
 
@@ -196,12 +195,14 @@ class SceneCache:
         telemetry.inc("scene.tracer_calls")
         entry = _Entry(trace())
         self._entries[key] = entry
-        self._by_first_path[id(entry.paths[0])] = entry
+        if entry.path_set is not None:
+            self._by_set[id(entry.path_set)] = entry
         self._paths += len(entry)
         while self._paths > MAX_PATHS and len(self._entries) > 1:
             evicted = self._entries.popitem(last=False)[1]
             self._paths -= len(evicted)
-            del self._by_first_path[id(evicted.paths[0])]
+            if evicted.path_set is not None:
+                del self._by_set[id(evicted.path_set)]
         return entry.paths
 
     # -- link columns ----------------------------------------------------
@@ -215,12 +216,14 @@ class SceneCache:
         whose paths ``paths`` are; any other sequence gets columns
         computed for this call only (see the module docstring).
         """
-        entry = self._by_first_path.get(id(paths[0])) if paths else None
-        if entry is None or not entry.holds(paths):
+        entry = self._by_set.get(id(paths[0]._set)) if paths else None
+        if entry is None or not (
+            paths is entry.paths or traced_set(paths) is entry.path_set
+        ):
             return link_columns(paths, channel)
         built_with = (channel.carrier_hz, channel.blockage_model)
         if entry.built_with != built_with:
-            entry.columns = link_columns(paths, channel)
+            entry.columns = link_columns(entry.path_set, channel)
             entry.built_with = built_with
         return entry.columns
 

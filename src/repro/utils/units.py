@@ -68,9 +68,11 @@ def wrap_angle_deg(angle_deg: float) -> float:
 
     >>> wrap_angle_deg(270.0)
     -90.0
+    >>> wrap_angle_deg(math.nextafter(-180.0, -math.inf))  # remainder rounds to 360
+    -180.0
     """
     wrapped = (angle_deg + 180.0) % 360.0 - 180.0
-    return wrapped
+    return -180.0 if wrapped == 180.0 else wrapped
 
 
 def angle_difference_deg(a_deg: float, b_deg: float) -> float:
@@ -87,6 +89,8 @@ def angle_difference_deg_batch(a_deg, b_deg):
 
     Accepts any mix of scalars and arrays (NumPy broadcasting rules);
     uses the exact arithmetic of the scalar version, so results agree
-    bit-for-bit.
+    bit-for-bit, except at the rounding edge the scalar version maps
+    from 180 to -180 (a difference a hair below -180): the kernels this
+    feeds do not pay for that check.
     """
     return (np.asarray(a_deg, dtype=float) - b_deg + 180.0) % 360.0 - 180.0

@@ -3,14 +3,17 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.core.controller import LinkDecision, MoVRSystem, RelayMeasurement
 from repro.core.reflector import MoVRReflector
 from repro.geometry.bodies import hand_occluder, person_blocking_path
+from repro.geometry.raytrace import RayTracer
 from repro.geometry.room import standard_office
 from repro.geometry.vectors import Vec2, bearing_deg
-from repro.link.budget import LinkMeasurement
+from repro.link.budget import LinkBudget, LinkMeasurement
 from repro.link.radios import HEADSET_RADIO_CONFIG, Radio
 from repro.phy.antenna import PhasedArray, PhasedArrayConfig
 from repro.phy.channel import MmWaveChannel
@@ -457,3 +460,52 @@ class TestFeedGainMemo:
                 system.room, system.ap, system.reflectors, channel=system.channel
             )
             assert got == twin.relay_candidates(hs)
+
+
+room_coord = st.floats(min_value=0.2, max_value=4.8)
+room_points = st.builds(Vec2, room_coord, room_coord)
+
+
+class TestRelayBearingsComputedOnce:
+    """Relay evaluation reads each bearing where it was first computed:
+    the reflector's two bearings drive both the scan check and the
+    steering, the AP steers along the feed hop's departure column and
+    the headset along the out hop's arrival column.  Each reuse equals
+    the bearing it stands for, float for float."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ap=room_points, reflector=room_points, headset=room_points)
+    def test_hop_columns_are_the_bearings(self, ap, reflector, headset):
+        assume(min(ap.distance_to(reflector), reflector.distance_to(headset)) > 0.1)
+        budget = LinkBudget(RayTracer(standard_office()), MmWaveChannel())
+        feed = budget.cache.line_of_sight(ap, reflector, (), include_room_occluders=False)
+        out = budget.cache.line_of_sight(reflector, headset, (), include_room_occluders=False)
+        assert budget.hop_columns(feed)[0] == bearing_deg(ap, reflector)
+        assert budget.hop_columns(out)[1] == bearing_deg(headset, reflector)
+        unit = MoVRReflector(reflector, boresight_deg=bearing_deg(reflector, ap))
+        beams = unit.bearings_to(ap, headset)
+        assert beams == (bearing_deg(reflector, ap), bearing_deg(reflector, headset))
+        assert unit.can_steer(*beams) == (
+            unit.rx_array.can_steer_to(bearing_deg(reflector, ap))
+            and unit.tx_array.can_steer_to(bearing_deg(reflector, headset))
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(headset=room_points)
+    def test_candidates_equal_the_repointing_relay_links(self, headset):
+        """Ranking with the bearings computed once gives what aiming each
+        servable reflector with ``point_at`` and measuring it gives."""
+        system = _three_reflector_system()
+        assume(all(r.position.distance_to(headset) > 0.1 for r in system.reflectors))
+        radio = headset_at(headset.x, headset.y)
+        got = system.relay_candidates(radio)
+        twin = _three_reflector_system()
+        want = [
+            twin.relay_link(r, radio)
+            for r in twin.reflectors
+            if r.can_serve(twin.ap.position, radio.position)
+        ]
+        want.sort(key=lambda m: -m.end_to_end_snr_db)
+        assert got == want
+        for mine, theirs in zip(system.reflectors, twin.reflectors):
+            assert mine.state() == theirs.state()

@@ -14,7 +14,6 @@ from repro.geometry.raytrace import (
     RayTracer,
     _clamp,
     _cuts,
-    _hypot,
 )
 from repro.geometry.room import (
     CONCRETE,
@@ -28,6 +27,7 @@ from repro.geometry.room import (
 from repro.geometry.shapes import EPSILON, AxisAlignedBox, Circle, Segment
 from repro.geometry.vectors import Vec2, bearing_deg
 from repro.sim.cache import SceneCache
+from repro.utils.exactmath import hypot as _hypot
 
 interior = st.floats(min_value=0.5, max_value=4.5)
 interior_points = st.builds(Vec2, interior, interior)
@@ -471,7 +471,7 @@ class TestOccluderScreen:
         legs = stops - starts
         lengths = _hypot(legs[:, 0], legs[:, 1])
         with np.errstate(all="ignore"):
-            got = _cuts(starts, stops, legs, lengths, occluders)
+            got = list(zip(*(x.tolist() for x in _cuts(starts, stops, legs, lengths, occluders))))
             want = reference_cuts(starts, legs, lengths, occluders)
         assert got == want
 

@@ -1,28 +1,34 @@
 """Link columns: each cached path set's angles and unshadowed channel
 gains, built once and read by every later link evaluation.
 
-The property pins the arithmetic: reading the columns gives, path by
-path, exactly the power the per-path scalar channel gives, and draws
-shadowing in the same order from the same stream.
+The properties pin the arithmetic: the tracer's path-set arrays and the
+array formula over them equal, exactly, the scalar path-by-path
+reference below; reading the columns gives, path by path, exactly the
+power the one-path channel gives, and draws shadowing in the same order
+from the same stream.
 """
 
 import gc
+import math
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.geometry.raytrace import RayTracer
+from repro.experiments.apartment import build_apartment
+from repro.geometry.raytrace import PathSet, RayTracer
 from repro.geometry.room import standard_office
-from repro.geometry.shapes import Circle
+from repro.geometry.shapes import AxisAlignedBox, Circle
 from repro.geometry.vectors import Vec2
 from repro.link.budget import LinkBudget
 from repro.link.radios import Radio
 from repro.phy.blockage import BlockageModel
-from repro.phy.channel import MmWaveChannel
+from repro.phy.channel import MmWaveChannel, atmospheric_loss_db
 from repro.sim import cache as cache_module
+from repro.utils.db import db_sum_powers
+from repro.utils.units import wavelength
 
 TX = Vec2(0.5, 0.5)
 RX = Vec2(4.0, 3.5)
@@ -34,6 +40,134 @@ extras = st.lists(
     max_size=3,
 )
 steers = st.floats(min_value=-180.0, max_value=180.0)
+
+
+# -- the scalar reference: one path at a time, as the channel once was ----
+
+
+def scalar_obstruction_loss_db(model, o):
+    d1 = max(o.along_leg_m, 1e-3)
+    d2 = max(o.leg_length_m - o.along_leg_m, 1e-3)
+    lam = wavelength(model.carrier_hz)
+    v = -o.clearance_m * math.sqrt(2.0 * (d1 + d2) / (lam * d1 * d2))
+    around = 0.0
+    if v > -0.78:
+        around = 6.9 + 20.0 * math.log10(math.sqrt((v - 0.1) ** 2 + 1.0) + v - 0.1)
+    through = model.absorption_db_per_m * o.depth_m
+    return min(model.max_blockage_db, -db_sum_powers([-around, -through]))
+
+
+def scalar_path_blockage_db(model, obstructions):
+    by_leg = {}
+    for o in obstructions:
+        by_leg.setdefault(o.leg_index, []).append(o)
+    clusters = []
+    for records in by_leg.values():
+        records.sort(key=lambda o: o.along_leg_m)
+        clusters.append([records[0]])
+        for o in records[1:]:
+            if o.along_leg_m - clusters[-1][-1].along_leg_m <= 0.5:
+                clusters[-1].append(o)
+            else:
+                clusters.append([o])
+    total = sum(max(scalar_obstruction_loss_db(model, o) for o in c) for c in clusters)
+    return min(2.0 * model.max_blockage_db, total)
+
+
+def scalar_unshadowed_gain_db(channel, path):
+    length = path.total_length_m
+    lam = wavelength(channel.carrier_hz)
+    gain = -(20.0 * math.log10(4.0 * math.pi * length / lam))
+    gain -= atmospheric_loss_db(length, channel.carrier_hz)
+    gain -= path.total_reflection_loss_db
+    gain -= path.total_penetration_loss_db
+    if path.obstructions:
+        gain -= scalar_path_blockage_db(channel.blockage_model, path.obstructions)
+    return gain
+
+
+ROOMS = {
+    "bare": standard_office(furnished=False),
+    "furnished": standard_office(furnished=True),
+    "apartment": build_apartment(),
+}
+grid = st.integers(2, 18).map(lambda i: 0.25 * i)
+room_coords = st.floats(min_value=0.2, max_value=4.8)
+shapes = st.one_of(
+    st.builds(Circle, st.builds(Vec2, room_coords, room_coords), st.floats(0.05, 0.5)),
+    st.builds(
+        lambda corner, w, h: AxisAlignedBox(corner, corner + Vec2(w, h)),
+        st.builds(Vec2, room_coords, room_coords),
+        st.floats(0.05, 0.8),
+        st.floats(0.05, 0.8),
+    ),
+)
+
+
+@st.composite
+def scenes(draw):
+    """A room, endpoints and 0-6 extra circles and boxes.  Half the
+    scenes run the LOS along y = const with circles centred on it at
+    0.25 m steps: ties along the leg, gaps of exactly 0.5 m, and (under
+    a low cap) totals above ``2 * max_blockage_db``."""
+    room = draw(st.sampled_from(sorted(ROOMS)))
+    if draw(st.booleans()):
+        y = draw(grid)
+        tx, rx = Vec2(0.25, y), Vec2(4.75, y)
+        extras = [
+            Circle(Vec2(draw(grid), y), draw(st.sampled_from([0.05, 0.1, 0.2, 0.3])))
+            for _ in range(draw(st.integers(0, 6)))
+        ]
+    else:
+        # The apartment's bedroom lies past its partition, at x > 5.
+        xs = st.floats(0.2, 7.8) if room == "apartment" else room_coords
+        tx = Vec2(draw(xs), draw(room_coords))
+        rx = Vec2(draw(xs), draw(room_coords))
+        extras = draw(st.lists(shapes, max_size=6))
+    assume(tx.distance_to(rx) > 0.1)
+    return room, tx, rx, extras
+
+
+class TestPathSetMatchesScalarReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        scene=scenes(),
+        bounces=st.sampled_from([1, 2]),
+        cap_db=st.sampled_from([28.0, 6.0]),
+    )
+    def test_columns_equal_the_scalar_loop(self, scene, bounces, cap_db):
+        room, tx, rx, extras = scene
+        channel = MmWaveChannel(blockage_model=BlockageModel(max_blockage_db=cap_db))
+        tracer = RayTracer(ROOMS[room])
+        for paths in (
+            tracer.all_paths(tx, rx, bounces, extras),
+            [tracer.line_of_sight(tx, rx, extras)],
+        ):
+            path_set = PathSet.of(paths)
+            assert path_set is paths[0]._set
+            assert path_set.length.tolist() == [p.total_length_m for p in paths]
+            assert path_set.reflection_db.tolist() == [
+                p.total_reflection_loss_db for p in paths
+            ]
+            assert path_set.penetration_db.tolist() == [
+                p.total_penetration_loss_db for p in paths
+            ]
+            columns = cache_module.link_columns(paths, channel)
+            assert columns.tolist() == [
+                [p.departure_angle_deg for p in paths],
+                [p.arrival_angle_deg for p in paths],
+                [scalar_unshadowed_gain_db(channel, p) for p in paths],
+            ]
+            # The table is the path objects' records, path by path.
+            cuts = path_set.cuts
+            assert list(zip(cuts.path.tolist(), cuts.leg.tolist(), cuts.depth.tolist())) == [
+                (i, o.leg_index, o.depth_m) for i, p in enumerate(paths) for o in p.obstructions
+            ]
+            # A set gathered from the objects gives the same columns.
+            copies = [
+                type(p)(p.points, p.walls, p.obstructions, p.penetrated_walls) for p in paths
+            ]
+            assert cache_module.link_columns(copies, channel).tolist() == columns.tolist()
 
 
 def make_budget(furnished=False, sigma_db=0.0, seed=7):
@@ -111,15 +245,16 @@ class TestColumnsLiveWithTheirEntry:
         budget = make_budget(furnished=True)
         tx, rx = radios()
         computed = []
-        original = MmWaveChannel.unshadowed_gain_db
+        original = MmWaveChannel.unshadowed_gains_db
 
-        def counting(channel, path):
-            computed.append(path)
-            return original(channel, path)
+        def counting(channel, path_set):
+            computed.append(path_set)
+            return original(channel, path_set)
 
-        monkeypatch.setattr(MmWaveChannel, "unshadowed_gain_db", counting)
+        monkeypatch.setattr(MmWaveChannel, "unshadowed_gains_db", counting)
         first = budget.measure_aligned(tx, rx)
-        assert len(computed) == len(budget.cache.all_paths(TX, RX))
+        # One array evaluation, over the cached set.
+        assert computed == [budget.cache.all_paths(TX, RX)[0]._set]
         computed.clear()
         second = budget.measure_aligned(tx, rx)
         assert computed == []
@@ -134,7 +269,7 @@ class TestColumnsLiveWithTheirEntry:
             budget.channel.path_gain_db(hop),
         )
         assert budget.hop_columns(hop) == expected
-        monkeypatch.setattr(MmWaveChannel, "unshadowed_gain_db", None)
+        monkeypatch.setattr(MmWaveChannel, "unshadowed_gains_db", None)
         assert budget.hop_columns(hop) == expected
 
     def test_eviction_drops_columns(self, monkeypatch):

@@ -70,6 +70,11 @@ class TestAngles:
         wrapped = wrap_angle_deg(angle)
         assert -180.0 <= wrapped < 180.0
 
+    def test_wrap_never_rounds_up_to_180(self):
+        """Just below -180 the remainder rounds up to 360; the wrap
+        still lands in [-180, 180)."""
+        assert wrap_angle_deg(math.nextafter(-180.0, -math.inf)) == -180.0
+
     @given(st.floats(min_value=-720.0, max_value=720.0))
     def test_wrap_preserves_angle_modulo_360(self, angle):
         wrapped = wrap_angle_deg(angle)
