@@ -52,6 +52,59 @@ def test_bench_relay_candidates(benchmark):
     assert result == expected
 
 
+#: Six players of an arena, facing the room.
+PLAYERS = [(1.4, 1.1), (3.1, 1.2), (1.0, 2.9), (3.9, 3.1), (2.2, 3.9), (4.2, 2.0)]
+
+
+def _arena_scenes(offset_m=0.0):
+    """Each player's headset and the other players' bodies."""
+    headsets = [
+        Radio(Vec2(x + offset_m, y), boresight_deg=-135.0, config=HEADSET_RADIO_CONFIG)
+        for x, y in PLAYERS
+    ]
+    bodies = [PersonModel(h.position, heading_deg=-135.0).occluders() for h in headsets]
+    occluders = [
+        [occ for j, body in enumerate(bodies) if j != i for occ in body]
+        for i in range(len(headsets))
+    ]
+    return headsets, occluders
+
+
+def test_bench_direct_links(benchmark):
+    # Pass 1 of a tick: six headsets' direct links in one array pass.
+    # Every round moves the players 1 mm, so each round traces six new
+    # scenes and builds their link columns in one formula.
+    system = default_testbed(seed=2016, num_reflectors=3, shadowing_sigma_db=0.0).system
+    twin = default_testbed(seed=2016, num_reflectors=3, shadowing_sigma_db=0.0).system
+    headsets, occluders = _arena_scenes()
+    expected = [twin.direct_link(h, o) for h, o in zip(headsets, occluders)]
+    assert system.direct_links(headsets, occluders) == expected
+    cached = len(system.budget.cache)
+    step = itertools.count(1)
+
+    def new_scenes():
+        return _arena_scenes(0.001 * next(step)), {}
+
+    rounds = 20
+    result = benchmark.pedantic(system.direct_links, setup=new_scenes, rounds=rounds)
+    assert len(result) == len(PLAYERS)
+    assert len(system.budget.cache) == cached + len(PLAYERS) * rounds
+
+
+def test_bench_relay_candidates_many(benchmark):
+    # Pass 2 of a tick: four blocked headsets bid for three reflectors
+    # in one array pass, on cached scenes (the seated-player case).
+    system = default_testbed(seed=2016, num_reflectors=3, shadowing_sigma_db=0.0).system
+    twin = default_testbed(seed=2016, num_reflectors=3, shadowing_sigma_db=0.0).system
+    headsets, occluders = _arena_scenes()
+    headsets, occluders = headsets[:4], occluders[:4]
+    expected = [twin.relay_candidates(h, o) for h, o in zip(headsets, occluders)]
+    assert system.relay_candidates_many(headsets, occluders) == expected
+    result = benchmark(system.relay_candidates_many, headsets, occluders)
+    assert [len(bids) for bids in result] == [3, 3, 3, 3]
+    assert result == expected
+
+
 def test_bench_scene_miss(benchmark):
     # The serving miss: the AP measures a headset among six players'
     # bodies (12 circles) in the furnished office, and every round

@@ -24,11 +24,12 @@ from repro import telemetry
 from repro.telemetry.slo import SERVING_MODE_CODES
 from repro.core.gain_control import CurrentSensingGainController, GainControlResult
 from repro.core.reflector import MoVRReflector
-from repro.geometry.raytrace import RayTracer
+from repro.geometry.raytrace import PropagationPath, RayTracer
 from repro.geometry.room import Occluder, Room
 from repro.geometry.vectors import Vec2, bearing_deg
 from repro.link.budget import LinkBudget, LinkMeasurement
 from repro.link.radios import Radio
+from repro.phy.amplifier import loop_is_stable
 from repro.phy.channel import MmWaveChannel
 from repro.phy.noise import relay_path_snr_db
 from repro.rate.mcs import data_rate_mbps_for_snr
@@ -183,9 +184,20 @@ class MoVRSystem:
         headset_radio: Radio,
         extra_occluders: Sequence[Occluder] = (),
     ) -> LinkMeasurement:
-        """The direct AP <-> headset link, both beams on the LOS path."""
-        return self.budget.measure_aligned(
-            self.ap, headset_radio, extra_occluders=extra_occluders
+        """The direct AP <-> headset link, both beams on the LOS path:
+        the one-headset case of :meth:`direct_links`."""
+        return self.direct_links((headset_radio,), (extra_occluders,))[0]
+
+    def direct_links(
+        self,
+        headset_radios: Sequence[Radio],
+        occluder_lists: Sequence[Sequence[Occluder]],
+    ) -> List[LinkMeasurement]:
+        """Each headset's direct link among its own occluders, as one
+        array pass (:meth:`LinkBudget.measure_aligned_many`); the AP is
+        left steered at the last headset."""
+        return self.budget.measure_aligned_many(
+            self.ap, headset_radios, occluder_lists
         )
 
     def _headset_local_occluders(
@@ -206,33 +218,57 @@ class MoVRSystem:
                 local.append(occ)
         return local
 
+    def _feed_hop(
+        self, reflector: MoVRReflector, extra_occluders: Sequence[Occluder]
+    ) -> PropagationPath:
+        """The AP -> reflector hop.  With elevated mounting it clears
+        every occluder, furniture included."""
+        if self.elevated_mounting:
+            return self.budget.cache.line_of_sight(
+                self.ap.position,
+                reflector.position,
+                (),
+                include_room_occluders=False,
+            )
+        return self.budget.cache.line_of_sight(
+            self.ap.position, reflector.position, extra_occluders
+        )
+
     def _amp_input_dbm(
         self,
         reflector: MoVRReflector,
         extra_occluders: Sequence[Occluder],
     ) -> float:
         """Signal power at the reflector's amplifier input port."""
-        if self.elevated_mounting:
-            feed = self.budget.cache.line_of_sight(
-                self.ap.position,
-                reflector.position,
-                (),
-                include_room_occluders=False,
-            )
-        else:
-            feed = self.budget.cache.line_of_sight(
-                self.ap.position, reflector.position, extra_occluders
-            )
-        departure, arrival, feed_gain = self.budget.hop_columns(feed)
-        ap_gain, rx_gain = self._feed_antenna_gains(reflector, departure, arrival)
+        feed = self.budget.hop_columns(self._feed_hop(reflector, extra_occluders))
+        return self._amp_input_from(reflector, *feed, reflector.rx_array.steering_deg)
+
+    def _amp_input_from(
+        self,
+        reflector: MoVRReflector,
+        departure: float,
+        arrival: float,
+        feed_gain: float,
+        rx_steer: float,
+    ) -> float:
+        """Amplifier input power over a feed hop leaving the AP at
+        ``departure``, arriving at ``arrival`` with channel gain
+        ``feed_gain``, the receive beam steered at ``rx_steer``."""
+        ap_gain, rx_gain = self._feed_antenna_gains(
+            reflector, departure, arrival, rx_steer
+        )
         return self.ap.config.tx_power_dbm + ap_gain + feed_gain + rx_gain
 
     def _feed_antenna_gains(
-        self, reflector: MoVRReflector, departure: float, arrival: float
+        self,
+        reflector: MoVRReflector,
+        departure: float,
+        arrival: float,
+        rx_steer: float,
     ) -> Tuple[float, float]:
         """The AP's gain toward ``reflector`` and the reflector's receive
-        gain toward the AP, over the feed hop leaving at ``departure``
-        and arriving at ``arrival``.
+        gain toward the AP with its beam at ``rx_steer``, over the feed
+        hop leaving at ``departure`` and arriving at ``arrival``.
 
         The AP steers at the reflector: along ``departure``, which is
         the bearing from the AP to the reflector, float for float.
@@ -240,16 +276,16 @@ class MoVRSystem:
         Between ticks neither the hop nor the beams on it move, so the
         last pair is kept per reflector and returned again while every
         input is unchanged: the hop's angles, both arrays (by identity)
-        with their boresights, and the receive array's steering.  As
-        with :meth:`MoVRReflector.leakage_db`, an array's configuration
-        is assumed not to be replaced in place.
+        with their boresights, and the receive steering.  As with
+        :meth:`MoVRReflector.leakage_db`, an array's configuration is
+        assumed not to be replaced in place.
         """
         ap_array, rx_array = self.ap.array, reflector.rx_array
         state = (
             departure,
             arrival,
             ap_array.boresight_deg,
-            rx_array.steering_deg,
+            rx_steer,
             rx_array.boresight_deg,
         )
         memo = self._feed_memo.get(reflector)
@@ -262,7 +298,7 @@ class MoVRSystem:
             return memo[3]
         gains = (
             ap_array.gain_dbi(departure, steer_override_deg=departure),
-            rx_array.gain_dbi(arrival),
+            rx_array.gain_dbi(arrival, steer_override_deg=rx_steer),
         )
         self._feed_memo[reflector] = (ap_array, rx_array, state, gains)
         return gains
@@ -274,7 +310,8 @@ class MoVRSystem:
         extra_occluders: Sequence[Occluder] = (),
         repoint: bool = True,
     ) -> RelayMeasurement:
-        """Full amplify-and-forward budget through one reflector.
+        """Full amplify-and-forward budget through one reflector: the
+        one-pair case of :meth:`_relay_bids`.
 
         Steers the reflector's beams (RX at the AP, TX at the headset —
         the angles MoVR gets from calibration plus VR tracking), then
@@ -282,81 +319,170 @@ class MoVRSystem:
         SNR combination inherent to analog relays.  ``repoint=False``
         keeps the reflector's current beams (beam-sweep studies).
         """
-        if repoint:
-            reflector.point_at(self.ap.position, headset_radio.position)
-        amp_input = self._amp_input_dbm(reflector, extra_occluders)
-        first_hop_snr = amp_input - reflector.front_end_noise.noise_floor_dbm
-        amp_output = reflector.output_power_dbm(amp_input)
-        stable = reflector.is_stable()
-        if self.elevated_mounting:
-            out_path = self.budget.cache.line_of_sight(
-                reflector.position,
-                headset_radio.position,
-                self._headset_local_occluders(
-                    headset_radio.position, extra_occluders
-                ),
-                include_room_occluders=False,
-            )
-        else:
-            out_path = self.budget.cache.line_of_sight(
-                reflector.position, headset_radio.position, extra_occluders
-            )
-        departure, arrival, out_gain = self.budget.hop_columns(out_path)
-        tx_gain = reflector.tx_array.gain_dbi(departure)
-        # The headset steers back at the reflector: the out hop's
-        # arrival is that bearing, float for float.
-        hs_gain = headset_radio.array.gain_dbi(arrival, steer_override_deg=arrival)
-        received = (
-            amp_output
-            + tx_gain
-            + out_gain
-            + hs_gain
-            - self.ap.config.implementation_loss_db
+        beams = (
+            reflector.bearings_to(self.ap.position, headset_radio.position)
+            if repoint
+            else None
         )
-        second_hop_snr = received - headset_radio.config.noise_floor_dbm
-        if not stable:
-            end_to_end = -math.inf  # oscillating amplifier: garbage out
-        else:
-            end_to_end = relay_path_snr_db(first_hop_snr, second_hop_snr)
-        return RelayMeasurement(
-            reflector_name=reflector.name,
-            amp_input_dbm=amp_input,
-            amp_output_dbm=amp_output,
-            received_power_dbm=received,
-            first_hop_snr_db=first_hop_snr,
-            second_hop_snr_db=second_hop_snr,
-            end_to_end_snr_db=end_to_end,
-            stable=stable,
-        )
+        return self._relay_bids(
+            [(0, reflector, beams)], (headset_radio,), (extra_occluders,)
+        )[0]
 
     def relay_candidates(
         self,
         headset_radio: Radio,
         extra_occluders: Sequence[Occluder] = (),
     ) -> List[RelayMeasurement]:
-        """Every reflector that could serve the headset, best SNR first.
+        """Every reflector that could serve the headset, best SNR first:
+        the one-headset case of :meth:`relay_candidates_many`."""
+        return self.relay_candidates_many((headset_radio,), (extra_occluders,))[0]
+
+    def relay_candidates_many(
+        self,
+        headset_radios: Sequence[Radio],
+        occluder_lists: Sequence[Sequence[Occluder]],
+    ) -> List[List[RelayMeasurement]]:
+        """Per headset, every reflector that could serve it among its own
+        occluders, best SNR first, as one array pass.
 
         Reflectors whose control plane is down are not candidates: the
         AP cannot steer them, so handing off to one would serve the
         headset with stale beams.  They rejoin automatically when
         :meth:`mark_control_recovered` is called.  Reflectors that
         cannot steer at both the AP and the headset are skipped too; the
-        others are aimed at both along the bearings that check computed.
-        Equal SNRs keep reflector order (the sort is stable).
+        others are aimed at both along the bearings that check computed,
+        headset by headset, so each is left aimed at the last headset it
+        was evaluated for.  Equal SNRs keep reflector order (the sort is
+        stable).
         """
-        ap, headset = self.ap.position, headset_radio.position
-        candidates = []
-        for reflector in self.reflectors:
-            if reflector.name in self._control_down:
-                continue
-            beams = reflector.bearings_to(ap, headset)
-            if reflector.can_steer(*beams):
-                reflector.set_beams(*beams)
-                candidates.append(
-                    self.relay_link(reflector, headset_radio, extra_occluders, repoint=False)
-                )
-        candidates.sort(key=lambda m: -m.end_to_end_snr_db)
+        ap = self.ap.position
+        pairs = []
+        for user, radio in enumerate(headset_radios):
+            for reflector in self.reflectors:
+                if reflector.name in self._control_down:
+                    continue
+                beams = reflector.bearings_to(ap, radio.position)
+                if reflector.can_steer(*beams):
+                    pairs.append((user, reflector, beams))
+        candidates: List[List[RelayMeasurement]] = [[] for _ in headset_radios]
+        bids = self._relay_bids(pairs, headset_radios, occluder_lists)
+        for (user, _, _), bid in zip(pairs, bids):
+            candidates[user].append(bid)
+        for bids_of_user in candidates:
+            bids_of_user.sort(key=lambda m: -m.end_to_end_snr_db)
         return candidates
+
+    def _relay_bids(
+        self,
+        pairs: Sequence[Tuple[int, MoVRReflector, Optional[Tuple[float, float]]]],
+        headset_radios: Sequence[Radio],
+        occluder_lists: Sequence[Sequence[Occluder]],
+    ) -> List[RelayMeasurement]:
+        """The relay budget of each (headset index, reflector, beams)
+        pair, in pair order.
+
+        Each pair in turn sets the reflector's beams (``None`` keeps
+        them) and looks up its feed hop, then its out hop; the new hop
+        columns come from one array formula and the shadowing from one
+        draw per hop, in that order.  Per reflector, one transmit-array
+        kernel call covers its headsets at the steerings they got, and
+        one pair of leakage pattern calls its beam states
+        (:meth:`MoVRReflector.leakages_db`).  Each pair then finishes
+        with the headset's gain toward its reflector and the scalar
+        amplifier, stability and two-hop SNR formulas.  (A headset's
+        reflectors mostly arrive on different panels, each its own
+        kernel call, so one call per headset would save few calls and
+        cost more NumPy work than it saves.)
+        """
+        if not pairs:
+            return []
+        cache = self.budget.cache
+        local: Dict[int, Sequence[Occluder]] = {}
+        hops, steerings = [], []
+        by_reflector: Dict[MoVRReflector, List[int]] = {}
+        for k, (user, reflector, beams) in enumerate(pairs):
+            if beams is not None:
+                reflector.set_beams(*beams)
+            steerings.append((reflector.rx_azimuth_deg, reflector.tx_azimuth_deg))
+            hops.append(self._feed_hop(reflector, occluder_lists[user]))
+            headset = headset_radios[user].position
+            if not self.elevated_mounting:
+                out = cache.line_of_sight(
+                    reflector.position, headset, occluder_lists[user]
+                )
+            else:
+                # Only the occluders near the headset cut the descending
+                # hop; they depend on the headset alone.
+                if user not in local:
+                    local[user] = self._headset_local_occluders(
+                        headset, occluder_lists[user]
+                    )
+                out = cache.line_of_sight(
+                    reflector.position,
+                    headset,
+                    local[user],
+                    include_room_occluders=False,
+                )
+            hops.append(out)
+            by_reflector.setdefault(reflector, []).append(k)
+        departures, arrivals, hop_gains = self.budget.hop_columns_many(hops)
+        # Feed hops are the even entries, out hops the odd ones.
+        out_departures, out_arrivals = departures[1::2], arrivals[1::2]
+
+        tx_gains = [0.0] * len(pairs)
+        leakages = [0.0] * len(pairs)
+        for reflector, ks in by_reflector.items():
+            gains = reflector.tx_array.gain_dbi_batch(
+                [out_departures[k] for k in ks], [steerings[k][1] for k in ks]
+            ).tolist()
+            leaks = reflector.leakages_db([steerings[k] for k in ks])
+            for k, gain, leak in zip(ks, gains, leaks):
+                tx_gains[k], leakages[k] = gain, leak
+
+        bids = []
+        implementation_loss = self.ap.config.implementation_loss_db
+        for k, (user, reflector, _) in enumerate(pairs):
+            amp_input = self._amp_input_from(
+                reflector,
+                departures[2 * k],
+                arrivals[2 * k],
+                hop_gains[2 * k],
+                steerings[k][0],
+            )
+            # The headset steers back at the reflector: the out hop's
+            # arrival is that bearing, float for float.
+            arrival = out_arrivals[k]
+            hs_gain = headset_radios[user].array.gain_dbi(
+                arrival, steer_override_deg=arrival
+            )
+            first_hop_snr = amp_input - reflector.front_end_noise.noise_floor_dbm
+            amp_output = reflector.output_power_at_dbm(amp_input, leakages[k])
+            stable = loop_is_stable(reflector.amplifier.gain_db, leakages[k])
+            received = (
+                amp_output
+                + tx_gains[k]
+                + hop_gains[2 * k + 1]
+                + hs_gain
+                - implementation_loss
+            )
+            second_hop_snr = received - headset_radios[user].config.noise_floor_dbm
+            if not stable:
+                end_to_end = -math.inf  # oscillating amplifier: garbage out
+            else:
+                end_to_end = relay_path_snr_db(first_hop_snr, second_hop_snr)
+            bids.append(
+                RelayMeasurement(
+                    reflector_name=reflector.name,
+                    amp_input_dbm=amp_input,
+                    amp_output_dbm=amp_output,
+                    received_power_dbm=received,
+                    first_hop_snr_db=first_hop_snr,
+                    second_hop_snr_db=second_hop_snr,
+                    end_to_end_snr_db=end_to_end,
+                    stable=stable,
+                )
+            )
+        return bids
 
     def best_relay(
         self,

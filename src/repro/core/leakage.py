@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import List, Sequence
 
 import numpy as np
 
@@ -74,13 +75,28 @@ class ReflectorLeakageModel:
         self._batch_memo: dict = {}
 
     def leakage_db(self, tx_angle_deg: float, rx_angle_deg: float) -> float:
-        """Coupling gain (negative dB) for a beam-angle pair.
+        """Coupling gain (negative dB) for a beam-angle pair: the
+        one-pair case of :meth:`leakage_db_pairs`.
 
         ``tx_angle_deg`` / ``rx_angle_deg`` use the prototype
         convention (90 = broadside, range 40-140).
         """
-        require_in_range(tx_angle_deg, MIN_ANGLE_DEG, MAX_ANGLE_DEG, "tx_angle_deg")
-        require_in_range(rx_angle_deg, MIN_ANGLE_DEG, MAX_ANGLE_DEG, "rx_angle_deg")
+        return self.leakage_db_pairs((tx_angle_deg,), (rx_angle_deg,))[0]
+
+    def leakage_db_pairs(
+        self, tx_angles_deg: Sequence[float], rx_angles_deg: Sequence[float]
+    ) -> List[float]:
+        """Coupling gain (negative dB) of each (TX, RX) prototype-angle
+        pair, ``tx_angles_deg[i]`` with ``rx_angles_deg[i]``.
+
+        The two array patterns are one kernel call each over all pairs;
+        the rest is scalar per pair (``math.cos`` and the list form of
+        :func:`db_sum_powers`), so each value is exactly the one-pair
+        formula's.
+        """
+        for tx, rx in zip(tx_angles_deg, rx_angles_deg):
+            require_in_range(tx, MIN_ANGLE_DEG, MAX_ANGLE_DEG, "tx_angle_deg")
+            require_in_range(rx, MIN_ANGLE_DEG, MAX_ANGLE_DEG, "rx_angle_deg")
         # Over-the-air: pure endfire is shadowed by the arrays' ground
         # plane, so coupling rides over the board edge at a grazing
         # direction just in front of the board — where the steered
@@ -92,22 +108,31 @@ class ReflectorLeakageModel:
         # nulls bottom out at the board isolation floor, the range of
         # Fig. 7.
         graze = self.grazing_angle_deg
-        tx_rel = self._tx_array.relative_pattern_db(graze, steer_deg=tx_angle_deg)
-        rx_rel = self._rx_array.relative_pattern_db(180.0 - graze, steer_deg=rx_angle_deg)
-        over_air = -self.edge_diffraction_loss_db + tx_rel + rx_rel
-        # Nearby-scatterer bounce: strongest when both beams point the
-        # same way (the scatterer illuminated by TX is in RX's beam).
-        convergence = math.cos(math.radians(tx_angle_deg - rx_angle_deg))
-        scatter = -self.scatterer_coupling_db + 4.0 * convergence
+        tx_rel = self._tx_array.relative_pattern_db_batch(graze, tx_angles_deg)
+        rx_rel = self._rx_array.relative_pattern_db_batch(180.0 - graze, rx_angles_deg)
         board = -self.board_isolation_db
-        return db_sum_powers([over_air, scatter, board])
+        values = []
+        patterns = zip(tx_rel.tolist(), rx_rel.tolist())
+        for tx, rx, (tx_db, rx_db) in zip(tx_angles_deg, rx_angles_deg, patterns):
+            over_air = -self.edge_diffraction_loss_db + tx_db + rx_db
+            # Nearby-scatterer bounce: strongest when both beams point
+            # the same way (the scatterer illuminated by TX is in RX's
+            # beam).
+            convergence = math.cos(math.radians(tx - rx))
+            scatter = -self.scatterer_coupling_db + 4.0 * convergence
+            values.append(db_sum_powers([over_air, scatter, board]))
+        return values
 
     def leakage_db_batch(self, tx_angle_deg, rx_angle_deg) -> np.ndarray:
-        """Vectorized :meth:`leakage_db` over broadcast angle grids.
+        """:meth:`leakage_db` over broadcast angle grids: the sweep form.
 
         Same three coupling mechanisms, computed for every angle pair
         in one shot — the kernel behind the batched angle search,
         where leakage sets the closed-loop gain at each trial beam.
+        It is not bit-identical to :meth:`leakage_db`: NumPy's
+        ``cos``, ``power`` and ``log10`` differ from :mod:`math` in the
+        last bit for some pairs.  :meth:`leakage_db_pairs` is the exact
+        form over many pairs.
         """
         tx = np.asarray(tx_angle_deg, dtype=float)
         rx = np.asarray(rx_angle_deg, dtype=float)

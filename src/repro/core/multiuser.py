@@ -155,29 +155,28 @@ class MultiUserSystem:
             _others_bodies(i, bodies, extra_occluders) for i in range(self.num_users)
         ]
 
-        # Pass 1: direct links; users clearing the handoff threshold
-        # keep the AP and never enter the arbitration.
+        # Pass 1: every direct link in one array pass; users clearing
+        # the handoff threshold keep the AP and never enter the
+        # arbitration.
         decisions: List[Optional[LinkDecision]] = [None] * self.num_users
         blocked: List[int] = []
-        directs: List[float] = []
-        for i, radio in enumerate(radios):
-            direct = system.direct_link(radio, occluders[i]).snr_db
-            directs.append(direct)
+        directs = [link.snr_db for link in system.direct_links(radios, occluders)]
+        for i, direct in enumerate(directs):
             if direct >= system.handoff_snr_db:
                 decisions[i] = LinkDecision.serving("los", direct, direct, user=i)
             else:
                 blocked.append(i)
 
-        # Pass 2: every blocked user's candidate reflectors, best first
-        # (only candidates that actually improve on the blocked direct
-        # path are worth bidding for).
-        bids: Dict[int, List[RelayMeasurement]] = {}
-        for i in blocked:
-            bids[i] = [
-                c
-                for c in system.relay_candidates(radios[i], occluders[i])
-                if c.end_to_end_snr_db > directs[i]
-            ]
+        # Pass 2: every blocked user's candidate reflectors, best first,
+        # in one array pass (only candidates that actually improve on
+        # the blocked direct path are worth bidding for).
+        candidates = system.relay_candidates_many(
+            [radios[i] for i in blocked], [occluders[i] for i in blocked]
+        )
+        bids: Dict[int, List[RelayMeasurement]] = {
+            i: [c for c in ranked if c.end_to_end_snr_db > directs[i]]
+            for i, ranked in zip(blocked, candidates)
+        }
 
         # Pass 3: arbitration, best-bid-first (ties toward the lower
         # user index, deterministically).  Each bidder takes their best

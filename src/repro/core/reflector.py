@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -193,6 +193,37 @@ class MoVRReflector:
         self._leakage_memo = (tx, rx, model, value)
         return value
 
+    def leakages_db(self, steerings: Sequence[Tuple[float, float]]) -> List[float]:
+        """:meth:`leakage_db` at each (receive, transmit) beam azimuth
+        pair in turn, as if the beams were set to each.
+
+        The memo answers a pair whose prototype angles equal the ones
+        before it; the model evaluates the rest in one call
+        (:meth:`ReflectorLeakageModel.leakage_db_pairs`), and the memo
+        is left on the last pair.  The beams themselves are not moved.
+        """
+        model = self.leakage_model
+        memo = self._leakage_memo
+        values, last = {}, None
+        if memo is not None and memo[2] is model:
+            last = (memo[0], memo[1])
+            values[last] = memo[3]
+        angles, missed = [], []
+        for rx_azimuth, tx_azimuth in steerings:
+            pair = (
+                self.azimuth_to_prototype(tx_azimuth),
+                self.azimuth_to_prototype(rx_azimuth),
+            )
+            if pair != last:
+                missed.append(pair)
+                last = pair
+            angles.append(pair)
+        if missed:
+            values.update(zip(missed, model.leakage_db_pairs(*zip(*missed))))
+        if angles:
+            self._leakage_memo = (*angles[-1], model, values[angles[-1]])
+        return [values[pair] for pair in angles]
+
     def is_stable(self) -> bool:
         """Is the feedback loop stable at the current gain and beams?"""
         return loop_is_stable(self.amplifier.gain_db, self.leakage_db())
@@ -203,14 +234,23 @@ class MoVRReflector:
         ``None`` when the loop is unstable (the amplifier would emit
         garbage, not an amplified copy of the input).
         """
-        leak = self.leakage_db()
+        return self._effective_gain_at(self.leakage_db())
+
+    def _effective_gain_at(self, leakage_db: float) -> Optional[float]:
+        """:meth:`effective_gain_db` with ``leakage_db`` of coupling."""
         gain = self.amplifier.gain_db
-        if not loop_is_stable(gain, leak):
+        if not loop_is_stable(gain, leakage_db):
             return None
-        return closed_loop_gain_db(gain, leak)
+        return closed_loop_gain_db(gain, leakage_db)
 
     def output_power_dbm(self, input_power_dbm: float) -> float:
-        """Amplifier output power for a given power at the RX array port.
+        """Amplifier output power for a given power at the RX array port,
+        at the current beams' leakage (:meth:`output_power_at_dbm`)."""
+        return self.output_power_at_dbm(input_power_dbm, self.leakage_db())
+
+    def output_power_at_dbm(self, input_power_dbm: float, leakage_db: float) -> float:
+        """Amplifier output power for a given power at the RX array port
+        with ``leakage_db`` of TX->RX coupling.
 
         Includes closed-loop peaking of both the signal and the
         amplifier's own front-end noise (near instability the
@@ -218,7 +258,7 @@ class MoVRReflector:
         compression — the current signature the gain controller
         detects), soft-capped at the amplifier's saturation power.
         """
-        effective = self.effective_gain_db()
+        effective = self._effective_gain_at(leakage_db)
         if effective is None:
             # Self-oscillation: output pinned at saturation.
             return self.amplifier.spec.psat_dbm

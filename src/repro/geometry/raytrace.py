@@ -313,6 +313,31 @@ class PathSet:
             [o.occluder for _, o in records],
         )
 
+    @classmethod
+    def concat(cls, sets: Sequence["PathSet"]) -> "PathSet":
+        """One set holding the paths of ``sets`` in order: each set's
+        obstruction rows follow its own, renumbered to the joined paths
+        and occluders.  The joined set keeps only the arrays; a single
+        set comes back as it is."""
+        if len(sets) == 1:
+            return sets[0]
+        path_offsets = np.cumsum([0] + [len(s) for s in sets[:-1]])
+        occluder_offsets = np.cumsum([0] + [len(s.occluders) for s in sets[:-1]])
+        cuts = ObstructionTable(
+            np.concatenate([s.cuts.path + k for s, k in zip(sets, path_offsets)]),
+            np.concatenate([s.cuts.leg for s in sets]),
+            np.concatenate(
+                [s.cuts.occluder + k for s, k in zip(sets, occluder_offsets)]
+            ),
+            *(np.concatenate([s.cuts[c] for s in sets]) for c in range(3, 7)),
+        )
+        columns = ("length", "departure", "arrival", "reflection_db", "penetration_db")
+        return cls(
+            *(np.concatenate([getattr(s, name) for s in sets]) for name in columns),
+            cuts,
+            [o for s in sets for o in s.occluders],
+        )
+
     # -- the objects of one path, built when a view reads them -----------
 
     def points_of(self, index: int) -> Tuple[Vec2, ...]:

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import math
 import time
+from itertools import accumulate
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from repro.link.radios import Radio
 from repro.phy.channel import MmWaveChannel
 from repro import telemetry
 from repro.sim.cache import SceneCache
-from repro.utils.db import db_sum_powers
+from repro.utils.db import db_sum_powers, linear_to_db
 
 
 @dataclass(frozen=True)
@@ -136,15 +137,26 @@ class LinkBudget:
 
     def hop_columns(self, hop: PropagationPath) -> Tuple[float, float, float]:
         """Departure azimuth, arrival azimuth and channel gain (dB) of
-        one traced hop, read from its cached link columns.
+        one traced hop: the one-hop case of :meth:`hop_columns_many`."""
+        departures, arrivals, gains = self.hop_columns_many((hop,))
+        return departures[0], arrivals[0], gains[0]
 
-        ``hop`` is what :meth:`SceneCache.line_of_sight` returned, so a
-        relay hop re-read from the cache costs one shadowing draw.  The
-        gain is what :meth:`MmWaveChannel.path_gain_db` would give.
+    def hop_columns_many(
+        self, hops: Sequence[PropagationPath]
+    ) -> Tuple[List[float], List[float], List[float]]:
+        """Departure azimuths, arrival azimuths and channel gains (dB) of
+        traced hops, read from their cached link columns.
+
+        Each hop is what :meth:`SceneCache.line_of_sight` returned, so a
+        hop re-read from the cache costs one shadowing draw; the hops
+        whose entries lack columns get them from one array formula.
+        Shadowing is one draw per hop, in hop order.  A gain is what
+        :meth:`MmWaveChannel.path_gain_db` would give.
         """
-        columns = self.cache.link_columns((hop,), self.channel)
-        departure, arrival = columns[:2, 0].tolist()
-        return departure, arrival, float(self.channel.shadowed_db(columns[2])[0])
+        columns = self.cache.link_columns_many([(hop,) for hop in hops], self.channel)
+        joined = np.concatenate(columns, axis=1)
+        departures, arrivals = joined[:2].tolist()
+        return departures, arrivals, self.channel.shadowed_db(joined[2]).tolist()
 
     def sweep(
         self,
@@ -278,22 +290,75 @@ class LinkBudget:
         rx: Radio,
         extra_occluders: Sequence[Occluder] = (),
     ) -> LinkMeasurement:
-        """Measure with both beams steered onto the LOS path.
+        """Measure with both beams steered onto the LOS path: the
+        one-receiver case of :meth:`measure_aligned_many`."""
+        return self.measure_aligned_many(tx, (rx,), (extra_occluders,))[0]
 
-        One scene lookup serves both: the LOS that steers the beams is
-        the first path of the set the measurement sums, and its angles
-        are the set's first link columns.  Steering passes through each
-        radio's array (scan-range clipping and phase quantization
-        included), so an unreachable path shows up as low gain rather
-        than an idealized number.
+    def measure_aligned_many(
+        self,
+        tx: Radio,
+        rxs: Sequence[Radio],
+        occluder_lists: Sequence[Sequence[Occluder]],
+    ) -> List[LinkMeasurement]:
+        """:meth:`measure_aligned` from one transmitter to each receiver,
+        ``rxs[i]`` among ``occluder_lists[i]``, as one array pass.
+
+        One scene lookup per receiver, in order, serves both the
+        steering and the sum: the LOS that steers the beams is the first
+        path of the set, and its angles are the set's first link
+        columns.  Entries lacking columns get them from one array
+        formula.  ``tx`` and then each receiver steer onto their LOS in
+        receiver order (scan-range clipping and phase quantization
+        included, so an unreachable path shows up as low gain), which
+        leaves ``tx`` steered at the last receiver.  The transmit side
+        is one antenna-kernel call over every receiver's paths, the
+        receive side one per receiver, and shadowing one draw per path
+        in receiver and path order.
         """
-        paths = self.cache.all_paths(
-            tx.position, rx.position, extra_occluders=extra_occluders
-        )
-        departure, arrival = self.cache.link_columns(paths, self.channel)[:2, 0].tolist()
-        return self.measure_with_paths(
-            tx, rx, paths, tx.steer_to(departure), rx.steer_to(arrival)
-        )
+        if not rxs:
+            return []
+        cache = self.cache
+        path_lists = [
+            cache.all_paths(tx.position, rx.position, extra_occluders=occluders)
+            for rx, occluders in zip(rxs, occluder_lists)
+        ]
+        columns = cache.link_columns_many(path_lists, self.channel)
+        tx_steers, rx_steers = [], []
+        for rx, block in zip(rxs, columns):
+            departure, arrival = block[:2, 0].tolist()
+            tx_steers.append(tx.steer_to(departure))
+            rx_steers.append(rx.steer_to(arrival))
+        counts = [len(paths) for paths in path_lists]
+        joined = np.concatenate(columns, axis=1)
+        tx_gain = tx.array.gain_dbi_batch(joined[0], np.array(tx_steers).repeat(counts))
+        const = tx.config.tx_power_dbm - tx.config.implementation_loss_db
+        # Per path: const + channel + tx gain + rx gain, in that order.
+        powers = const + self.channel.shadowed_db(joined[2]) + tx_gain
+        bounds = [0, *accumulate(counts)]
+        spans = list(zip(bounds, bounds[1:]))
+        for rx, rx_steer, (start, stop) in zip(rxs, rx_steers, spans):
+            arrivals = joined[1, start:stop]
+            powers[start:stop] += rx.array.gain_dbi_batch(arrivals, rx_steer)
+        # db_sum_powers per receiver: each slice sums as its own array.
+        linear = np.power(10.0, powers / 10.0)
+        totals = linear_to_db(np.array([linear[a:b].sum() for a, b in spans])).tolist()
+        measurements = []
+        for i, rx in enumerate(rxs):
+            tx_steer, rx_steer, total_dbm = tx_steers[i], rx_steers[i], totals[i]
+            if total_dbm == -math.inf:
+                measurements.append(LinkMeasurement.outage(tx_steer, rx_steer))
+                continue
+            start, stop = spans[i]
+            measurements.append(
+                LinkMeasurement(
+                    received_power_dbm=total_dbm,
+                    snr_db=total_dbm - rx.config.noise_floor_dbm,
+                    dominant_path=path_lists[i][int(powers[start:stop].argmax())],
+                    tx_steer_deg=tx_steer,
+                    rx_steer_deg=rx_steer,
+                )
+            )
+        return measurements
 
     def best_alignment(
         self,

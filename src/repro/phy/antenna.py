@@ -185,9 +185,10 @@ class PhasedArray:
         target, or both at once.  It shares its kernel with the scalar
         :meth:`gain_dbi`, so the two agree exactly.
         """
+        ndim, toward_deg, steer_deg = _one_pair(toward_deg, steer_deg)
         theta = angle_difference_deg_batch(toward_deg, self.boresight_deg)
         steer = angle_difference_deg_batch(steer_deg, self.boresight_deg)
-        return self._gain_dbi(theta, steer)
+        return _shaped(self._gain_dbi(theta, steer), ndim)
 
     def _pattern_db(self, theta_deg, steer_deg) -> Tuple[np.ndarray, np.ndarray]:
         """Array factor and element pattern (dB) over broadcast angle grids.
@@ -252,11 +253,12 @@ class PhasedArray:
         floor_db: float = -40.0,
     ) -> np.ndarray:
         """Vectorized :meth:`relative_pattern_db` over broadcast grids."""
+        ndim, toward_deg, steer_deg = _one_pair(toward_deg, steer_deg)
         af_db, element_db = self._pattern_db(
             angle_difference_deg_batch(toward_deg, self.boresight_deg),
             angle_difference_deg_batch(steer_deg, self.boresight_deg),
         )
-        return np.maximum(floor_db, af_db + element_db)
+        return _shaped(np.maximum(floor_db, af_db + element_db), ndim)
 
     def backlobe_level_dbi(self) -> float:
         """Gain floor behind/beside the array.
@@ -276,6 +278,27 @@ class PhasedArray:
         azimuths = np.arange(-180.0, 180.0, resolution_deg) + self.boresight_deg
         gains = self.gain_dbi_batch(azimuths, steer_deg)
         return np.stack([azimuths, gains], axis=1)
+
+
+def _one_pair(toward_deg, steer_deg):
+    """``(ndim, toward, steer)``: one angle pair comes back as two
+    floats with the broadcast rank of the inputs, anything else as
+    arrays with rank 0.
+
+    Arithmetic on scalars gives the values NumPy gives on arrays, about
+    twice as fast as on one-element arrays.
+    """
+    toward = np.asarray(toward_deg, dtype=float)
+    steer = np.asarray(steer_deg, dtype=float)
+    if toward.size == 1 and steer.size == 1:
+        return max(toward.ndim, steer.ndim), toward.item(), steer.item()
+    return 0, toward, steer
+
+
+def _shaped(values, ndim: int):
+    """``values`` as an array of ``ndim`` axes of length one, unless
+    ``ndim`` is 0."""
+    return np.array(values, ndmin=ndim) if ndim else values
 
 
 class MultiPanelArray:

@@ -46,6 +46,13 @@ are built on the entry's first link evaluation, read by every later
 one, and dropped with the entry on eviction or
 :meth:`SceneCache.invalidate`.
 
+* :meth:`SceneCache.link_columns_many` reads the columns of many path
+  sequences at once: the live entries among them that lack columns get
+  them from one array formula over their joined sets
+  (:meth:`~repro.geometry.raytrace.PathSet.concat`), each keeping its
+  own slice, so a tick's new scenes (every headset's direct link, every
+  relay hop) cost one formula, not one each.
+  :meth:`SceneCache.link_columns` is its one-sequence case.
 * Columns are found through the path set: a sequence holding, in
   order, exactly the paths of a live entry reads that entry's columns
   (the path list itself or a copy of it, or the one-path list behind
@@ -124,9 +131,13 @@ def link_columns(
     (90.0, -90.0)
     """
     path_set = paths if isinstance(paths, PathSet) else PathSet.of(paths)
+    return _columns(path_set, channel.unshadowed_gains_db(path_set))
+
+
+def _columns(path_set: PathSet, gains: np.ndarray) -> np.ndarray:
+    """A set's read-only link columns, its unshadowed ``gains`` given."""
     columns = np.empty((3, len(path_set)))
-    columns[0], columns[1] = path_set.departure, path_set.arrival
-    columns[2] = channel.unshadowed_gains_db(path_set)
+    columns[0], columns[1], columns[2] = path_set.departure, path_set.arrival, gains
     columns.flags.writeable = False
     return columns
 
@@ -216,16 +227,45 @@ class SceneCache:
         whose paths ``paths`` are; any other sequence gets columns
         computed for this call only (see the module docstring).
         """
-        entry = self._by_set.get(id(paths[0]._set)) if paths else None
-        if entry is None or not (
-            paths is entry.paths or traced_set(paths) is entry.path_set
-        ):
-            return link_columns(paths, channel)
+        return self.link_columns_many((paths,), channel)[0]
+
+    def link_columns_many(
+        self, path_lists: Sequence[Sequence[PropagationPath]], channel: MmWaveChannel
+    ) -> List[np.ndarray]:
+        """:meth:`link_columns` of each sequence in ``path_lists``.
+
+        The live entries among them that lack columns under ``channel``
+        get them from one array formula over their joined sets
+        (:meth:`PathSet.concat`), each keeping its own slice; an entry
+        listed twice is built once.
+        """
         built_with = (channel.carrier_hz, channel.blockage_model)
-        if entry.built_with != built_with:
-            entry.columns = link_columns(entry.path_set, channel)
-            entry.built_with = built_with
-        return entry.columns
+        columns: List[Optional[np.ndarray]] = [None] * len(path_lists)
+        reads: List[Tuple[int, _Entry]] = []
+        stale: Dict[int, _Entry] = {}
+        for i, paths in enumerate(path_lists):
+            entry = self._by_set.get(id(paths[0]._set)) if paths else None
+            if entry is None or not (
+                paths is entry.paths or traced_set(paths) is entry.path_set
+            ):
+                columns[i] = link_columns(paths, channel)
+                continue
+            reads.append((i, entry))
+            if entry.built_with != built_with:
+                stale[id(entry)] = entry
+        if stale:
+            entries = list(stale.values())
+            sets = [entry.path_set for entry in entries]
+            gains = channel.unshadowed_gains_db(PathSet.concat(sets))
+            start = 0
+            for entry, path_set in zip(entries, sets):
+                stop = start + len(path_set)
+                entry.columns = _columns(path_set, gains[start:stop])
+                entry.built_with = built_with
+                start = stop
+        for i, entry in reads:
+            columns[i] = entry.columns
+        return columns
 
     def _all(
         self, tx: Vec2, rx: Vec2, max_bounces: int, extra_occluders: Sequence[Occluder]

@@ -509,3 +509,58 @@ class TestRelayBearingsComputedOnce:
         assert got == want
         for mine, theirs in zip(system.reflectors, twin.reflectors):
             assert mine.state() == theirs.state()
+
+
+class TestHeadsetLocalOccludersOncePerHeadset:
+    """With elevated mounting, the out hop reads only the occluders near
+    the headset.  The relay pass finds them once per headset, not once
+    per reflector, and bids exactly what a per-reflector scan bids."""
+
+    @staticmethod
+    def scene():
+        radio = headset_at(2.6, 3.4, yaw=-120.0)
+        toward_ap = bearing_deg(radio.position, Vec2(0.3, 0.3))
+        near = [hand_occluder(radio.position, toward_ap), hand_occluder(radio.position, 60.0)]
+        far = person_blocking_path(Vec2(0.3, 0.3), radio.position, 0.5).occluders()
+        far += person_blocking_path(Vec2(4.7, 4.7), radio.position, 0.5).occluders()
+        return radio, far[:2] + near[:1] + far[2:] + near[1:]
+
+    @staticmethod
+    def counting(system, monkeypatch):
+        scans = []
+        original = system._headset_local_occluders
+
+        def counted(position, occluders, *args):
+            scans.append(position)
+            return original(position, occluders, *args)
+
+        monkeypatch.setattr(system, "_headset_local_occluders", counted)
+        return scans
+
+    def test_one_scan_gives_the_per_reflector_bids(self, monkeypatch):
+        radio, occluders = self.scene()
+        system = _three_reflector_system()
+        local = system._headset_local_occluders(radio.position, occluders)
+        assert 0 < len(local) < len(occluders)
+        scans = self.counting(system, monkeypatch)
+        got = system.relay_candidates(radio, occluders)
+        assert len(got) == 2 and len(scans) == 1
+        # The per-reflector scan: each relay link finds the local set anew.
+        twin = _three_reflector_system()
+        twin_scans = self.counting(twin, monkeypatch)
+        want = [
+            twin.relay_link(r, radio, occluders)
+            for r in twin.reflectors
+            if r.can_serve(twin.ap.position, radio.position)
+        ]
+        want.sort(key=lambda m: -m.end_to_end_snr_db)
+        assert len(twin_scans) == 2
+        assert got == want
+
+    def test_once_per_headset_in_a_batch(self, monkeypatch):
+        radio, occluders = self.scene()
+        other = headset_at(3.9, 2.0, yaw=170.0)
+        system = _three_reflector_system()
+        scans = self.counting(system, monkeypatch)
+        system.relay_candidates_many([radio, other], [occluders, occluders])
+        assert scans == [radio.position, other.position]

@@ -1,10 +1,14 @@
 """Unit tests for the reflector TX-to-RX leakage model (Fig. 7)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import telemetry
 from repro.core.leakage import MAX_ANGLE_DEG, MIN_ANGLE_DEG, ReflectorLeakageModel
+from repro.utils.db import db_sum_powers
 
 angles = st.floats(min_value=MIN_ANGLE_DEG, max_value=MAX_ANGLE_DEG)
 
@@ -73,3 +77,57 @@ class TestCurve:
             ReflectorLeakageModel(antenna_separation_m=0.0)
         with pytest.raises(ValueError):
             ReflectorLeakageModel(grazing_angle_deg=60.0)
+
+
+def scalar_leakage_db(model, tx, rx):
+    """The one-pair coupling formula with one scalar pattern call per
+    array: the reference the pairs form must reproduce bit for bit."""
+    graze = model.grazing_angle_deg
+    tx_rel = model._tx_array.relative_pattern_db(graze, steer_deg=tx)
+    rx_rel = model._rx_array.relative_pattern_db(180.0 - graze, steer_deg=rx)
+    over_air = -model.edge_diffraction_loss_db + tx_rel + rx_rel
+    convergence = math.cos(math.radians(tx - rx))
+    scatter = -model.scatterer_coupling_db + 4.0 * convergence
+    return db_sum_powers([over_air, scatter, -model.board_isolation_db])
+
+
+class TestPairsForm:
+    """``leakage_db_pairs`` is the exact many-pair form of the scalar
+    formula; ``leakage_db_batch`` is the sweep form and is not."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        rng = np.random.default_rng(2016)
+        tx = rng.uniform(MIN_ANGLE_DEG, MAX_ANGLE_DEG, 10_000).tolist()
+        rx = rng.uniform(MIN_ANGLE_DEG, MAX_ANGLE_DEG, 10_000).tolist()
+        # The range ends, broadside and a repeated pair.
+        tx += [MIN_ANGLE_DEG, MAX_ANGLE_DEG, 90.0, 90.0]
+        rx += [MAX_ANGLE_DEG, MIN_ANGLE_DEG, 90.0, 90.0]
+        return tx, rx
+
+    def test_pairs_equal_the_scalar_formula(self, model, pairs):
+        tx, rx = pairs
+        expected = [scalar_leakage_db(model, a, b) for a, b in zip(tx, rx)]
+        assert model.leakage_db_pairs(tx, rx) == expected
+        assert [model.leakage_db(a, b) for a, b in zip(tx[:200], rx[:200])] == expected[:200]
+
+    def test_sweep_form_differs_in_the_last_bit(self, model, pairs):
+        tx, rx = pairs
+        exact = model.leakage_db_pairs(tx, rx)
+        sweep = model.leakage_db_batch(np.array(tx), np.array(rx)).tolist()
+        differ = [(a, b) for a, b in zip(exact, sweep) if a != b]
+        assert differ, "the sweep form is documented as not bit-identical"
+        assert max(abs(a - b) for a, b in differ) < 1e-9
+
+    def test_two_kernel_calls_for_any_pair_count(self, model, pairs):
+        tx, rx = pairs
+        with telemetry.scope("pairs") as sc:
+            model.leakage_db_pairs(tx[:7], rx[:7])
+        assert sc.registry.counter_value("kernel.batches") == 2
+        assert sc.registry.counter_value("kernel.angles") == 14
+
+    def test_out_of_range_pair_rejected(self, model):
+        with pytest.raises(ValueError):
+            model.leakage_db_pairs([90.0, 30.0], [90.0, 90.0])
+        with pytest.raises(ValueError):
+            model.leakage_db_pairs([90.0], [150.0])

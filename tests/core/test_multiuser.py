@@ -2,15 +2,21 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.core.controller import MoVRSystem
 from repro.core.multiuser import DEFAULT_PROBES_PER_SEARCH, MultiUserSystem
+from repro.core.reflector import MoVRReflector
 from repro.experiments.testbed import default_testbed
 from repro.geometry.bodies import PersonModel, hand_occluder, person_blocking_path
 from repro.geometry.mobility import PoseSample
+from repro.geometry.room import standard_office
 from repro.geometry.vectors import Vec2, bearing_deg
 from repro.link.budget import LinkMeasurement
+from repro.link.radios import Radio
+from repro.phy.channel import MmWaveChannel
 
 FRAME_DT_S = 1.0 / 90.0
 
@@ -159,13 +165,14 @@ class TestMutualBlockage:
         ]
         extras = [hand_occluder(Vec2(3.0, 4.0), 200.0)]
         seen = {}
-        direct_link = mu.system.direct_link
+        direct_links = mu.system.direct_links
 
-        def spy(radio, extra_occluders=()):
-            seen[radio.name] = list(extra_occluders)
-            return direct_link(radio, extra_occluders)
+        def spy(radios, occluder_lists):
+            for radio, occluders in zip(radios, occluder_lists):
+                seen[radio.name] = list(occluders)
+            return direct_links(radios, occluder_lists)
 
-        monkeypatch.setattr(mu.system, "direct_link", spy)
+        monkeypatch.setattr(mu.system, "direct_links", spy)
         mu.step(0.0, poses, extras)
         for i in range(4):
             expected = list(extras)
@@ -282,10 +289,175 @@ class TestSharedServingCore:
         monkeypatch.setattr(system, "handoff_snr_db", -30.0)
         monkeypatch.setattr(
             system,
-            "direct_link",
-            lambda *a, **k: LinkMeasurement(-70.0, -20.0, None, 0.0, 0.0),
+            "direct_links",
+            lambda radios, occluder_lists: [
+                LinkMeasurement(-70.0, -20.0, None, 0.0, 0.0) for _ in radios
+            ],
         )
         decision = mu.step(0.0, clear_poses(1)).decisions[0]
         assert decision.rate_mbps == 0.0
         assert decision.mode == "outage"
         assert not decision.connected
+
+
+def _room_with_three_reflectors(sigma_db, elevated):
+    """The office with a corner reflector, a mid-wall reflector that
+    cannot steer at headsets near the north-east corner, and a second
+    corner reflector."""
+    room = standard_office()
+    ap = Radio(Vec2(0.3, 0.3), boresight_deg=45.0, name="ap")
+    spots = [(Vec2(4.7, 4.7), -135.0), (Vec2(4.7, 2.5), 180.0), (Vec2(0.3, 4.7), -45.0)]
+    reflectors = [
+        MoVRReflector(spot, boresight_deg=facing, name=f"movr{i}")
+        for i, (spot, facing) in enumerate(spots)
+    ]
+    channel = MmWaveChannel(
+        shadowing_sigma_db=sigma_db, rng=np.random.default_rng(11)
+    )
+    system = MoVRSystem(
+        room, ap, reflectors, channel=channel, elevated_mounting=elevated, rng=11
+    )
+    system.calibrate_reflector_gains()
+    return system
+
+
+def _one_at_a_time(system, monkeypatch):
+    """Make ``step`` evaluate its users one at a time: each through the
+    one-element case that ``direct_link`` and ``relay_candidates`` are
+    (called on the class, as this replaces the batched entries)."""
+    monkeypatch.setattr(
+        system,
+        "direct_links",
+        lambda radios, occluder_lists: [
+            MoVRSystem.direct_links(system, (r,), (o,))[0]
+            for r, o in zip(radios, occluder_lists)
+        ],
+    )
+    monkeypatch.setattr(
+        system,
+        "relay_candidates_many",
+        lambda radios, occluder_lists: [
+            MoVRSystem.relay_candidates_many(system, (r,), (o,))[0]
+            for r, o in zip(radios, occluder_lists)
+        ],
+    )
+
+
+def _recording_bids(system, monkeypatch):
+    """Record every ranked candidate list ``step`` gets."""
+    seen = []
+    many = system.relay_candidates_many
+
+    def spy(radios, occluder_lists):
+        ranked = many(radios, occluder_lists)
+        seen.append(ranked)
+        return ranked
+
+    monkeypatch.setattr(system, "relay_candidates_many", spy)
+    return seen
+
+
+def _served(system, mu, ticks):
+    """Serve ``ticks`` ((poses, extras) per tick); returns what each
+    tick decided plus the state and counters it left behind."""
+    with telemetry.scope("equivalence") as sc:
+        decisions = [
+            mu.step(k * FRAME_DT_S, poses, extras).decisions
+            for k, (poses, extras) in enumerate(ticks)
+        ]
+    counters = {
+        name: sc.registry.counter_value(name)
+        for name in (
+            "scene.cache.hits",
+            "scene.cache.misses",
+            "scene.tracer_calls",
+            "kernel.angles",
+            "multiuser.contention",
+        )
+    }
+    steering = [(r.rx_azimuth_deg, r.tx_azimuth_deg) for r in system.reflectors]
+    return (
+        decisions,
+        counters,
+        steering,
+        system.ap.steering_deg,
+        system.channel.rng.bit_generator.state,
+        sc.registry.counter_value("kernel.batches"),
+    )
+
+
+#: Five headsets: three the mid-wall reflector cannot reach.
+SPOTS = [(4.0, 4.4), (2.6, 3.4), (3.9, 2.0), (1.4, 3.8), (4.3, 3.6)]
+
+
+def _ticks(blocked):
+    """Three ticks of five slowly moving players; with ``blocked`` a
+    person stands on every player's AP line (more bidders than
+    reflectors), and player 0 raises a hand."""
+    ticks = []
+    for k in range(3):
+        poses = [
+            PoseSample(k * FRAME_DT_S, Vec2(x + 0.01 * k, y), yaw)
+            for (x, y), yaw in zip(SPOTS, (-135.0, -100.0, 170.0, -60.0, -120.0))
+        ]
+        extras = []
+        if blocked:
+            for pose in poses:
+                person = person_blocking_path(Vec2(0.3, 0.3), pose.position, 0.45)
+                extras += person.occluders()
+            extras.append(hand_occluder(poses[0].position, -135.0))
+        ticks.append((poses, extras))
+    return ticks
+
+
+class TestBatchedStepEqualsOneAtATime:
+    """``step`` evaluates every direct link and every relay bid of a tick
+    in one array pass per pass; it must decide, measure, steer, trace
+    and draw exactly as the same users evaluated one at a time."""
+
+    @pytest.mark.parametrize(
+        "sigma_db, elevated, blocked, down",
+        [
+            (2.0, True, True, None),
+            (2.0, True, True, "movr0"),
+            (0.0, False, True, None),
+            (2.0, False, True, "movr2"),
+            (2.0, True, False, None),
+        ],
+        ids=[
+            "shadowed",
+            "control-down",
+            "floor-mounted",
+            "floor-mounted-down",
+            "none-blocked",
+        ],
+    )
+    def test_same_outcome(self, monkeypatch, sigma_db, elevated, blocked, down):
+        outcomes, bids = [], []
+        for batched in (True, False):
+            system = _room_with_three_reflectors(sigma_db, elevated)
+            if down is not None:
+                system.mark_control_lost(down)
+            if not batched:
+                _one_at_a_time(system, monkeypatch)
+            bids.append(_recording_bids(system, monkeypatch))
+            mu = MultiUserSystem(system, num_users=len(SPOTS))
+            outcomes.append(_served(system, mu, _ticks(blocked)))
+        batched, single = outcomes
+        # Decisions, steering, traces, cache traffic, antenna angles and
+        # the shadowing stream are identical; only the kernel calls fall.
+        assert batched[:5] == single[:5]
+        assert bids[0] == bids[1]
+        if blocked:
+            assert batched[5] < single[5]
+            assert batched[1]["multiuser.contention"] > 0
+            assert any(bids[0]), "blocked users must bid"
+            # The mid-wall reflector cannot steer at every bidder.
+            ranked = [c for tick in bids[0] for user in tick for c in user]
+            assert 0 < sum(c.reflector_name == "movr1" for c in ranked) < len(ranked) / 2
+        else:
+            assert bids[0] == [[], [], []]
+        if down is not None:
+            assert all(
+                c.reflector_name != down for tick in bids[0] for user in tick for c in user
+            )

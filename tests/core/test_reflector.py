@@ -196,6 +196,39 @@ class TestLeakageMemo:
         assert value == swapped.leakage_db(*calls[1])
 
 
+    def test_many_states_match_one_at_a_time(self, counted, monkeypatch):
+        """``leakages_db`` gives ``leakage_db`` at each beam state in
+        turn, evaluates only the states the memo would miss (in one
+        model call) and leaves the memo on the last state."""
+        reflector, calls, _ = counted
+        ap = Vec2(0.3, 0.3)
+        states = [
+            reflector.bearings_to(ap, Vec2(x, y))
+            for x, y in [(2.5, 2.5), (2.5, 2.5), (1.5, 3.5), (2.5, 2.5)]
+        ]
+        before = reflector.state()
+        pairs = []
+        model = reflector.leakage_model
+        original = model.leakage_db_pairs
+
+        def counting_pairs(tx, rx):
+            pairs.append(list(zip(tx, rx)))
+            return original(tx, rx)
+
+        monkeypatch.setattr(model, "leakage_db_pairs", counting_pairs)
+        values = reflector.leakages_db(states)
+        assert reflector.state() == before  # the beams did not move
+        assert len(pairs) == 1 and len(pairs[0]) == 3
+        expected = []
+        for rx, tx in states:
+            reflector.set_beams(rx, tx)
+            expected.append(reflector.leakage_db())
+        assert values == expected
+        # The memo leakages_db left answers the first two states.
+        assert len(calls) == 2
+        assert reflector.leakages_db([]) == []
+
+
 class TestThroughGain:
     def test_composition(self, reflector):
         ap, hs = Vec2(0.3, 0.3), Vec2(2.5, 2.5)

@@ -200,3 +200,94 @@ class TestLinkMeasurement:
         budget, tx, rx = setup
         best = budget.best_alignment(tx, rx)
         assert not best.in_outage
+
+
+class TestMeasureAlignedMany:
+    """One array pass over many receivers measures, steers, traces and
+    draws exactly as measuring them one at a time."""
+
+    HEADSETS = [(3.6, 2.9), (1.2, 4.1), (4.2, 1.1), (2.4, 2.2), (3.6, 2.9), (4.4, 4.3)]
+
+    def _scene(self):
+        tracer = RayTracer(standard_office(furnished=True))
+        channel = MmWaveChannel(shadowing_sigma_db=2.0, rng=np.random.default_rng(3))
+        budget = LinkBudget(tracer, channel)
+        tx = Radio(Vec2(0.3, 0.3), boresight_deg=45.0, name="ap")
+        rxs = [
+            Radio(
+                Vec2(x, y),
+                boresight_deg=-30.0 * i,
+                config=HEADSET_RADIO_CONFIG if i % 3 else tx.config,
+                name=f"rx{i}",
+            )
+            for i, (x, y) in enumerate(self.HEADSETS)
+        ]
+        # Each receiver among the others' hands; receivers 0 and 4
+        # share a scene, so the batch reads an entry it just traced.
+        hands = [
+            hand_occluder(rx.position, bearing_deg(rx.position, tx.position)) for rx in rxs
+        ]
+        occluders = [[h for j, h in enumerate(hands) if j != i] for i in range(len(rxs))]
+        occluders[4] = occluders[0]
+        # A scene traced (with columns) before the batch.
+        budget.measure_aligned(tx, rxs[5], occluders[5])
+        return budget, tx, rxs, occluders
+
+    def _measured(self, batched):
+        budget, tx, rxs, occluders = self._scene()
+        with telemetry.scope("aligned") as sc:
+            if batched:
+                got = budget.measure_aligned_many(tx, rxs, occluders)
+            else:
+                got = [budget.measure_aligned(tx, rx, o) for rx, o in zip(rxs, occluders)]
+        counters = {
+            name: sc.registry.counter_value(name)
+            for name in (
+                "scene.cache.hits",
+                "scene.cache.misses",
+                "scene.tracer_calls",
+                "kernel.angles",
+            )
+        }
+        state = (
+            got,
+            counters,
+            tx.steering_deg,
+            [rx.steering_deg for rx in rxs],
+            budget.channel.rng.bit_generator.state,
+        )
+        return state, sc.registry.counter_value("kernel.batches"), budget
+
+    def test_equals_one_at_a_time(self):
+        batched, batches, _ = self._measured(batched=True)
+        single, single_batches, _ = self._measured(batched=False)
+        assert batched == single
+        assert batched[1]["scene.cache.hits"] == 2  # the shared scene, the warm one
+        # One transmit-side kernel call for all receivers, one per receiver.
+        assert batches == 1 + len(self.HEADSETS)
+        assert single_batches == 2 * len(self.HEADSETS)
+
+    def test_columns_built_in_one_formula(self, monkeypatch):
+        formulas = []
+        original = MmWaveChannel.unshadowed_gains_db
+
+        def counting(channel, path_set):
+            formulas.append(len(path_set))
+            return original(channel, path_set)
+
+        budget, tx, rxs, occluders = self._scene()
+        monkeypatch.setattr(MmWaveChannel, "unshadowed_gains_db", counting)
+        budget.measure_aligned_many(tx, rxs, occluders)
+        # The four new scenes (the shared one once), in one formula.
+        paths = [
+            budget.cache.all_paths(tx.position, rx.position, extra_occluders=o)
+            for rx, o in zip(rxs, occluders)
+        ]
+        assert formulas == [sum(len(p) for p in paths[:4])]
+        for p in paths:
+            budget.cache.link_columns(p, budget.channel)
+        assert len(formulas) == 1
+
+    def test_no_receivers(self, setup):
+        budget, tx, _ = setup
+        assert budget.measure_aligned_many(tx, [], []) == []

@@ -356,3 +356,46 @@ class TestChannelEdits:
         assert after.tolist() == cache_module.link_columns(paths, budget.channel).tolist()
         assert after[2].tolist() != before[2].tolist()
         assert budget.cache.link_columns(paths, budget.channel) is after
+
+
+class TestJoinedSets:
+    """One formula over joined sets gives each set's own columns."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(receivers=st.lists(points, min_size=1, max_size=4), blockers=extras)
+    def test_concat_gains_are_each_sets_gains(self, receivers, blockers):
+        assume(all(r.distance_to(TX) > 0.2 for r in receivers))
+        tracer = RayTracer(standard_office(furnished=True))
+        channel = MmWaveChannel()
+        sets = [tracer.all_paths(TX, r, 2, blockers)[0]._set for r in receivers]
+        # A set with no cuts next to sets with many.
+        sets.append(tracer.line_of_sight(TX, RX, include_room_occluders=False)._set)
+        joined = PathSet.concat(sets)
+        assert len(joined) == sum(len(s) for s in sets)
+        assert len(joined.cuts.path) == sum(len(s.cuts.path) for s in sets)
+        expected = np.concatenate([channel.unshadowed_gains_db(s) for s in sets])
+        assert np.array_equal(channel.unshadowed_gains_db(joined), expected)
+
+    def test_one_set_is_itself(self):
+        path_set = RayTracer(standard_office()).all_paths(TX, RX)[0]._set
+        assert PathSet.concat([path_set]) is path_set
+
+    def test_entry_listed_twice_is_built_once(self, monkeypatch):
+        budget = make_budget(furnished=True)
+        paths = budget.cache.all_paths(TX, RX)
+        other = budget.cache.all_paths(TX, Vec2(2.0, 4.0))
+        built = []
+        original = MmWaveChannel.unshadowed_gains_db
+
+        def counting(channel, path_set):
+            built.append(len(path_set))
+            return original(channel, path_set)
+
+        monkeypatch.setattr(MmWaveChannel, "unshadowed_gains_db", counting)
+        first, again, second = budget.cache.link_columns_many(
+            [paths, tuple(paths), other], budget.channel
+        )
+        assert first is again
+        assert built == [len(paths) + len(other)]
+        assert second is budget.cache.link_columns(other, budget.channel)
+        assert np.array_equal(first, cache_module.link_columns(paths, budget.channel))
