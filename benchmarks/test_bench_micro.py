@@ -6,6 +6,9 @@ useful when optimizing and as a regression guard on simulation cost.
 
 import itertools
 
+import numpy as np
+
+from repro import telemetry
 from repro.core.angle_search import BackscatterAngleSearch
 from repro.core.reflector import MoVRReflector
 from repro.experiments.testbed import default_testbed
@@ -103,6 +106,25 @@ def test_bench_relay_candidates_many(benchmark):
     result = benchmark(system.relay_candidates_many, headsets, occluders)
     assert [len(bids) for bids in result] == [3, 3, 3, 3]
     assert result == expected
+
+
+def test_bench_multipanel_gain_grid(benchmark):
+    # The headset side of an Opt-NLOS sweep: 15 path arrivals against 60
+    # candidate steerings spread over the three panels, one kernel call.
+    headset = Radio(Vec2(2.5, 2.0), boresight_deg=-135.0, config=HEADSET_RADIO_CONFIG)
+    arrivals = np.linspace(-175.0, 175.0, 15)[:, None]
+    steerings = np.linspace(-180.0, 174.0, 60)[None, :]
+    with telemetry.scope("grid") as sc:
+        result = benchmark(headset.array.gain_dbi_batch, arrivals, steerings)
+    # Every round evaluated the whole grid in one kernel call.
+    batches = sc.registry.counter_value("kernel.batches")
+    assert sc.registry.counter_value("kernel.angles") == batches * result.size
+    panels = {headset.array.panel_for(s) for s in steerings[0]}
+    assert len(panels) == 3
+    assert result.tolist() == [
+        [headset.array.gain_dbi(a, steer_override_deg=s) for s in steerings[0]]
+        for a in arrivals[:, 0]
+    ]
 
 
 def test_bench_scene_miss(benchmark):

@@ -23,13 +23,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro import telemetry
 from repro.telemetry.slo import SERVING_MODE_CODES
 from repro.core.gain_control import CurrentSensingGainController, GainControlResult
-from repro.core.reflector import MoVRReflector
+from repro.core.reflector import MoVRReflector, leakages_db_many
 from repro.geometry.raytrace import PropagationPath, RayTracer
 from repro.geometry.room import Occluder, Room
 from repro.geometry.vectors import Vec2, bearing_deg
 from repro.link.budget import LinkBudget, LinkMeasurement
 from repro.link.radios import Radio
 from repro.phy.amplifier import loop_is_stable
+from repro.phy.antenna import panel_gains_dbi
 from repro.phy.channel import MmWaveChannel
 from repro.phy.noise import relay_path_snr_db
 from repro.rate.mcs import data_rate_mbps_for_snr
@@ -384,15 +385,14 @@ class MoVRSystem:
         Each pair in turn sets the reflector's beams (``None`` keeps
         them) and looks up its feed hop, then its out hop; the new hop
         columns come from one array formula and the shadowing from one
-        draw per hop, in that order.  Per reflector, one transmit-array
-        kernel call covers its headsets at the steerings they got, and
-        one pair of leakage pattern calls its beam states
-        (:meth:`MoVRReflector.leakages_db`).  Each pair then finishes
-        with the headset's gain toward its reflector and the scalar
-        amplifier, stability and two-hop SNR formulas.  (A headset's
-        reflectors mostly arrive on different panels, each its own
-        kernel call, so one call per headset would save few calls and
-        cost more NumPy work than it saves.)
+        draw per hop, in that order.  One antenna-kernel call covers
+        every pair's transmit-array gain, and one every pair's headset
+        gain on the panel facing its reflector (one call per array
+        pattern, :func:`panel_gains_dbi`); the leakage of every
+        reflector's beam states is one pair of pattern calls per equal
+        leakage model (:func:`leakages_db_many`).  Each pair then
+        finishes with the scalar amplifier, stability and two-hop SNR
+        formulas.
         """
         if not pairs:
             return []
@@ -429,15 +429,31 @@ class MoVRSystem:
         # Feed hops are the even entries, out hops the odd ones.
         out_departures, out_arrivals = departures[1::2], arrivals[1::2]
 
-        tx_gains = [0.0] * len(pairs)
+        # The reflectors' transmit arrays at the steerings they got, and
+        # each headset's serving panel steered back at its reflector
+        # (the out hop's arrival is that bearing, float for float).
+        tx_gains = panel_gains_dbi(
+            [reflector.tx_array for _, reflector, _ in pairs],
+            out_departures,
+            [tx_steer for _, tx_steer in steerings],
+        ).tolist()
+        hs_gains = panel_gains_dbi(
+            [
+                headset_radios[user].array.panel_for(arrival)
+                for (user, _, _), arrival in zip(pairs, out_arrivals)
+            ],
+            out_arrivals,
+            out_arrivals,
+        ).tolist()
         leakages = [0.0] * len(pairs)
-        for reflector, ks in by_reflector.items():
-            gains = reflector.tx_array.gain_dbi_batch(
-                [out_departures[k] for k in ks], [steerings[k][1] for k in ks]
-            ).tolist()
-            leaks = reflector.leakages_db([steerings[k] for k in ks])
-            for k, gain, leak in zip(ks, gains, leaks):
-                tx_gains[k], leakages[k] = gain, leak
+        groups = list(by_reflector.items())
+        leaks = leakages_db_many(
+            [reflector for reflector, _ in groups],
+            [[steerings[k] for k in ks] for _, ks in groups],
+        )
+        for (_, ks), values in zip(groups, leaks):
+            for k, leak in zip(ks, values):
+                leakages[k] = leak
 
         bids = []
         implementation_loss = self.ap.config.implementation_loss_db
@@ -449,12 +465,6 @@ class MoVRSystem:
                 hop_gains[2 * k],
                 steerings[k][0],
             )
-            # The headset steers back at the reflector: the out hop's
-            # arrival is that bearing, float for float.
-            arrival = out_arrivals[k]
-            hs_gain = headset_radios[user].array.gain_dbi(
-                arrival, steer_override_deg=arrival
-            )
             first_hop_snr = amp_input - reflector.front_end_noise.noise_floor_dbm
             amp_output = reflector.output_power_at_dbm(amp_input, leakages[k])
             stable = loop_is_stable(reflector.amplifier.gain_db, leakages[k])
@@ -462,7 +472,7 @@ class MoVRSystem:
                 amp_output
                 + tx_gains[k]
                 + hop_gains[2 * k + 1]
-                + hs_gain
+                + hs_gains[k]
                 - implementation_loss
             )
             second_hop_snr = received - headset_radios[user].config.noise_floor_dbm

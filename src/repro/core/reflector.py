@@ -195,34 +195,11 @@ class MoVRReflector:
 
     def leakages_db(self, steerings: Sequence[Tuple[float, float]]) -> List[float]:
         """:meth:`leakage_db` at each (receive, transmit) beam azimuth
-        pair in turn, as if the beams were set to each.
-
-        The memo answers a pair whose prototype angles equal the ones
-        before it; the model evaluates the rest in one call
-        (:meth:`ReflectorLeakageModel.leakage_db_pairs`), and the memo
-        is left on the last pair.  The beams themselves are not moved.
+        pair in turn, as if the beams were set to each: the
+        one-reflector case of :func:`leakages_db_many`.  The beams
+        themselves are not moved.
         """
-        model = self.leakage_model
-        memo = self._leakage_memo
-        values, last = {}, None
-        if memo is not None and memo[2] is model:
-            last = (memo[0], memo[1])
-            values[last] = memo[3]
-        angles, missed = [], []
-        for rx_azimuth, tx_azimuth in steerings:
-            pair = (
-                self.azimuth_to_prototype(tx_azimuth),
-                self.azimuth_to_prototype(rx_azimuth),
-            )
-            if pair != last:
-                missed.append(pair)
-                last = pair
-            angles.append(pair)
-        if missed:
-            values.update(zip(missed, model.leakage_db_pairs(*zip(*missed))))
-        if angles:
-            self._leakage_memo = (*angles[-1], model, values[angles[-1]])
-        return [values[pair] for pair in angles]
+        return leakages_db_many((self,), (steerings,))[0]
 
     def is_stable(self) -> bool:
         """Is the feedback loop stable at the current gain and beams?"""
@@ -347,3 +324,61 @@ class MoVRReflector:
             f"{self.position.y:.2f}), boresight={self.boresight_deg:.1f} deg, "
             f"gain={self.amplifier.gain_db:.1f} dB)"
         )
+
+
+def leakages_db_many(
+    reflectors: Sequence[MoVRReflector],
+    steerings: Sequence[Sequence[Tuple[float, float]]],
+) -> List[List[float]]:
+    """:meth:`MoVRReflector.leakages_db` of ``reflectors[i]`` at the
+    (receive, transmit) beam azimuth pairs ``steerings[i]``, for each
+    reflector (each listed once), with one model call per equal model.
+
+    Per reflector, the memo answers a pair whose prototype angles equal
+    the ones before it, and is left on its last pair, exactly as if the
+    reflector were asked alone.  The pairs the memos miss are evaluated
+    together, one :meth:`ReflectorLeakageModel.leakage_db_pairs` call
+    (two kernel calls) per group of equal models: equal models give
+    equal values, pair by pair.
+    """
+    plans = []
+    groups: List[Tuple[ReflectorLeakageModel, list, list]] = []
+    for reflector, states in zip(reflectors, steerings):
+        model = reflector.leakage_model
+        memo = reflector._leakage_memo
+        values, last = {}, None
+        if memo is not None and memo[2] is model:
+            last = (memo[0], memo[1])
+            values[last] = memo[3]
+        angles, missed = [], []
+        for rx_azimuth, tx_azimuth in states:
+            pair = (
+                reflector.azimuth_to_prototype(tx_azimuth),
+                reflector.azimuth_to_prototype(rx_azimuth),
+            )
+            if pair != last:
+                missed.append(pair)
+                last = pair
+            angles.append(pair)
+        plans.append((angles, values))
+        if missed:
+            group = next((g for g in groups if g[0] is model or g[0] == model), None)
+            if group is None:
+                group = (model, [], [])
+                groups.append(group)
+            group[1].extend(missed)
+            group[2].append((values, missed))
+    for model, pairs, owners in groups:
+        results = model.leakage_db_pairs(*zip(*pairs))
+        start = 0
+        for values, missed in owners:
+            values.update(zip(missed, results[start:start + len(missed)]))
+            start += len(missed)
+    out = []
+    for reflector, (angles, values) in zip(reflectors, plans):
+        if angles:
+            reflector._leakage_memo = (
+                *angles[-1], reflector.leakage_model, values[angles[-1]]
+            )
+        out.append([values[pair] for pair in angles])
+    return out

@@ -30,6 +30,7 @@ import numpy as np
 from repro.geometry.raytrace import PropagationPath, RayTracer
 from repro.geometry.room import Occluder
 from repro.link.radios import Radio
+from repro.phy.antenna import panel_gains_dbi
 from repro.phy.channel import MmWaveChannel
 from repro import telemetry
 from repro.sim.cache import SceneCache
@@ -311,9 +312,10 @@ class LinkBudget:
         receiver order (scan-range clipping and phase quantization
         included, so an unreachable path shows up as low gain), which
         leaves ``tx`` steered at the last receiver.  The transmit side
-        is one antenna-kernel call over every receiver's paths, the
-        receive side one per receiver, and shadowing one draw per path
-        in receiver and path order.
+        is one antenna-kernel call over every receiver's paths, and so
+        is the receive side, each path on its receiver's serving panel
+        (one call per array pattern, :func:`panel_gains_dbi`).
+        Shadowing is one draw per path in receiver and path order.
         """
         if not rxs:
             return []
@@ -323,22 +325,22 @@ class LinkBudget:
             for rx, occluders in zip(rxs, occluder_lists)
         ]
         columns = cache.link_columns_many(path_lists, self.channel)
-        tx_steers, rx_steers = [], []
+        tx_steers, rx_steers, rx_panels = [], [], []
         for rx, block in zip(rxs, columns):
             departure, arrival = block[:2, 0].tolist()
             tx_steers.append(tx.steer_to(departure))
-            rx_steers.append(rx.steer_to(arrival))
+            rx_steer = rx.steer_to(arrival)
+            rx_steers.append(rx_steer)
+            rx_panels.append(rx.array.panel_for(rx_steer))
         counts = [len(paths) for paths in path_lists]
         joined = np.concatenate(columns, axis=1)
         tx_gain = tx.array.gain_dbi_batch(joined[0], np.array(tx_steers).repeat(counts))
         const = tx.config.tx_power_dbm - tx.config.implementation_loss_db
         # Per path: const + channel + tx gain + rx gain, in that order.
         powers = const + self.channel.shadowed_db(joined[2]) + tx_gain
+        powers += panel_gains_dbi(rx_panels, joined[1], rx_steers, counts)
         bounds = [0, *accumulate(counts)]
         spans = list(zip(bounds, bounds[1:]))
-        for rx, rx_steer, (start, stop) in zip(rxs, rx_steers, spans):
-            arrivals = joined[1, start:stop]
-            powers[start:stop] += rx.array.gain_dbi_batch(arrivals, rx_steer)
         # db_sum_powers per receiver: each slice sums as its own array.
         linear = np.power(10.0, powers / 10.0)
         totals = linear_to_db(np.array([linear[a:b].sum() for a, b in spans])).tolist()

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -76,6 +76,17 @@ class PhasedArrayConfig:
     def beamwidth_deg(self) -> float:
         """Approximate 3 dB beamwidth at broadside for a uniform ULA."""
         return 101.8 / (self.num_elements * self.spacing_wavelengths * 2.0)
+
+    @property
+    def pattern_key(self) -> Tuple[int, float, float]:
+        """The fields the gain pattern reads.
+
+        Scan range, phase quantization, carrier and panel count shape
+        steering, not the pattern, so two arrays whose keys are equal
+        differ in gain only by their boresight and steering, and one
+        kernel call can evaluate both (:func:`panel_gains_dbi`).
+        """
+        return (self.num_elements, self.spacing_wavelengths, self.element_gain_dbi)
 
 
 #: The MoVR prototype array: ~17 dBi peak gain, ~6.4 degree beamwidth —
@@ -142,15 +153,18 @@ class PhasedArray:
         s_q = max(-span, min(span, s_q))
         return math.degrees(math.asin(s_q))
 
-    def steer_to_batch(self, azimuth_deg: np.ndarray) -> np.ndarray:
+    def steer_to_batch(self, azimuth_deg: np.ndarray, boresight_deg=None) -> np.ndarray:
         """Achieved absolute steering for a whole batch of commands.
 
         The vectorized counterpart of :meth:`steer_to` — scan-range
         clipping and phase quantization included — except the array's
         own state is left untouched: sweeps probe candidate steerings
-        without committing to one.
+        without committing to one.  ``boresight_deg`` mounts each
+        command's array at its own boresight (default: this array's),
+        as for :meth:`gain_dbi_batch`.
         """
-        relative = angle_difference_deg_batch(azimuth_deg, self.boresight_deg)
+        boresight = self.boresight_deg if boresight_deg is None else boresight_deg
+        relative = angle_difference_deg_batch(azimuth_deg, boresight)
         relative = np.clip(relative, -self.config.max_scan_deg, self.config.max_scan_deg)
         bits = self.config.phase_shifter_bits
         if bits:
@@ -160,7 +174,12 @@ class PhasedArray:
             # np.round matches Python round() (banker's rounding).
             s_q = np.clip(np.round(np.sin(np.radians(relative)) / step) * step, -span, span)
             relative = np.degrees(np.arcsin(s_q))
-        return self.boresight_deg + relative
+        return boresight + relative
+
+    def panel_for(self, steer_deg: float) -> "PhasedArray":
+        """The panel that serves a beam steered at ``steer_deg``: a
+        single array is its own one panel."""
+        return self
 
     # -- gain pattern ---------------------------------------------------
 
@@ -176,7 +195,7 @@ class PhasedArray:
         steer = angle_difference_deg(steer_abs, self.boresight_deg)
         return float(self._gain_dbi(theta, steer))
 
-    def gain_dbi_batch(self, toward_deg, steer_deg) -> np.ndarray:
+    def gain_dbi_batch(self, toward_deg, steer_deg, boresight_deg=None) -> np.ndarray:
         """Realized gain (dBi) over whole grids of angles in one call.
 
         ``toward_deg`` and ``steer_deg`` are absolute azimuths (scene
@@ -184,11 +203,29 @@ class PhasedArray:
         sweep targets at a fixed steering, sweep steerings at a fixed
         target, or both at once.  It shares its kernel with the scalar
         :meth:`gain_dbi`, so the two agree exactly.
+
+        ``boresight_deg`` (default: this array's) mounts each element
+        at its own boresight: the gain pattern reads only the
+        configuration, so arrays or panels sharing one
+        :attr:`~PhasedArrayConfig.pattern_key` are one call, each
+        element equal to its own array's.  It must broadcast into the
+        (toward, steer) grid without widening it.
         """
-        ndim, toward_deg, steer_deg = _one_pair(toward_deg, steer_deg)
-        theta = angle_difference_deg_batch(toward_deg, self.boresight_deg)
-        steer = angle_difference_deg_batch(steer_deg, self.boresight_deg)
+        ndim, theta, steer = self._relative(toward_deg, steer_deg, boresight_deg)
         return _shaped(self._gain_dbi(theta, steer), ndim)
+
+    def _relative(self, toward_deg, steer_deg, boresight_deg):
+        """``(ndim, theta, steer)``: target and steering relative to the
+        mounting boresight (default: this array's), through
+        :func:`_one_pair`."""
+        if boresight_deg is None:
+            boresight_deg = self.boresight_deg
+        ndim, toward, steer, boresight = _one_pair(toward_deg, steer_deg, boresight_deg)
+        return (
+            ndim,
+            angle_difference_deg_batch(toward, boresight),
+            angle_difference_deg_batch(steer, boresight),
+        )
 
     def _pattern_db(self, theta_deg, steer_deg) -> Tuple[np.ndarray, np.ndarray]:
         """Array factor and element pattern (dB) over broadcast angle grids.
@@ -251,13 +288,12 @@ class PhasedArray:
         toward_deg,
         steer_deg,
         floor_db: float = -40.0,
+        boresight_deg=None,
     ) -> np.ndarray:
-        """Vectorized :meth:`relative_pattern_db` over broadcast grids."""
-        ndim, toward_deg, steer_deg = _one_pair(toward_deg, steer_deg)
-        af_db, element_db = self._pattern_db(
-            angle_difference_deg_batch(toward_deg, self.boresight_deg),
-            angle_difference_deg_batch(steer_deg, self.boresight_deg),
-        )
+        """Vectorized :meth:`relative_pattern_db` over broadcast grids,
+        with per-element boresights as in :meth:`gain_dbi_batch`."""
+        ndim, theta, steer = self._relative(toward_deg, steer_deg, boresight_deg)
+        af_db, element_db = self._pattern_db(theta, steer)
         return _shaped(np.maximum(floor_db, af_db + element_db), ndim)
 
     def backlobe_level_dbi(self) -> float:
@@ -280,25 +316,75 @@ class PhasedArray:
         return np.stack([azimuths, gains], axis=1)
 
 
-def _one_pair(toward_deg, steer_deg):
-    """``(ndim, toward, steer)``: one angle pair comes back as two
-    floats with the broadcast rank of the inputs, anything else as
+def _one_pair(toward_deg, steer_deg, boresight_deg):
+    """``(ndim, toward, steer, boresight)``: one angle pair comes back as
+    three floats with the broadcast rank of the inputs, anything else as
     arrays with rank 0.
 
     Arithmetic on scalars gives the values NumPy gives on arrays, about
-    twice as fast as on one-element arrays.
+    twice as fast as on one-element arrays.  A per-element
+    ``boresight_deg`` that would widen the (toward, steer) grid is
+    refused: the kernel evaluates, and ``kernel.angles`` counts,
+    exactly that grid.
     """
     toward = np.asarray(toward_deg, dtype=float)
     steer = np.asarray(steer_deg, dtype=float)
+    if not isinstance(boresight_deg, float):
+        boresight_deg = np.asarray(boresight_deg, dtype=float)
+        grid = np.broadcast(toward, steer).shape
+        if np.broadcast(toward, steer, boresight_deg).shape != grid:
+            raise ValueError(
+                f"boresight_deg of shape {boresight_deg.shape} widens the "
+                f"{grid} grid of toward_deg and steer_deg"
+            )
     if toward.size == 1 and steer.size == 1:
-        return max(toward.ndim, steer.ndim), toward.item(), steer.item()
-    return 0, toward, steer
+        if isinstance(boresight_deg, float):
+            boresight_deg = float(boresight_deg)
+        else:
+            boresight_deg = boresight_deg.item()
+        return max(toward.ndim, steer.ndim), toward.item(), steer.item(), boresight_deg
+    return 0, toward, steer, boresight_deg
 
 
 def _shaped(values, ndim: int):
     """``values`` as an array of ``ndim`` axes of length one, unless
     ``ndim`` is 0."""
     return np.array(values, ndmin=ndim) if ndim else values
+
+
+def panel_gains_dbi(panels, toward_deg, steer_deg, counts=None) -> np.ndarray:
+    """Realized gain (dBi) of many arrays at once, one kernel call per
+    pattern.
+
+    ``panels[i]`` is a :class:`PhasedArray` (for a multi-panel array,
+    the panel :meth:`MultiPanelArray.panel_for` picks) steered at
+    ``steer_deg[i]``; it is evaluated toward the next ``counts[i]``
+    entries of the flat ``toward_deg`` (one each by default), and the
+    gains come back in that order.  Arrays whose configurations share a
+    :attr:`~PhasedArrayConfig.pattern_key` differ only by boresight, so
+    each distinct key is one :meth:`PhasedArray.gain_dbi_batch` call
+    with per-element boresights, and every value equals its own array's
+    ``gain_dbi_batch``.
+    """
+    toward = np.asarray(toward_deg, dtype=float)
+    steer = np.asarray(steer_deg, dtype=float)
+    boresight = np.array([panel.boresight_deg for panel in panels])
+    # Each panel's group is the index of the first panel with its key.
+    leaders: Dict[tuple, int] = {}
+    group_of = np.array(
+        [leaders.setdefault(p.config.pattern_key, i) for i, p in enumerate(panels)]
+    )
+    if counts is not None:
+        steer, boresight, group_of = (
+            steer.repeat(counts), boresight.repeat(counts), group_of.repeat(counts)
+        )
+    gains = np.empty(toward.shape)
+    for leader in leaders.values():
+        sel = group_of == leader if len(leaders) > 1 else slice(None)
+        gains[sel] = panels[leader].gain_dbi_batch(
+            toward[sel], steer[sel], boresight_deg=boresight[sel]
+        )
+    return gains
 
 
 class MultiPanelArray:
@@ -385,56 +471,48 @@ class MultiPanelArray:
         """
         if steer_override_deg is None:
             return self._panels[self._active].gain_dbi(toward_deg)
-        panel = self._panels[self._best_panel_for(steer_override_deg)]
+        panel = self.panel_for(steer_override_deg)
         return panel.gain_dbi(toward_deg, steer_override_deg=steer_override_deg)
 
-    def _panel_index_batch(self, steer_deg: np.ndarray) -> np.ndarray:
-        """Serving-panel index for each steering angle (vectorized)."""
-        boresights = np.asarray([p.boresight_deg for p in self._panels])
+    def panel_for(self, steer_deg: float) -> PhasedArray:
+        """The panel that serves a beam steered at ``steer_deg``: the one
+        whose boresight is closest to it."""
+        return self._panels[self._best_panel_for(steer_deg)]
+
+    def _serving_boresights(self, steer_deg: np.ndarray) -> np.ndarray:
+        """Boresight of the serving panel of each steering (vectorized
+        :meth:`panel_for`)."""
+        boresights = np.array([p.boresight_deg for p in self._panels])
         offsets = np.abs(
             angle_difference_deg_batch(
                 np.asarray(steer_deg, dtype=float)[..., None], boresights
             )
         )
-        return np.argmin(offsets, axis=-1)
+        return boresights[np.argmin(offsets, axis=-1)]
 
     def gain_dbi_batch(self, toward_deg, steer_deg) -> np.ndarray:
         """Vectorized gain with per-steering panel selection.
 
-        Mirrors :meth:`gain_dbi` with a steering override: each
-        steering angle is served by the panel closest to it, and that
-        panel's pattern is evaluated toward the (broadcast) targets.
+        Mirrors :meth:`gain_dbi` with a steering override: each steering
+        angle is served by the panel closest to it, and that panel's
+        pattern is evaluated toward the (broadcast) targets.  The panels
+        share one configuration, so the whole grid is one kernel call
+        with each steering's panel boresight.
         """
-        toward = np.asarray(toward_deg, dtype=float)
         steer = np.asarray(steer_deg, dtype=float)
-        if steer.ndim == 0:
-            panel = self._panels[self._best_panel_for(float(steer))]
-            return panel.gain_dbi_batch(toward, steer)
-        # Panel selection depends on the steering alone: choose once
-        # per steering, not once per (target, steering) pair.
-        panel_of = self._panel_index_batch(steer)
-        toward_b, steer_b = np.broadcast_arrays(toward, steer)
-        indices = np.broadcast_to(panel_of, steer_b.shape)
-        out = np.empty(steer_b.shape, dtype=float)
-        for i in np.unique(panel_of):
-            mask = indices == i
-            out[mask] = self._panels[int(i)].gain_dbi_batch(
-                toward_b[mask], steer_b[mask]
-            )
-        return out
+        return self._panels[0].gain_dbi_batch(
+            toward_deg, steer, boresight_deg=self._serving_boresights(steer)
+        )
 
     def steer_to_batch(self, azimuth_deg: np.ndarray) -> np.ndarray:
         """Achieved steering per command, with panel selection.
 
         State-free like :meth:`PhasedArray.steer_to_batch`.
         """
-        azimuth = np.atleast_1d(np.asarray(azimuth_deg, dtype=float))
-        indices = self._panel_index_batch(azimuth)
-        out = np.empty(azimuth.shape, dtype=float)
-        for i in np.unique(indices):
-            mask = indices == i
-            out[mask] = self._panels[int(i)].steer_to_batch(azimuth[mask])
-        return out.reshape(np.shape(azimuth_deg)) if np.ndim(azimuth_deg) else out[0]
+        azimuth = np.asarray(azimuth_deg, dtype=float)
+        return self._panels[0].steer_to_batch(
+            azimuth, boresight_deg=self._serving_boresights(azimuth)
+        )
 
     def backlobe_level_dbi(self) -> float:
         return self._panels[0].backlobe_level_dbi()

@@ -382,6 +382,43 @@ class TestRelayCandidates:
 
 
 
+class TestRelayBidKernelCalls:
+    """Pass 2 evaluates every pair's transmit and headset gains in one
+    kernel call each and every reflector's leakage in one pair of
+    pattern calls, however many headsets bid."""
+
+    @staticmethod
+    def facing_fleet():
+        """Three reflectors that can all steer at the AP and at headsets
+        near the middle of the room."""
+        room = standard_office(furnished=False)
+        ap = Radio(Vec2(0.3, 0.3), boresight_deg=45.0, name="ap")
+        reflectors = [
+            MoVRReflector(pos, boresight_deg=bearing_deg(pos, Vec2(2.5, 2.5)), name=f"movr{i}")
+            for i, pos in enumerate([Vec2(4.7, 4.7), Vec2(0.3, 4.7), Vec2(4.7, 0.3)])
+        ]
+        system = MoVRSystem(
+            room, ap, reflectors, channel=MmWaveChannel(shadowing_sigma_db=0.0)
+        )
+        system.calibrate_reflector_gains()
+        return system
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 8])
+    def test_at_most_four_calls(self, k):
+        system = self.facing_fleet()
+        headsets = [
+            headset_at(2.0 + 0.15 * (i % 4), 2.2 + 0.2 * (i // 4), yaw=40.0 * i)
+            for i in range(k)
+        ]
+        with telemetry.scope("bids") as sc:
+            bids = system.relay_candidates_many(headsets, [()] * k)
+        assert [len(b) for b in bids] == [3] * k
+        assert sc.registry.counter_value("kernel.batches") <= 4
+        assert sc.registry.counter_value("kernel.angles") == 4 * 3 * k
+        twin = self.facing_fleet()
+        assert bids == [twin.relay_candidates(h) for h in headsets]
+
+
 class TestFeedGainMemo:
     """The relay feed's two antenna gains are kept per reflector and
     recomputed whenever a beam, a boresight or an array changes."""

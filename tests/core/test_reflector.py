@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.leakage import ReflectorLeakageModel
-from repro.core.reflector import REFLECTOR_SCAN_DEG, MoVRReflector
+from repro import telemetry
+from repro.core.reflector import REFLECTOR_SCAN_DEG, MoVRReflector, leakages_db_many
 from repro.geometry.vectors import Vec2
 from repro.phy.amplifier import loop_is_stable
 
@@ -227,6 +228,57 @@ class TestLeakageMemo:
         # The memo leakages_db left answers the first two states.
         assert len(calls) == 2
         assert reflector.leakages_db([]) == []
+
+
+class TestLeakagesManyReflectors:
+    """``leakages_db_many`` pools the states every reflector's memo
+    misses into one model call per equal model, and leaves each memo as
+    if the reflector had been asked alone."""
+
+    STATES = [(2.5, 2.5), (2.5, 2.5), (1.5, 3.5), (3.0, 2.0)]
+
+    @staticmethod
+    def fleet():
+        spots = [(Vec2(4.7, 4.7), -135.0), (Vec2(0.3, 4.7), -45.0), (Vec2(4.7, 0.3), 135.0)]
+        return [MoVRReflector(pos, boresight_deg=b, name=f"r{i}") for i, (pos, b) in enumerate(spots)]
+
+    def steerings(self, reflectors):
+        ap = Vec2(0.3, 0.3)
+        return [[r.bearings_to(ap, Vec2(x, y)) for x, y in self.STATES] for r in reflectors]
+
+    def test_equals_each_reflector_alone(self):
+        pooled, alone = self.fleet(), self.fleet()
+        # One reflector starts with a memo on its first state.
+        for reflectors in (pooled, alone):
+            reflectors[1].point_at(Vec2(0.3, 0.3), Vec2(2.5, 2.5))
+            reflectors[1].leakage_db()
+        steerings = self.steerings(pooled)
+        with telemetry.scope("leak") as sc:
+            got = leakages_db_many(pooled, steerings)
+        # Distinct but equal models: one pair of pattern calls in all.
+        assert len({id(r.leakage_model) for r in pooled}) == 3
+        assert sc.registry.counter_value("kernel.batches") == 2
+        assert got == [r.leakages_db(s) for r, s in zip(alone, steerings)]
+        assert [r._leakage_memo[:2] for r in pooled] == [r._leakage_memo[:2] for r in alone]
+        assert [r._leakage_memo[3] for r in pooled] == [r._leakage_memo[3] for r in alone]
+
+    def test_unequal_models_are_separate_calls(self):
+        pooled, alone = self.fleet(), self.fleet()
+        for reflectors in (pooled, alone):
+            reflectors[2].leakage_model = ReflectorLeakageModel(board_isolation_db=70.0)
+        steerings = self.steerings(pooled)
+        with telemetry.scope("leak") as sc:
+            got = leakages_db_many(pooled, steerings)
+        assert sc.registry.counter_value("kernel.batches") == 4
+        assert got == [r.leakages_db(s) for r, s in zip(alone, steerings)]
+
+    def test_nothing_to_evaluate(self):
+        reflectors = self.fleet()
+        with telemetry.scope("leak") as sc:
+            assert leakages_db_many(reflectors, [[], [], []]) == [[], [], []]
+            assert leakages_db_many([], []) == []
+        assert sc.registry.counter_value("kernel.batches") == 0
+        assert all(r._leakage_memo is None for r in reflectors)
 
 
 class TestThroughGain:

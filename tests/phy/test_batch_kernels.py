@@ -23,12 +23,15 @@ from repro.phy.amplifier import (
     closed_loop_gain_db_batch,
     loop_is_stable,
 )
+from repro.core.reflector import REFLECTOR_ARRAY
 from repro.phy.antenna import (
     MOVR_ARRAY,
+    SMALL_ARRAY,
     MultiPanelArray,
     OmniAntenna,
     PhasedArray,
     PhasedArrayConfig,
+    panel_gains_dbi,
 )
 from repro.utils.db import db_sum_powers
 from repro.utils.units import angle_difference_deg, angle_difference_deg_batch
@@ -95,18 +98,172 @@ class TestKernelBatchCount:
         assert sc.registry.counter_value("kernel.batches") == 1
 
 
+#: Offsets from boresight: anywhere, or within a hair of the back of
+#: the array, where the scalar and batch angle wraps part (180 vs -180).
+offsets = st.floats(min_value=-180.0, max_value=180.0) | st.builds(
+    lambda side, hair: side + hair,
+    st.sampled_from([180.0, -180.0]),
+    st.floats(min_value=-1e-9, max_value=1e-9),
+)
+
+
+@st.composite
+def mounted_elements(draw):
+    """Per element: a boresight, a target and a steering given as
+    offsets from that boresight."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    boresights = draw(st.lists(st.floats(-360.0, 360.0), min_size=n, max_size=n))
+    toward = draw(st.lists(offsets, min_size=n, max_size=n))
+    steer = draw(st.lists(offsets, min_size=n, max_size=n))
+    return (
+        boresights,
+        [b + t for b, t in zip(boresights, toward)],
+        [b + s for b, s in zip(boresights, steer)],
+    )
+
+
+MOUNTED_CONFIGS = {"movr": MOVR_ARRAY, "reflector": REFLECTOR_ARRAY, "small": SMALL_ARRAY}
+
+
+class TestPerElementBoresight:
+    """One call over elements mounted at their own boresights equals one
+    array per element built at that boresight, float for float."""
+
+    @pytest.mark.parametrize("name", sorted(MOUNTED_CONFIGS))
+    @given(case=mounted_elements())
+    @settings(max_examples=60, deadline=None)
+    def test_gain_equals_own_array(self, name, case):
+        config = MOUNTED_CONFIGS[name]
+        boresights, toward, steer = case
+        kernel = PhasedArray(config, boresight_deg=17.0)
+        with telemetry.scope("mounted") as sc:
+            got = kernel.gain_dbi_batch(toward, steer, boresight_deg=boresights)
+        assert sc.registry.counter_value("kernel.batches") == 1
+        assert sc.registry.counter_value("kernel.angles") == len(toward)
+        own = [
+            PhasedArray(config, boresight_deg=b).gain_dbi_batch(t, s)
+            for b, t, s in zip(boresights, toward, steer)
+        ]
+        assert got.tolist() == own
+
+    @pytest.mark.parametrize("name", sorted(MOUNTED_CONFIGS))
+    @given(case=mounted_elements())
+    @settings(max_examples=60, deadline=None)
+    def test_relative_pattern_equals_own_array(self, name, case):
+        config = MOUNTED_CONFIGS[name]
+        boresights, toward, steer = case
+        kernel = PhasedArray(config, boresight_deg=-40.0)
+        got = kernel.relative_pattern_db_batch(
+            toward, steer, floor_db=-60.0, boresight_deg=boresights
+        )
+        own = [
+            PhasedArray(config, boresight_deg=b).relative_pattern_db_batch(t, s, -60.0)
+            for b, t, s in zip(boresights, toward, steer)
+        ]
+        assert got.tolist() == own
+
+    @pytest.mark.parametrize("name", sorted(MOUNTED_CONFIGS))
+    @given(case=mounted_elements())
+    @settings(max_examples=30, deadline=None)
+    def test_steer_to_equals_own_array(self, name, case):
+        config = MOUNTED_CONFIGS[name]
+        boresights, targets, _ = case
+        got = PhasedArray(config).steer_to_batch(
+            np.asarray(targets), boresight_deg=np.asarray(boresights)
+        )
+        own = [
+            PhasedArray(config, boresight_deg=b).steer_to_batch(np.asarray([t]))[0]
+            for b, t in zip(boresights, targets)
+        ]
+        assert got.tolist() == own
+
+    def test_grid_with_boresight_per_steering(self):
+        """A boresight per steering column covers a (targets x
+        steerings) grid, each column equal to its own array's."""
+        toward = np.linspace(-180.0, 180.0, 13)[:, None]
+        steer = np.array([[10.0, 130.0, -110.0]])
+        boresights = np.array([[0.0, 120.0, -120.0]])
+        got = PhasedArray(MOVR_ARRAY).gain_dbi_batch(toward, steer, boresight_deg=boresights)
+        for j in range(3):
+            own = PhasedArray(MOVR_ARRAY, boresight_deg=boresights[0, j])
+            assert got[:, j].tolist() == own.gain_dbi_batch(toward[:, 0], steer[0, j]).tolist()
+
+    def test_widening_boresight_refused(self):
+        array = PhasedArray(MOVR_ARRAY)
+        with pytest.raises(ValueError, match="widens"):
+            array.gain_dbi_batch(10.0, 20.0, boresight_deg=[0.0, 30.0])
+        with pytest.raises(ValueError, match="widens"):
+            array.relative_pattern_db_batch([10.0, 20.0], 5.0, boresight_deg=[[0.0], [30.0]])
+        with pytest.raises(ValueError, match="widens"):
+            array.gain_dbi_batch(np.zeros((3, 1)), np.zeros(3), boresight_deg=np.zeros((2, 1, 1)))
+
+    def test_one_pair_keeps_rank(self):
+        array = PhasedArray(MOVR_ARRAY)
+        assert array.gain_dbi_batch([10.0], 20.0, boresight_deg=[5.0]).shape == (1,)
+        assert np.ndim(array.gain_dbi_batch(10.0, 20.0, boresight_deg=5.0)) == 0
+        assert array.gain_dbi_batch(10.0, 20.0, boresight_deg=5.0) == (
+            PhasedArray(MOVR_ARRAY, boresight_deg=5.0).gain_dbi(10.0, steer_override_deg=20.0)
+        )
+
+
+class TestPanelGains:
+    """``panel_gains_dbi`` makes one kernel call per array pattern and
+    gives each entry its own array's gain."""
+
+    def test_groups_by_pattern(self):
+        headset = MultiPanelArray(PhasedArrayConfig(num_panels=3), boresight_deg=25.0)
+        # One-panel MOVR_ARRAY shares the headset's pattern (it differs
+        # only in num_panels); the small and reflector arrays do not
+        # share it, and the reflector's differs from MOVR_ARRAY only in
+        # its scan range, which shapes steering, not the pattern.
+        panels = [
+            headset.panel_for(100.0),
+            PhasedArray(SMALL_ARRAY, boresight_deg=-30.0),
+            PhasedArray(MOVR_ARRAY, boresight_deg=60.0),
+            PhasedArray(REFLECTOR_ARRAY, boresight_deg=200.0),
+            headset.panel_for(-100.0),
+            PhasedArray(SMALL_ARRAY, boresight_deg=90.0),
+        ]
+        steer = [100.0, -20.0, 70.0, 190.0, -100.0, 95.0]
+        counts = [2, 1, 3, 1, 2, 2]
+        toward = np.linspace(-170.0, 170.0, sum(counts))
+        with telemetry.scope("panels") as sc:
+            got = panel_gains_dbi(panels, toward, steer, counts)
+        assert sc.registry.counter_value("kernel.batches") == 2
+        assert sc.registry.counter_value("kernel.angles") == sum(counts)
+        start, own = 0, []
+        for panel, s, n in zip(panels, steer, counts):
+            own.extend(panel.gain_dbi_batch(toward[start:start + n], s).tolist())
+            start += n
+        assert got.tolist() == own
+
+    def test_one_entry_each_by_default(self):
+        panels = [PhasedArray(MOVR_ARRAY, boresight_deg=b) for b in (0.0, 90.0)]
+        got = panel_gains_dbi(panels, [10.0, 80.0], [5.0, 95.0])
+        assert got.tolist() == [
+            panels[0].gain_dbi(10.0, steer_override_deg=5.0),
+            panels[1].gain_dbi(80.0, steer_override_deg=95.0),
+        ]
+
+
 class TestMultiPanelBatch:
+    """Exact: a panel's steering is never more than 180/num_panels
+    degrees off its boresight, and a target at the back of the array gets
+    the backlobe floor whichever way its angle wraps."""
+
     @given(st.floats(min_value=-180.0, max_value=180.0), angle_lists, angle_lists)
     @settings(max_examples=40, deadline=None)
     def test_gain_grid_matches_scalar(self, boresight, toward, steer):
         config = PhasedArrayConfig(num_panels=4)
         array = MultiPanelArray(config, boresight_deg=boresight)
-        grid = array.gain_dbi_batch(
-            np.asarray(toward)[:, None], np.asarray(steer)[None, :]
-        )
+        with telemetry.scope("grid") as sc:
+            grid = array.gain_dbi_batch(
+                np.asarray(toward)[:, None], np.asarray(steer)[None, :]
+            )
+        assert sc.registry.counter_value("kernel.batches") == 1
         for i, t in enumerate(toward):
             for j, s in enumerate(steer):
-                assert abs(grid[i, j] - array.gain_dbi(t, steer_override_deg=s)) <= TOL_DB
+                assert grid[i, j] == array.gain_dbi(t, steer_override_deg=s)
 
     @given(st.floats(min_value=-180.0, max_value=180.0), angle_lists)
     @settings(max_examples=40, deadline=None)
@@ -114,7 +271,7 @@ class TestMultiPanelBatch:
         array = MultiPanelArray(PhasedArrayConfig(num_panels=4), boresight_deg=boresight)
         batch = array.steer_to_batch(np.asarray(targets))
         for k, target in enumerate(targets):
-            assert abs(batch[k] - array.steer_to(target)) <= TOL_DB
+            assert batch[k] == array.steer_to(target)
 
 
 class TestOmniBatch:
