@@ -35,7 +35,7 @@ from repro.phy.channel import MmWaveChannel
 from repro.phy.noise import relay_path_snr_db
 from repro.rate.mcs import data_rate_mbps_for_snr
 from repro.utils.rng import RngLike, make_rng
-from repro.utils.validation import require_finite
+from repro.utils.validation import require_finite, require_same_length
 
 
 @dataclass(frozen=True)
@@ -144,9 +144,6 @@ class MoVRSystem:
         # handoff until the coordinator reports recovery.
         self._control_down: Dict[str, Optional[float]] = {}
         self._degraded_emitted = False
-        # Per reflector, the last feed-hop antenna gains and what they
-        # were computed from.  See :meth:`_feed_antenna_gains`.
-        self._feed_memo: Dict[MoVRReflector, tuple] = {}
 
     # ------------------------------------------------------------------
     # Calibration
@@ -240,69 +237,19 @@ class MoVRSystem:
         reflector: MoVRReflector,
         extra_occluders: Sequence[Occluder],
     ) -> float:
-        """Signal power at the reflector's amplifier input port."""
-        feed = self.budget.hop_columns(self._feed_hop(reflector, extra_occluders))
-        return self._amp_input_from(reflector, *feed, reflector.rx_array.steering_deg)
-
-    def _amp_input_from(
-        self,
-        reflector: MoVRReflector,
-        departure: float,
-        arrival: float,
-        feed_gain: float,
-        rx_steer: float,
-    ) -> float:
-        """Amplifier input power over a feed hop leaving the AP at
-        ``departure``, arriving at ``arrival`` with channel gain
-        ``feed_gain``, the receive beam steered at ``rx_steer``."""
-        ap_gain, rx_gain = self._feed_antenna_gains(
-            reflector, departure, arrival, rx_steer
+        """Signal power at the reflector's amplifier input port, its
+        receive beam where it is.  The AP steers at the reflector: along
+        the feed hop's departure, which is the bearing from the AP to
+        the reflector, float for float."""
+        departure, arrival, feed_gain = self.budget.hop_columns(
+            self._feed_hop(reflector, extra_occluders)
         )
+        ap_gain, rx_gain = panel_gains_dbi(
+            [self.ap.array.panel_for(departure), reflector.rx_array],
+            [departure, arrival],
+            [departure, reflector.rx_azimuth_deg],
+        ).tolist()
         return self.ap.config.tx_power_dbm + ap_gain + feed_gain + rx_gain
-
-    def _feed_antenna_gains(
-        self,
-        reflector: MoVRReflector,
-        departure: float,
-        arrival: float,
-        rx_steer: float,
-    ) -> Tuple[float, float]:
-        """The AP's gain toward ``reflector`` and the reflector's receive
-        gain toward the AP with its beam at ``rx_steer``, over the feed
-        hop leaving at ``departure`` and arriving at ``arrival``.
-
-        The AP steers at the reflector: along ``departure``, which is
-        the bearing from the AP to the reflector, float for float.
-
-        Between ticks neither the hop nor the beams on it move, so the
-        last pair is kept per reflector and returned again while every
-        input is unchanged: the hop's angles, both arrays (by identity)
-        with their boresights, and the receive steering.  As with
-        :meth:`MoVRReflector.leakage_db`, an array's configuration is
-        assumed not to be replaced in place.
-        """
-        ap_array, rx_array = self.ap.array, reflector.rx_array
-        state = (
-            departure,
-            arrival,
-            ap_array.boresight_deg,
-            rx_steer,
-            rx_array.boresight_deg,
-        )
-        memo = self._feed_memo.get(reflector)
-        if (
-            memo is not None
-            and memo[0] is ap_array
-            and memo[1] is rx_array
-            and memo[2] == state
-        ):
-            return memo[3]
-        gains = (
-            ap_array.gain_dbi(departure, steer_override_deg=departure),
-            rx_array.gain_dbi(arrival, steer_override_deg=rx_steer),
-        )
-        self._feed_memo[reflector] = (ap_array, rx_array, state, gains)
-        return gains
 
     def relay_link(
         self,
@@ -356,6 +303,9 @@ class MoVRSystem:
         was evaluated for.  Equal SNRs keep reflector order (the sort is
         stable).
         """
+        require_same_length(
+            headset_radios, occluder_lists, "headset_radios", "occluder_lists"
+        )
         ap = self.ap.position
         pairs = []
         for user, radio in enumerate(headset_radios):
@@ -385,12 +335,13 @@ class MoVRSystem:
         Each pair in turn sets the reflector's beams (``None`` keeps
         them) and looks up its feed hop, then its out hop; the new hop
         columns come from one array formula and the shadowing from one
-        draw per hop, in that order.  One antenna-kernel call covers
-        every pair's transmit-array gain, and one every pair's headset
-        gain on the panel facing its reflector (one call per array
-        pattern, :func:`panel_gains_dbi`); the leakage of every
-        reflector's beam states is one pair of pattern calls per equal
-        leakage model (:func:`leakages_db_many`).  Each pair then
+        draw per hop, in that order.  One :func:`panel_gains_dbi` call
+        (one antenna-kernel call per array pattern) covers each pair's
+        four gains: the AP's along the feed hop, the receive array's
+        toward the AP, the transmit array's toward the headset and the
+        gain of the headset's panel facing the reflector.  The leakage
+        of every pair's beam state is one pair of pattern calls per
+        equal leakage model (:func:`leakages_db_many`).  Each pair then
         finishes with the scalar amplifier, stability and two-hop SNR
         formulas.
         """
@@ -399,8 +350,7 @@ class MoVRSystem:
         cache = self.budget.cache
         local: Dict[int, Sequence[Occluder]] = {}
         hops, steerings = [], []
-        by_reflector: Dict[MoVRReflector, List[int]] = {}
-        for k, (user, reflector, beams) in enumerate(pairs):
+        for user, reflector, beams in pairs:
             if beams is not None:
                 reflector.set_beams(*beams)
             steerings.append((reflector.rx_azimuth_deg, reflector.tx_azimuth_deg))
@@ -424,55 +374,44 @@ class MoVRSystem:
                     include_room_occluders=False,
                 )
             hops.append(out)
-            by_reflector.setdefault(reflector, []).append(k)
         departures, arrivals, hop_gains = self.budget.hop_columns_many(hops)
-        # Feed hops are the even entries, out hops the odd ones.
-        out_departures, out_arrivals = departures[1::2], arrivals[1::2]
 
-        # The reflectors' transmit arrays at the steerings they got, and
-        # each headset's serving panel steered back at its reflector
-        # (the out hop's arrival is that bearing, float for float).
-        tx_gains = panel_gains_dbi(
-            [reflector.tx_array for _, reflector, _ in pairs],
-            out_departures,
-            [tx_steer for _, tx_steer in steerings],
-        ).tolist()
-        hs_gains = panel_gains_dbi(
-            [
-                headset_radios[user].array.panel_for(arrival)
-                for (user, _, _), arrival in zip(pairs, out_arrivals)
-            ],
-            out_arrivals,
-            out_arrivals,
-        ).tolist()
-        leakages = [0.0] * len(pairs)
-        groups = list(by_reflector.items())
-        leaks = leakages_db_many(
-            [reflector for reflector, _ in groups],
-            [[steerings[k] for k in ks] for _, ks in groups],
-        )
-        for (_, ks), values in zip(groups, leaks):
-            for k, leak in zip(ks, values):
-                leakages[k] = leak
+        # Feed hops are the even entries, out hops the odd ones.  The AP
+        # steers along the feed's departure (the bearing to the
+        # reflector) and each headset's serving panel along the out
+        # hop's arrival (the bearing back at the reflector), float for
+        # float.
+        panels, toward, steer = [], [], []
+        for k, ((user, reflector, _), (rx_steer, tx_steer)) in enumerate(
+            zip(pairs, steerings)
+        ):
+            feed_departure, out_departure = departures[2 * k], departures[2 * k + 1]
+            feed_arrival, out_arrival = arrivals[2 * k], arrivals[2 * k + 1]
+            panels += [
+                self.ap.array.panel_for(feed_departure),
+                reflector.rx_array,
+                reflector.tx_array,
+                headset_radios[user].array.panel_for(out_arrival),
+            ]
+            toward += [feed_departure, feed_arrival, out_departure, out_arrival]
+            steer += [feed_departure, rx_steer, tx_steer, out_arrival]
+        gains = panel_gains_dbi(panels, toward, steer).tolist()
+        leakages = leakages_db_many([reflector for _, reflector, _ in pairs], steerings)
 
         bids = []
         implementation_loss = self.ap.config.implementation_loss_db
+        tx_power = self.ap.config.tx_power_dbm
         for k, (user, reflector, _) in enumerate(pairs):
-            amp_input = self._amp_input_from(
-                reflector,
-                departures[2 * k],
-                arrivals[2 * k],
-                hop_gains[2 * k],
-                steerings[k][0],
-            )
+            ap_gain, rx_gain, tx_gain, headset_gain = gains[4 * k:4 * k + 4]
+            amp_input = tx_power + ap_gain + hop_gains[2 * k] + rx_gain
             first_hop_snr = amp_input - reflector.front_end_noise.noise_floor_dbm
             amp_output = reflector.output_power_at_dbm(amp_input, leakages[k])
             stable = loop_is_stable(reflector.amplifier.gain_db, leakages[k])
             received = (
                 amp_output
-                + tx_gains[k]
+                + tx_gain
                 + hop_gains[2 * k + 1]
-                + hs_gains[k]
+                + headset_gain
                 - implementation_loss
             )
             second_hop_snr = received - headset_radios[user].config.noise_floor_dbm

@@ -172,7 +172,7 @@ class ReflectorLeakageModel:
         Returns shape (n, 2): TX angle, leakage dB.
         """
         angles = np.arange(tx_start_deg, tx_stop_deg + step_deg / 2.0, step_deg)
-        values = [self.leakage_db(float(a), rx_angle_deg) for a in angles]
+        values = self.leakage_db_pairs(angles.tolist(), [rx_angle_deg] * len(angles))
         return np.stack([angles, np.asarray(values)], axis=1)
 
     def worst_case_leakage_db(self, step_deg: float = 5.0) -> float:
@@ -182,9 +182,8 @@ class ReflectorLeakageModel:
         stable — the conservative alternative to adaptive gain that the
         ablation benchmark compares against.
         """
-        worst = -math.inf
         angles = np.arange(MIN_ANGLE_DEG, MAX_ANGLE_DEG + step_deg / 2.0, step_deg)
-        for tx in angles:
-            for rx in angles:
-                worst = max(worst, self.leakage_db(float(tx), float(rx)))
-        return worst
+        grid = angles.tolist()
+        # Every (TX, RX) pair of the grid, one leakage_db_pairs call.
+        tx_angles = [tx for tx in grid for _ in grid]
+        return max(self.leakage_db_pairs(tx_angles, grid * len(grid)))

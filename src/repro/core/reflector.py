@@ -50,6 +50,7 @@ from repro.utils.units import (
     angle_difference_deg,
     angle_difference_deg_batch,
 )
+from repro.utils.validation import require_same_length
 
 #: The reflector arrays scan +/-50 degrees, i.e. prototype angles 40-140
 #: (the sweep range of Figs. 7 and 8 of the paper).
@@ -177,11 +178,13 @@ class MoVRReflector:
 
         The coupling depends only on the two prototype angles (which
         fold in the boresight) and the leakage model, so the last value
-        is kept and returned again while all three are unchanged: a
-        relay evaluation asks twice per beam state (stability, then
-        closed-loop gain) and gain calibration asks at fixed beams.
-        The model is compared by identity and assumed not to be
-        mutated in place, as its own batch memo assumes.
+        is kept and returned again while all three are unchanged: gain
+        calibration asks again and again at fixed beams (stability,
+        closed-loop gain, output power, supply current).  The model is
+        compared by identity and assumed not to be mutated in place, as
+        its own batch memo assumes.  The relay pass reads the coupling
+        of many beam states at once through :func:`leakages_db_many`,
+        which neither reads nor writes this memo.
         """
         tx = self.azimuth_to_prototype(self.tx_azimuth_deg)
         rx = self.azimuth_to_prototype(self.rx_azimuth_deg)
@@ -192,14 +195,6 @@ class MoVRReflector:
         value = model.leakage_db(tx, rx)
         self._leakage_memo = (tx, rx, model, value)
         return value
-
-    def leakages_db(self, steerings: Sequence[Tuple[float, float]]) -> List[float]:
-        """:meth:`leakage_db` at each (receive, transmit) beam azimuth
-        pair in turn, as if the beams were set to each: the
-        one-reflector case of :func:`leakages_db_many`.  The beams
-        themselves are not moved.
-        """
-        return leakages_db_many((self,), (steerings,))[0]
 
     def is_stable(self) -> bool:
         """Is the feedback loop stable at the current gain and beams?"""
@@ -328,57 +323,34 @@ class MoVRReflector:
 
 def leakages_db_many(
     reflectors: Sequence[MoVRReflector],
-    steerings: Sequence[Sequence[Tuple[float, float]]],
-) -> List[List[float]]:
-    """:meth:`MoVRReflector.leakages_db` of ``reflectors[i]`` at the
-    (receive, transmit) beam azimuth pairs ``steerings[i]``, for each
-    reflector (each listed once), with one model call per equal model.
+    steerings: Sequence[Tuple[float, float]],
+) -> List[float]:
+    """The TX->RX coupling (negative dB) of ``reflectors[i]`` with its
+    beams at the (receive, transmit) scene azimuths ``steerings[i]``:
+    what :meth:`MoVRReflector.leakage_db` gives with the beams set
+    there.  A reflector may appear any number of times.
 
-    Per reflector, the memo answers a pair whose prototype angles equal
-    the ones before it, and is left on its last pair, exactly as if the
-    reflector were asked alone.  The pairs the memos miss are evaluated
-    together, one :meth:`ReflectorLeakageModel.leakage_db_pairs` call
-    (two kernel calls) per group of equal models: equal models give
-    equal values, pair by pair.
+    A pure function of the beam states: no beam moves and no memo is
+    read or written.  Pairs whose leakage models are equal are one
+    :meth:`ReflectorLeakageModel.leakage_db_pairs` call (two kernel
+    calls): equal models give equal values, pair by pair.
     """
-    plans = []
-    groups: List[Tuple[ReflectorLeakageModel, list, list]] = []
-    for reflector, states in zip(reflectors, steerings):
+    require_same_length(reflectors, steerings, "reflectors", "steerings")
+    # Per group: its model, its pairs' indices, TX and RX prototype angles.
+    groups: List[Tuple[ReflectorLeakageModel, List[int], List[float], List[float]]] = []
+    for k, (reflector, (rx_azimuth, tx_azimuth)) in enumerate(
+        zip(reflectors, steerings)
+    ):
         model = reflector.leakage_model
-        memo = reflector._leakage_memo
-        values, last = {}, None
-        if memo is not None and memo[2] is model:
-            last = (memo[0], memo[1])
-            values[last] = memo[3]
-        angles, missed = [], []
-        for rx_azimuth, tx_azimuth in states:
-            pair = (
-                reflector.azimuth_to_prototype(tx_azimuth),
-                reflector.azimuth_to_prototype(rx_azimuth),
-            )
-            if pair != last:
-                missed.append(pair)
-                last = pair
-            angles.append(pair)
-        plans.append((angles, values))
-        if missed:
-            group = next((g for g in groups if g[0] is model or g[0] == model), None)
-            if group is None:
-                group = (model, [], [])
-                groups.append(group)
-            group[1].extend(missed)
-            group[2].append((values, missed))
-    for model, pairs, owners in groups:
-        results = model.leakage_db_pairs(*zip(*pairs))
-        start = 0
-        for values, missed in owners:
-            values.update(zip(missed, results[start:start + len(missed)]))
-            start += len(missed)
-    out = []
-    for reflector, (angles, values) in zip(reflectors, plans):
-        if angles:
-            reflector._leakage_memo = (
-                *angles[-1], reflector.leakage_model, values[angles[-1]]
-            )
-        out.append([values[pair] for pair in angles])
+        group = next((g for g in groups if g[0] is model or g[0] == model), None)
+        if group is None:
+            group = (model, [], [], [])
+            groups.append(group)
+        group[1].append(k)
+        group[2].append(reflector.azimuth_to_prototype(tx_azimuth))
+        group[3].append(reflector.azimuth_to_prototype(rx_azimuth))
+    out = [0.0] * len(reflectors)
+    for model, members, tx_angles, rx_angles in groups:
+        for k, value in zip(members, model.leakage_db_pairs(tx_angles, rx_angles)):
+            out[k] = value
     return out

@@ -35,6 +35,7 @@ from repro.phy.channel import MmWaveChannel
 from repro import telemetry
 from repro.sim.cache import SceneCache
 from repro.utils.db import db_sum_powers, linear_to_db
+from repro.utils.validation import require_same_length
 
 
 @dataclass(frozen=True)
@@ -311,12 +312,13 @@ class LinkBudget:
         formula.  ``tx`` and then each receiver steer onto their LOS in
         receiver order (scan-range clipping and phase quantization
         included, so an unreachable path shows up as low gain), which
-        leaves ``tx`` steered at the last receiver.  The transmit side
-        is one antenna-kernel call over every receiver's paths, and so
-        is the receive side, each path on its receiver's serving panel
-        (one call per array pattern, :func:`panel_gains_dbi`).
-        Shadowing is one draw per path in receiver and path order.
+        leaves ``tx`` steered at the last receiver.  Every path's
+        transmit and receive gains are one :func:`panel_gains_dbi` call
+        (one antenna-kernel call per array pattern), each side on the
+        panel that serves its steering.  Shadowing is one draw per path
+        in receiver and path order.
         """
+        require_same_length(rxs, occluder_lists, "rxs", "occluder_lists")
         if not rxs:
             return []
         cache = self.cache
@@ -325,20 +327,29 @@ class LinkBudget:
             for rx, occluders in zip(rxs, occluder_lists)
         ]
         columns = cache.link_columns_many(path_lists, self.channel)
-        tx_steers, rx_steers, rx_panels = [], [], []
+        tx_steers, rx_steers, tx_panels, rx_panels = [], [], [], []
         for rx, block in zip(rxs, columns):
             departure, arrival = block[:2, 0].tolist()
-            tx_steers.append(tx.steer_to(departure))
-            rx_steer = rx.steer_to(arrival)
+            tx_steer, rx_steer = tx.steer_to(departure), rx.steer_to(arrival)
+            tx_steers.append(tx_steer)
             rx_steers.append(rx_steer)
+            tx_panels.append(tx.array.panel_for(tx_steer))
             rx_panels.append(rx.array.panel_for(rx_steer))
         counts = [len(paths) for paths in path_lists]
         joined = np.concatenate(columns, axis=1)
-        tx_gain = tx.array.gain_dbi_batch(joined[0], np.array(tx_steers).repeat(counts))
+        # Departures toward the transmit panels, then arrivals toward
+        # the receive panels.
+        gains = panel_gains_dbi(
+            tx_panels + rx_panels,
+            joined[:2].ravel(),
+            tx_steers + rx_steers,
+            counts + counts,
+        )
+        n = joined.shape[1]
         const = tx.config.tx_power_dbm - tx.config.implementation_loss_db
         # Per path: const + channel + tx gain + rx gain, in that order.
-        powers = const + self.channel.shadowed_db(joined[2]) + tx_gain
-        powers += panel_gains_dbi(rx_panels, joined[1], rx_steers, counts)
+        powers = const + self.channel.shadowed_db(joined[2]) + gains[:n]
+        powers += gains[n:]
         bounds = [0, *accumulate(counts)]
         spans = list(zip(bounds, bounds[1:]))
         # db_sum_powers per receiver: each slice sums as its own array.

@@ -8,7 +8,7 @@ a NaN three layers deeper in a link budget.
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import Any, Sequence
 
 
 def require_positive(value: float, name: str) -> float:
@@ -58,3 +58,14 @@ def require_int(value: Any, name: str, minimum: int = None) -> int:
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return value
+
+
+def require_same_length(
+    first: Sequence, second: Sequence, first_name: str, second_name: str
+) -> None:
+    """Raise ``ValueError`` unless ``first`` and ``second`` have equal
+    lengths (one entry of ``second`` per entry of ``first``)."""
+    if len(first) != len(second):
+        raise ValueError(
+            f"{second_name} has {len(second)} entries for {len(first)} {first_name}"
+        )

@@ -382,10 +382,28 @@ class TestRelayCandidates:
 
 
 
+class TestBatchedEntriesCheckLengths:
+    """The batched link entries take one occluder list per headset and
+    refuse any other count before looking up a scene."""
+
+    @pytest.mark.parametrize("lists", [1, 3], ids=["fewer", "more"])
+    @pytest.mark.parametrize("entry", ["direct_links", "relay_candidates_many"])
+    def test_unequal_lengths_are_refused(self, entry, lists):
+        system = _three_reflector_system()
+        headsets = [headset_at(2.5, 3.5), headset_at(3.0, 2.0)]
+        with telemetry.scope("lengths") as sc:
+            match = f"occluder_lists has {lists} entries for 2 "
+            with pytest.raises(ValueError, match=match):
+                getattr(system, entry)(headsets, [()] * lists)
+        assert sc.registry.counter_value("scene.cache.misses") == 0
+        assert sc.registry.counter_value("scene.cache.hits") == 0
+
+
 class TestRelayBidKernelCalls:
-    """Pass 2 evaluates every pair's transmit and headset gains in one
-    kernel call each and every reflector's leakage in one pair of
-    pattern calls, however many headsets bid."""
+    """Pass 2 evaluates every pair's four antenna gains (AP, reflector
+    receive and transmit arrays, headset panel) in one kernel call and
+    every pair's leakage in one pair of pattern calls, however many
+    headsets bid."""
 
     @staticmethod
     def facing_fleet():
@@ -413,80 +431,70 @@ class TestRelayBidKernelCalls:
         with telemetry.scope("bids") as sc:
             bids = system.relay_candidates_many(headsets, [()] * k)
         assert [len(b) for b in bids] == [3] * k
-        assert sc.registry.counter_value("kernel.batches") <= 4
-        assert sc.registry.counter_value("kernel.angles") == 4 * 3 * k
+        assert sc.registry.counter_value("kernel.batches") <= 3
+        assert sc.registry.counter_value("kernel.angles") == 6 * 3 * k
         twin = self.facing_fleet()
         assert bids == [twin.relay_candidates(h) for h in headsets]
 
 
 class TestFeedGainMemo:
-    """The relay feed's two antenna gains are kept per reflector and
-    recomputed whenever a beam, a boresight or an array changes."""
+    """The relay feed's amplifier input is the hand-computed budget, the
+    feed hop's columns plus each side's scalar gain, whatever moved
+    before it: a beam, a boresight or an array."""
 
     @staticmethod
-    def feed(system, reflector):
-        """The amplifier input and the antenna-kernel calls it made."""
-        with telemetry.scope("feed") as sc:
-            value = system._amp_input_dbm(reflector, ())
-        return value, sc.registry.counter_value("kernel.batches")
-
-    @staticmethod
-    def fresh(system, reflector):
-        """The same input from a system with no memo over the same
-        room, AP and reflectors."""
-        twin = MoVRSystem(
-            system.room, system.ap, system.reflectors, channel=system.channel
+    def by_hand(system, reflector):
+        feed = system.budget.cache.line_of_sight(
+            system.ap.position, reflector.position, (), include_room_occluders=False
         )
-        return twin._amp_input_dbm(reflector, ())
+        departure, arrival, feed_gain = system.budget.hop_columns(feed)
+        ap_gain = system.ap.array.gain_dbi(departure, steer_override_deg=departure)
+        rx_gain = reflector.rx_array.gain_dbi(arrival)
+        return system.ap.config.tx_power_dbm + ap_gain + feed_gain + rx_gain
 
     def test_unchanged_feed_is_read_back(self):
         system = _three_reflector_system()
         reflector = system.reflector("movr0")
         reflector.point_at(system.ap.position, Vec2(2.5, 3.5))
-        first, _ = self.feed(system, reflector)
+        first = system._amp_input_dbm(reflector, ())
         # A different headset leaves the receive beam on the AP.
         reflector.point_at(system.ap.position, Vec2(3.5, 2.0))
-        again, batches = self.feed(system, reflector)
-        assert (again, batches) == (first, 0)
-        assert again == self.fresh(system, reflector)
+        again = system._amp_input_dbm(reflector, ())
+        assert again == first == self.by_hand(system, reflector)
 
     def test_beam_changes_miss(self):
         system = _three_reflector_system()
         reflector = system.reflector("movr0")
         reflector.point_at(system.ap.position, Vec2(2.5, 3.5))
-        aimed, _ = self.feed(system, reflector)
+        aimed = system._amp_input_dbm(reflector, ())
         reflector.set_beams(reflector.rx_azimuth_deg + 12.0, reflector.tx_azimuth_deg)
-        off_beam, batches = self.feed(system, reflector)
-        assert batches == 2
-        assert off_beam == self.fresh(system, reflector)
+        off_beam = system._amp_input_dbm(reflector, ())
+        assert off_beam == self.by_hand(system, reflector)
         assert off_beam < aimed
         reflector.point_at(system.ap.position, Vec2(2.5, 3.5))
-        back, batches = self.feed(system, reflector)
-        assert (back, batches) == (aimed, 2)
+        assert system._amp_input_dbm(reflector, ()) == aimed
 
     def test_ap_boresight_change_misses(self):
         system = _three_reflector_system()
         reflector = system.reflector("movr1")
         reflector.point_at(system.ap.position, Vec2(2.5, 3.5))
-        self.feed(system, reflector)
+        before = system._amp_input_dbm(reflector, ())
         system.ap.boresight_deg = 80.0
-        value, batches = self.feed(system, reflector)
-        assert batches == 2
-        assert value == self.fresh(system, reflector)
+        value = system._amp_input_dbm(reflector, ())
+        assert value == self.by_hand(system, reflector)
+        assert value != before
 
     def test_swapped_arrays_miss(self):
         system = _three_reflector_system()
         reflector = system.reflector("movr0")
         reflector.point_at(system.ap.position, Vec2(2.5, 3.5))
-        self.feed(system, reflector)
+        system._amp_input_dbm(reflector, ())
         reflector.rx_array = PhasedArray(reflector.rx_array.config, reflector.boresight_deg)
-        value, batches = self.feed(system, reflector)
-        assert batches == 2
-        assert value == self.fresh(system, reflector)
+        value = system._amp_input_dbm(reflector, ())
+        assert value == self.by_hand(system, reflector)
         system.ap.array = PhasedArray(PhasedArrayConfig(num_elements=8), 45.0)
-        value, batches = self.feed(system, reflector)
-        assert batches == 2
-        assert value == self.fresh(system, reflector)
+        value = system._amp_input_dbm(reflector, ())
+        assert value == self.by_hand(system, reflector)
 
     def test_relay_candidates_match_a_fresh_system(self):
         system = _three_reflector_system()

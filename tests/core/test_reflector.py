@@ -198,10 +198,9 @@ class TestLeakageMemo:
 
 
     def test_many_states_match_one_at_a_time(self, counted, monkeypatch):
-        """``leakages_db`` gives ``leakage_db`` at each beam state in
-        turn, evaluates only the states the memo would miss (in one
-        model call) and leaves the memo on the last state."""
-        reflector, calls, _ = counted
+        """``leakages_db_many`` gives ``leakage_db`` at each beam state in
+        turn, all states in one model call, and moves no beam."""
+        reflector, _, _ = counted
         ap = Vec2(0.3, 0.3)
         states = [
             reflector.bearings_to(ap, Vec2(x, y))
@@ -217,23 +216,20 @@ class TestLeakageMemo:
             return original(tx, rx)
 
         monkeypatch.setattr(model, "leakage_db_pairs", counting_pairs)
-        values = reflector.leakages_db(states)
+        values = leakages_db_many([reflector] * len(states), states)
         assert reflector.state() == before  # the beams did not move
-        assert len(pairs) == 1 and len(pairs[0]) == 3
+        assert [len(p) for p in pairs] == [len(states)]
         expected = []
         for rx, tx in states:
             reflector.set_beams(rx, tx)
             expected.append(reflector.leakage_db())
         assert values == expected
-        # The memo leakages_db left answers the first two states.
-        assert len(calls) == 2
-        assert reflector.leakages_db([]) == []
 
 
 class TestLeakagesManyReflectors:
-    """``leakages_db_many`` pools the states every reflector's memo
-    misses into one model call per equal model, and leaves each memo as
-    if the reflector had been asked alone."""
+    """``leakages_db_many`` is a pure function of the beam states: one
+    model call per equal model, each value what the reflector's own
+    ``leakage_db`` gives at that state, no beam or memo touched."""
 
     STATES = [(2.5, 2.5), (2.5, 2.5), (1.5, 3.5), (3.0, 2.0)]
 
@@ -243,8 +239,19 @@ class TestLeakagesManyReflectors:
         return [MoVRReflector(pos, boresight_deg=b, name=f"r{i}") for i, (pos, b) in enumerate(spots)]
 
     def steerings(self, reflectors):
+        """Every reflector at every state, reflector by reflector."""
         ap = Vec2(0.3, 0.3)
-        return [[r.bearings_to(ap, Vec2(x, y)) for x, y in self.STATES] for r in reflectors]
+        headsets = [Vec2(x, y) for x, y in self.STATES]
+        pairs = [(r, r.bearings_to(ap, hs)) for r in reflectors for hs in headsets]
+        return [r for r, _ in pairs], [beams for _, beams in pairs]
+
+    @staticmethod
+    def one_at_a_time(reflectors, steerings):
+        values = []
+        for reflector, beams in zip(reflectors, steerings):
+            reflector.set_beams(*beams)
+            values.append(reflector.leakage_db())
+        return values
 
     def test_equals_each_reflector_alone(self):
         pooled, alone = self.fleet(), self.fleet()
@@ -252,33 +259,33 @@ class TestLeakagesManyReflectors:
         for reflectors in (pooled, alone):
             reflectors[1].point_at(Vec2(0.3, 0.3), Vec2(2.5, 2.5))
             reflectors[1].leakage_db()
-        steerings = self.steerings(pooled)
+        before = [(r.state(), r._leakage_memo) for r in pooled]
         with telemetry.scope("leak") as sc:
-            got = leakages_db_many(pooled, steerings)
+            got = leakages_db_many(*self.steerings(pooled))
         # Distinct but equal models: one pair of pattern calls in all.
         assert len({id(r.leakage_model) for r in pooled}) == 3
         assert sc.registry.counter_value("kernel.batches") == 2
-        assert got == [r.leakages_db(s) for r, s in zip(alone, steerings)]
-        assert [r._leakage_memo[:2] for r in pooled] == [r._leakage_memo[:2] for r in alone]
-        assert [r._leakage_memo[3] for r in pooled] == [r._leakage_memo[3] for r in alone]
+        assert [(r.state(), r._leakage_memo) for r in pooled] == before
+        assert got == self.one_at_a_time(*self.steerings(alone))
 
     def test_unequal_models_are_separate_calls(self):
         pooled, alone = self.fleet(), self.fleet()
         for reflectors in (pooled, alone):
             reflectors[2].leakage_model = ReflectorLeakageModel(board_isolation_db=70.0)
-        steerings = self.steerings(pooled)
         with telemetry.scope("leak") as sc:
-            got = leakages_db_many(pooled, steerings)
+            got = leakages_db_many(*self.steerings(pooled))
         assert sc.registry.counter_value("kernel.batches") == 4
-        assert got == [r.leakages_db(s) for r, s in zip(alone, steerings)]
+        assert got == self.one_at_a_time(*self.steerings(alone))
 
     def test_nothing_to_evaluate(self):
-        reflectors = self.fleet()
         with telemetry.scope("leak") as sc:
-            assert leakages_db_many(reflectors, [[], [], []]) == [[], [], []]
             assert leakages_db_many([], []) == []
         assert sc.registry.counter_value("kernel.batches") == 0
-        assert all(r._leakage_memo is None for r in reflectors)
+
+    def test_unequal_lengths_are_refused(self):
+        reflectors, steerings = self.steerings(self.fleet())
+        with pytest.raises(ValueError, match="steerings has 11 entries for 12 "):
+            leakages_db_many(reflectors, steerings[:-1])
 
 
 class TestThroughGain:

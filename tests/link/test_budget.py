@@ -263,11 +263,11 @@ class TestMeasureAlignedMany:
         single, single_batches, _ = self._measured(batched=False)
         assert batched == single
         assert batched[1]["scene.cache.hits"] == 2  # the shared scene, the warm one
-        # One transmit-side kernel call for all receivers, and one
-        # receive-side call: one- and three-panel receivers share a
-        # pattern and differ only by their panels' boresights.
-        assert batches == 2
-        assert single_batches == 2 * len(self.HEADSETS)
+        # One kernel call for both sides of every receiver: the AP and
+        # the one- and three-panel receivers share a pattern and differ
+        # only by their panels' boresights.
+        assert batches == 1
+        assert single_batches == len(self.HEADSETS)
 
     def test_columns_built_in_one_formula(self, monkeypatch):
         formulas = []
@@ -293,3 +293,16 @@ class TestMeasureAlignedMany:
     def test_no_receivers(self, setup):
         budget, tx, _ = setup
         assert budget.measure_aligned_many(tx, [], []) == []
+
+    @pytest.mark.parametrize("lists", [1, 3], ids=["fewer", "more"])
+    def test_unequal_lengths_are_refused(self, setup, lists):
+        """One occluder list per receiver, checked before any lookup."""
+        budget, tx, rx = setup
+        rxs = [rx, rx.moved_to(Vec2(2.0, 3.0))]
+        with telemetry.scope("aligned") as sc:
+            with pytest.raises(
+                ValueError, match=f"occluder_lists has {lists} entries for 2 rxs"
+            ):
+                budget.measure_aligned_many(tx, rxs, [()] * lists)
+        assert sc.registry.counter_value("scene.cache.misses") == 0
+        assert sc.registry.counter_value("scene.cache.hits") == 0
