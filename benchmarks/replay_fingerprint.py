@@ -11,9 +11,13 @@ the same decisions, float for float::
     PYTHONPATH=src python benchmarks/replay_fingerprint.py \\
         --workload arena-6 --seed 3 --ticks 200
 
-The digest is the last line printed.  It must not depend on
-``PYTHONHASHSEED``: a digest that changes with it means set or dict
-ordering leaked into the traced path order.
+The serving digest is the last line printed.  The line before it,
+``installation <digest>``, hashes the testbed's set-up: each
+reflector's gain-calibration result (final gain, knee, steps, gain and
+current traces) and the state of the testbed's random generator after
+set-up.  Neither digest may depend on ``PYTHONHASHSEED``: a digest
+that changes with it means set or dict ordering leaked into the traced
+path order.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import hashlib
 import struct
 import sys
 from pathlib import Path
-from typing import Callable, List, Sequence
+from typing import Callable, List, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -77,6 +81,22 @@ class Fingerprint:
         return self._digest.hexdigest()
 
 
+def installation_digest(bed) -> str:
+    """SHA-256 over every reflector's calibration result, in reflector
+    order, and the generator state the set-up left."""
+    digest = hashlib.sha256()
+    for reflector in bed.system.reflectors:
+        result = bed.system.gain_results[reflector.name]
+        digest.update(
+            f"{reflector.name} {result.knee_detected} {result.steps_taken} "
+            f"{len(result.gain_trace_db)}\0".encode()
+        )
+        values = [result.final_gain_db, *result.gain_trace_db, *result.current_trace_ma]
+        digest.update(struct.pack(f"<{len(values)}d", *values))
+    digest.update(repr(bed.rng.bit_generator.state).encode())
+    return digest.hexdigest()
+
+
 def _recording(fingerprint: Fingerprint) -> Callable[[], None]:
     """Record every public tracer query's paths; returns the undo."""
     all_paths, line_of_sight = RayTracer.all_paths, RayTracer.line_of_sight
@@ -100,10 +120,12 @@ def _recording(fingerprint: Fingerprint) -> Callable[[], None]:
     return undo
 
 
-def replay(workload_name: str, seed: int, ticks: int) -> Fingerprint:
-    """Serve ``ticks`` ticks of one seeded workload, fingerprinting them."""
+def replay(workload_name: str, seed: int, ticks: int) -> Tuple[str, Fingerprint]:
+    """Set up one workload's testbed and serve ``ticks`` ticks of its
+    seeded inputs: the installation digest and the serving fingerprint."""
     workload = WORKLOADS[workload_name]
     bed = build_testbed(workload)
+    installation = installation_digest(bed)
     inputs = build_inputs(workload, bed, seed, rep=0)[:ticks]
     fingerprint = Fingerprint(bed.room, bed.system.channel)
     multi = None
@@ -126,7 +148,7 @@ def replay(workload_name: str, seed: int, ticks: int) -> Fingerprint:
             fingerprint.decisions(decisions)
     finally:
         undo()
-    return fingerprint
+    return installation, fingerprint
 
 
 def main(argv=None) -> int:
@@ -135,8 +157,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--ticks", type=int, required=True)
     args = parser.parse_args(argv)
-    fingerprint = replay(args.workload, args.seed, args.ticks)
+    installation, fingerprint = replay(args.workload, args.seed, args.ticks)
     print(f"{fingerprint.path_sets} traced path sets, {fingerprint.paths} paths")
+    print(f"installation {installation}")
     print(fingerprint.hexdigest())
     return 0
 

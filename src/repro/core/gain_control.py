@@ -15,7 +15,7 @@ an oracle that knows the true leakage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -56,17 +56,39 @@ class CurrentSensor:
         self.spec = spec
         self._rng = make_rng(rng)
 
+    @property
+    def rng(self) -> np.random.Generator:
+        """The generator the sensor draws its noise samples from."""
+        return self._rng
+
     def read_ma(self, input_power_dbm: float, num_samples: int = 4) -> float:
         """Averaged, noise- and quantization-corrupted current reading."""
-        require_int(num_samples, "num_samples", minimum=1)
         true_ma = self.reflector.current_draw_ma(input_power_dbm)
-        readings = []
-        for _ in range(num_samples):
-            sample = true_ma + float(self._rng.normal(0.0, self.spec.noise_ma_rms))
-            if self.spec.quantization_ma > 0.0:
-                sample = round(sample / self.spec.quantization_ma) * self.spec.quantization_ma
-            readings.append(min(self.spec.full_scale_ma, max(0.0, sample)))
-        return float(np.mean(readings))
+        return self.readings_ma([true_ma], num_samples)[0]
+
+    def readings_ma(self, true_currents_ma: Sequence[float], num_samples: int = 4) -> List[float]:
+        """One averaged reading per true current, in order: what
+        :meth:`read_ma` gives at each in turn, from the same samples of
+        the stream, drawn as one vector.
+
+        Each sample is the true current plus noise, rounded to the ADC
+        step and clipped to the ADC range; a reading is the mean of its
+        ``num_samples`` samples.
+        """
+        require_int(num_samples, "num_samples", minimum=1)
+        true_ma = np.asarray(true_currents_ma, dtype=float)
+        noise = self._rng.normal(0.0, self.spec.noise_ma_rms, size=(true_ma.size, num_samples))
+        samples = true_ma[:, None] + noise
+        if self.spec.quantization_ma > 0.0:
+            samples = np.rint(samples / self.spec.quantization_ma) * self.spec.quantization_ma
+        # Clipped as ``min(full_scale, max(0.0, sample))`` clips: a sample
+        # rounded to -0.0 reads 0.0.
+        samples = np.where(samples > 0.0, samples, 0.0)
+        full_scale = self.spec.full_scale_ma
+        samples = np.where(samples < full_scale, samples, full_scale)
+        # A sum over the sample axis adds each row as ``np.mean`` adds a
+        # single reading's samples.
+        return (np.add.reduce(samples, axis=1) / num_samples).tolist()
 
 
 @dataclass
@@ -107,6 +129,15 @@ class CurrentSensingGainController:
         require_positive(step_db, "step_db")
         require_positive(jump_threshold_ma, "jump_threshold_ma")
         require_non_negative(backoff_db, "backoff_db")
+        require_int(samples_per_reading, "samples_per_reading", minimum=1)
+        amp = reflector.amplifier
+        start = amp.quantize_gain_db(amp.spec.min_gain_db)
+        if amp.quantize_gain_db(start + step_db) <= start:
+            raise ValueError(
+                f"step_db {step_db} dB does not advance the amplifier's gain: "
+                f"it rounds away on the {amp.spec.gain_step_db} dB gain grid "
+                "(a step must exceed half of gain_step_db)"
+            )
         self.reflector = reflector
         self.sensor = sensor if sensor is not None else CurrentSensor(reflector, rng=rng)
         self.step_db = step_db
@@ -114,38 +145,71 @@ class CurrentSensingGainController:
         self.backoff_db = backoff_db
         self.samples_per_reading = samples_per_reading
 
+    def gain_ramp_db(self) -> List[float]:
+        """The gains the step-up loop visits, in order: the minimum, then
+        ``step_db`` more each step, on the amplifier's gain grid, up to
+        the maximum (or the highest grid gain below it)."""
+        amp = self.reflector.amplifier
+        gain = amp.quantize_gain_db(amp.spec.min_gain_db)
+        gains = [gain]
+        while gain < amp.spec.max_gain_db:
+            gain = amp.quantize_gain_db(gain + self.step_db)
+            if gain <= gains[-1]:
+                break
+            gains.append(gain)
+        return gains
+
     def calibrate(self, input_power_dbm: float) -> GainControlResult:
         """Run the step-up-until-knee loop; leaves the reflector at the
-        chosen gain and returns the trace."""
-        amp = self.reflector.amplifier
-        gain = amp.set_gain_db(amp.spec.min_gain_db)
-        previous = self.sensor.read_ma(input_power_dbm, self.samples_per_reading)
-        gains = [gain]
-        currents = [previous]
-        steps = 0
-        knee = False
+        chosen gain and returns the trace.
+
+        The whole ramp is evaluated in one pass: the true current at
+        every ramp gain (the beams, and so the leakage, stay fixed), one
+        reading per gain from one draw, and the knee is the first
+        reading more than ``jump_threshold_ma`` above the one before it.
+        The sensor's stream is then left where stepping the gain and
+        reading at each step would leave it: after the readings up to
+        the knee.
+        """
+        reflector = self.reflector
+        amp = reflector.amplifier
+        gains = self.gain_ramp_db()
+        leakage_db = reflector.leakage_db()
+        true_ma = [
+            reflector.current_draw_at_ma(input_power_dbm, gain, leakage_db) for gain in gains
+        ]
         telemetry.inc("gain_control.calibrations")
-        while gain < amp.spec.max_gain_db:
-            gain = amp.set_gain_db(gain + self.step_db)
-            reading = self.sensor.read_ma(input_power_dbm, self.samples_per_reading)
-            steps += 1
-            gains.append(gain)
-            currents.append(reading)
-            if reading - previous > self.jump_threshold_ma:
-                # Sudden rise: the amplifier is entering saturation.
-                tripped_gain_db = gain
-                gain = amp.set_gain_db(gain - self.step_db - self.backoff_db)
-                knee = True
-                telemetry.emit(
-                    telemetry.EventKind.GAIN_BACKOFF,
-                    reflector=getattr(self.reflector, "name", "reflector"),
-                    tripped_gain_db=tripped_gain_db,
-                    final_gain_db=amp.gain_db,
-                    current_jump_ma=reading - previous,
-                    steps=steps,
-                )
-                break
-            previous = reading
+        rng = self.sensor.rng
+        state = rng.bit_generator.state
+        currents = self.sensor.readings_ma(true_ma, self.samples_per_reading)
+        steps = next(
+            (
+                k
+                for k in range(1, len(currents))
+                if currents[k] - currents[k - 1] > self.jump_threshold_ma
+            ),
+            None,
+        )
+        knee = steps is not None
+        if knee:
+            # Sudden rise: the amplifier is entering saturation.  The
+            # loop would have stopped reading here, so redraw only the
+            # readings it took.
+            rng.bit_generator.state = state
+            currents = self.sensor.readings_ma(true_ma[: steps + 1], self.samples_per_reading)
+            gains = gains[: steps + 1]
+            amp.set_gain_db(gains[-1] - self.step_db - self.backoff_db)
+            telemetry.emit(
+                telemetry.EventKind.GAIN_BACKOFF,
+                reflector=getattr(reflector, "name", "reflector"),
+                tripped_gain_db=gains[-1],
+                final_gain_db=amp.gain_db,
+                current_jump_ma=currents[-1] - currents[-2],
+                steps=steps,
+            )
+        else:
+            steps = len(gains) - 1
+            amp.set_gain_db(gains[-1])
         return GainControlResult(
             final_gain_db=amp.gain_db,
             knee_detected=knee,

@@ -178,9 +178,9 @@ class MoVRReflector:
 
         The coupling depends only on the two prototype angles (which
         fold in the boresight) and the leakage model, so the last value
-        is kept and returned again while all three are unchanged: gain
-        calibration asks again and again at fixed beams (stability,
-        closed-loop gain, output power, supply current).  The model is
+        is kept and returned again while all three are unchanged: the
+        oracle gain's bisection asks again and again at fixed beams
+        (stability, closed-loop gain, output power).  The model is
         compared by identity and assumed not to be mutated in place, as
         its own batch memo assumes.  The relay pass reads the coupling
         of many beam states at once through :func:`leakages_db_many`,
@@ -208,9 +208,12 @@ class MoVRReflector:
         """
         return self._effective_gain_at(self.leakage_db())
 
-    def _effective_gain_at(self, leakage_db: float) -> Optional[float]:
-        """:meth:`effective_gain_db` with ``leakage_db`` of coupling."""
-        gain = self.amplifier.gain_db
+    def _effective_gain_at(
+        self, leakage_db: float, gain_db: Optional[float] = None
+    ) -> Optional[float]:
+        """:meth:`effective_gain_db` with ``leakage_db`` of coupling, at
+        amplifier gain ``gain_db`` (default: the amplifier's own)."""
+        gain = self.amplifier.gain_db if gain_db is None else gain_db
         if not loop_is_stable(gain, leakage_db):
             return None
         return closed_loop_gain_db(gain, leakage_db)
@@ -220,9 +223,12 @@ class MoVRReflector:
         at the current beams' leakage (:meth:`output_power_at_dbm`)."""
         return self.output_power_at_dbm(input_power_dbm, self.leakage_db())
 
-    def output_power_at_dbm(self, input_power_dbm: float, leakage_db: float) -> float:
+    def output_power_at_dbm(
+        self, input_power_dbm: float, leakage_db: float, gain_db: Optional[float] = None
+    ) -> float:
         """Amplifier output power for a given power at the RX array port
-        with ``leakage_db`` of TX->RX coupling.
+        with ``leakage_db`` of TX->RX coupling, at amplifier gain
+        ``gain_db`` (default: the amplifier's own).
 
         Includes closed-loop peaking of both the signal and the
         amplifier's own front-end noise (near instability the
@@ -230,7 +236,7 @@ class MoVRReflector:
         compression — the current signature the gain controller
         detects), soft-capped at the amplifier's saturation power.
         """
-        effective = self._effective_gain_at(leakage_db)
+        effective = self._effective_gain_at(leakage_db, gain_db)
         if effective is None:
             # Self-oscillation: output pinned at saturation.
             return self.amplifier.spec.psat_dbm
@@ -258,9 +264,21 @@ class MoVRReflector:
 
     def current_draw_ma(self, input_power_dbm: float) -> float:
         """DC supply current at the present operating point."""
-        if not self.is_stable():
+        return self.current_draw_at_ma(
+            input_power_dbm, self.amplifier.gain_db, self.leakage_db()
+        )
+
+    def current_draw_at_ma(
+        self, input_power_dbm: float, gain_db: float, leakage_db: float
+    ) -> float:
+        """DC supply current at amplifier gain ``gain_db`` with
+        ``leakage_db`` of TX->RX coupling, without setting the gain: gain
+        calibration evaluates its whole ramp at the installed beams."""
+        if not loop_is_stable(gain_db, leakage_db):
             return self.amplifier.spec.saturation_current_ma
-        return self.amplifier.current_draw_ma(self.output_power_dbm(input_power_dbm))
+        return self.amplifier.current_draw_ma(
+            self.output_power_at_dbm(input_power_dbm, leakage_db, gain_db)
+        )
 
     # -- relay gain (for the link budget) ------------------------------------
 

@@ -41,7 +41,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.geometry.room import Occluder, Room, Wall
-from repro.geometry.shapes import EPSILON, Circle
+from repro.geometry.shapes import EPSILON
 from repro.geometry.vectors import Vec2, bearing_deg
 from repro.utils import exactmath
 
@@ -800,18 +800,8 @@ def _cuts(
     if not occluders:
         return _NO_CUTS
     # Per occluder: centre, radius (0 for a box), and the box whose slab
-    # test screens it.  For a circle that box is a little larger than
-    # the circle, so every leg cutting the circle passes it.
-    rows = []
-    for occ in occluders:
-        c = occ.center
-        if isinstance(occ, Circle):
-            radius, pad = occ.radius, 1.01 * occ.radius
-            lo, hi = (c.x - pad, c.y - pad), (c.x + pad, c.y + pad)
-        else:
-            radius, lo, hi = 0.0, occ.min_corner.as_tuple(), occ.max_corner.as_tuple()
-        rows.append((c.x, c.y, radius, *lo, *hi))
-    table = np.array(rows, dtype=float)
+    # test screens it (its ``screen_row``).
+    table = np.array([occ.screen_row for occ in occluders], dtype=float)
     # Bounding boxes first: a leg whose box, padded by BOX_SCREEN_PAD_M,
     # misses the occluder's box cannot pass the slab test, whose
     # rounding stays far inside the pad.

@@ -4,13 +4,17 @@ Walls are :class:`Segment` instances; human body parts and furniture
 are :class:`Circle` or :class:`AxisAlignedBox` occluders.  Shapes hold
 geometry data and answer containment; where a ray crosses a wall or
 cuts an occluder is computed by ``repro.geometry.raytrace``, on arrays
-of every shape in a scene at once.
+of every shape in a scene at once.  An occluder's per-shape rows (its
+cache signature and the tracer's screening row) are built once per
+shape: shapes are frozen, and a tick's body occluders are shared by
+every user's scene.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Tuple
 
 from repro.geometry.vectors import Vec2
 
@@ -67,6 +71,19 @@ class Circle:
     def contains(self, point: Vec2) -> bool:
         return point.distance_to(self.center) <= self.radius + EPSILON
 
+    @cached_property
+    def signature(self) -> Tuple:
+        """The circle's geometry as a hashable tuple (scene-cache keys)."""
+        return ("circle", self.center.x, self.center.y, self.radius)
+
+    @cached_property
+    def screen_row(self) -> Tuple[float, ...]:
+        """The ray tracer's row for this occluder: centre, radius, and
+        the corners of a box a little larger than the circle, so every
+        leg cutting the circle passes the box's slab test."""
+        c, pad = self.center, 1.01 * self.radius
+        return (c.x, c.y, self.radius, c.x - pad, c.y - pad, c.x + pad, c.y + pad)
+
 
 @dataclass(frozen=True)
 class AxisAlignedBox:
@@ -97,3 +114,16 @@ class AxisAlignedBox:
             self.min_corner.x - EPSILON <= point.x <= self.max_corner.x + EPSILON
             and self.min_corner.y - EPSILON <= point.y <= self.max_corner.y + EPSILON
         )
+
+    @cached_property
+    def signature(self) -> Tuple:
+        """The box's geometry as a hashable tuple (scene-cache keys)."""
+        lo, hi = self.min_corner, self.max_corner
+        return ("box", lo.x, lo.y, hi.x, hi.y)
+
+    @cached_property
+    def screen_row(self) -> Tuple[float, ...]:
+        """The ray tracer's row for this occluder: centre, radius 0, and
+        the box's corners."""
+        c = self.center
+        return (c.x, c.y, 0.0, *self.min_corner.as_tuple(), *self.max_corner.as_tuple())

@@ -79,13 +79,18 @@ class VariableGainAmplifier:
         """The currently commanded (small-signal) gain."""
         return self._gain_db
 
-    def set_gain_db(self, gain_db: float) -> float:
-        """Command a gain; returns the achieved (quantized) value."""
+    def quantize_gain_db(self, gain_db: float) -> float:
+        """The gain :meth:`set_gain_db` would achieve for a command,
+        without setting it: clipped to the range, rounded to the DAC
+        grid."""
         require_finite(gain_db, "gain_db")
         clipped = max(self.spec.min_gain_db, min(self.spec.max_gain_db, gain_db))
         steps = round((clipped - self.spec.min_gain_db) / self.spec.gain_step_db)
-        self._gain_db = self.spec.min_gain_db + steps * self.spec.gain_step_db
-        self._gain_db = min(self._gain_db, self.spec.max_gain_db)
+        return min(self.spec.min_gain_db + steps * self.spec.gain_step_db, self.spec.max_gain_db)
+
+    def set_gain_db(self, gain_db: float) -> float:
+        """Command a gain; returns the achieved (quantized) value."""
+        self._gain_db = self.quantize_gain_db(gain_db)
         return self._gain_db
 
     def step_gain(self, steps: int = 1) -> float:

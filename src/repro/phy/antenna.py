@@ -441,12 +441,16 @@ class MultiPanelArray:
     # -- steering ----------------------------------------------------------
 
     def _best_panel_for(self, azimuth_deg: float) -> int:
-        return min(
-            range(len(self._panels)),
-            key=lambda i: abs(
-                angle_difference_deg(azimuth_deg, self._panels[i].boresight_deg)
-            ),
-        )
+        """Index of the panel whose boresight is closest to an azimuth,
+        the first of equally close ones."""
+        best, best_offset = 0, math.inf
+        for i, panel in enumerate(self._panels):
+            # |angle_difference_deg(azimuth, boresight)|, inline: its
+            # -180 for a wrapped 180 does not change the magnitude.
+            offset = abs((azimuth_deg - panel.boresight_deg + 180.0) % 360.0 - 180.0)
+            if offset < best_offset:
+                best, best_offset = i, offset
+        return best
 
     @property
     def steering_deg(self) -> float:

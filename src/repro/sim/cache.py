@@ -79,7 +79,6 @@ import numpy as np
 from repro import telemetry
 from repro.geometry.raytrace import PathSet, PropagationPath, RayTracer, traced_set
 from repro.geometry.room import Occluder
-from repro.geometry.shapes import AxisAlignedBox, Circle
 from repro.geometry.vectors import Vec2
 from repro.phy.channel import MmWaveChannel
 
@@ -91,26 +90,12 @@ def occluder_signature(occluders: Iterable[Occluder]) -> Tuple:
     """A hashable fingerprint of an occluder set's geometry.
 
     Order-sensitive (the tracer's obstruction records are too) and
-    value-based, so an occluder moved in place produces a different
-    signature than the original.
+    value-based, so an occluder replaced in place by a moved one
+    produces a different signature than the original.  Each shape's
+    tuple (``Circle.signature``, ``AxisAlignedBox.signature``) is built
+    once per shape.
     """
-    sig = []
-    for occ in occluders:
-        if isinstance(occ, Circle):
-            sig.append(("circle", occ.center.x, occ.center.y, occ.radius))
-        elif isinstance(occ, AxisAlignedBox):
-            sig.append(
-                (
-                    "box",
-                    occ.min_corner.x,
-                    occ.min_corner.y,
-                    occ.max_corner.x,
-                    occ.max_corner.y,
-                )
-            )
-        else:  # pragma: no cover - future occluder kinds degrade safely
-            sig.append((type(occ).__name__, repr(occ)))
-    return tuple(sig)
+    return tuple([occ.signature for occ in occluders])
 
 
 def link_columns(

@@ -1,26 +1,184 @@
-"""Unit tests for the current-sensing gain controller (section 4.2)."""
+"""Unit tests for the current-sensing gain controller (section 4.2).
 
+The controller evaluates its whole gain ramp in one pass; the property
+below pins it to the step loop it replaced, kept here as the reference:
+set each gain, read the sensor sample by sample, stop at the knee.
+"""
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import telemetry
 from repro.core.gain_control import (
     CurrentSensingGainController,
     CurrentSensor,
     CurrentSensorSpec,
+    GainControlResult,
     conservative_gain_db,
     oracle_gain_db,
 )
 from repro.core.reflector import MoVRReflector
 from repro.geometry.vectors import Vec2
+from repro.phy.amplifier import AmplifierSpec
 
 
-def make_reflector(rx_proto=90.0, tx_proto=90.0):
-    reflector = MoVRReflector(Vec2(4.7, 4.7), boresight_deg=-135.0)
+def make_reflector(rx_proto=90.0, tx_proto=90.0, **kwargs):
+    reflector = MoVRReflector(Vec2(4.7, 4.7), boresight_deg=-135.0, **kwargs)
     reflector.set_beams(
         reflector.prototype_to_azimuth(rx_proto),
         reflector.prototype_to_azimuth(tx_proto),
     )
     return reflector
+
+
+# -- the reference: one gain step and one sensor reading at a time --------
+
+
+def reference_read_ma(sensor, input_power_dbm, num_samples):
+    true_ma = sensor.reflector.current_draw_ma(input_power_dbm)
+    readings = []
+    for _ in range(num_samples):
+        sample = true_ma + float(sensor.rng.normal(0.0, sensor.spec.noise_ma_rms))
+        if sensor.spec.quantization_ma > 0.0:
+            sample = round(sample / sensor.spec.quantization_ma) * sensor.spec.quantization_ma
+        readings.append(min(sensor.spec.full_scale_ma, max(0.0, sample)))
+    return float(np.mean(readings))
+
+
+def reference_calibrate(controller, input_power_dbm):
+    """The step loop: returns the result and the backoff event's fields."""
+    amp = controller.reflector.amplifier
+
+    def read():
+        return reference_read_ma(
+            controller.sensor, input_power_dbm, controller.samples_per_reading
+        )
+
+    gain = amp.set_gain_db(amp.spec.min_gain_db)
+    previous = read()
+    gains, currents, steps, knee, event = [gain], [previous], 0, False, None
+    while gain < amp.spec.max_gain_db:
+        gain = amp.set_gain_db(gain + controller.step_db)
+        reading = read()
+        steps += 1
+        gains.append(gain)
+        currents.append(reading)
+        if reading - previous > controller.jump_threshold_ma:
+            tripped_gain_db = gain
+            gain = amp.set_gain_db(gain - controller.step_db - controller.backoff_db)
+            knee = True
+            event = dict(
+                reflector=controller.reflector.name,
+                tripped_gain_db=tripped_gain_db,
+                final_gain_db=amp.gain_db,
+                current_jump_ma=reading - previous,
+                steps=steps,
+            )
+            break
+        previous = reading
+    result = GainControlResult(amp.gain_db, knee, steps, gains, currents)
+    return result, event
+
+
+def calibrate_with_event(controller, input_power_dbm):
+    with telemetry.scope("calibrate") as sc:
+        result = controller.calibrate(input_power_dbm)
+    events = [e for e in sc.events if e.kind is telemetry.EventKind.GAIN_BACKOFF]
+    assert len(events) == (1 if result.knee_detected else 0)
+    return result, (events[0].fields if events else None)
+
+
+#: Beam pairs (prototype angles): coupling of -73 dB, where a weak input
+#: runs to max gain without a knee, and of -59 dB, where the loop goes
+#: unstable below max gain.
+BEAMS = [(90.0, 90.0), (45.0, 135.0)]
+
+SENSOR_SPECS = [
+    CurrentSensorSpec(),
+    CurrentSensorSpec(noise_ma_rms=0.0),
+    CurrentSensorSpec(quantization_ma=0.0),
+    CurrentSensorSpec(noise_ma_rms=0.0, quantization_ma=0.0),
+    CurrentSensorSpec(full_scale_ma=200.0),  # clips below the knee's rise
+]
+
+
+class TestOnePassRamp:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        beams=st.sampled_from(BEAMS),
+        spec=st.sampled_from(SENSOR_SPECS),
+        input_dbm=st.floats(min_value=-90.0, max_value=-15.0),
+        step_db=st.floats(min_value=0.26, max_value=4.0),
+        backoff_db=st.floats(min_value=0.0, max_value=6.0),
+        samples=st.integers(min_value=1, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_step_loop(self, beams, spec, input_dbm, step_db, backoff_db, samples, seed):
+        """Result, backoff event, final gain and stream state all equal
+        the step loop's."""
+        outcomes = []
+        for run in (reference_calibrate, calibrate_with_event):
+            reflector = make_reflector(*beams)
+            rng = np.random.default_rng(seed)
+            controller = CurrentSensingGainController(
+                reflector,
+                sensor=CurrentSensor(reflector, spec=spec, rng=rng),
+                step_db=step_db,
+                backoff_db=backoff_db,
+                samples_per_reading=samples,
+            )
+            result, event = run(controller, input_dbm)
+            outcomes.append((result, event, reflector.amplifier.gain_db, rng.bit_generator.state))
+        assert outcomes[1] == outcomes[0]
+
+    @pytest.mark.parametrize("beams", BEAMS)
+    @pytest.mark.parametrize("input_dbm", [-80.0, -45.0, -25.0])
+    def test_true_current_at_every_ramp_gain(self, beams, input_dbm):
+        """The explicit-gain chain equals, to the last bit, the current
+        at the amplifier's own gain once set there, unstable gains
+        included."""
+        reflector = make_reflector(*beams)
+        controller = CurrentSensingGainController(reflector, rng=0)
+        leakage = reflector.leakage_db()
+        unstable = 0
+        for gain in controller.gain_ramp_db():
+            explicit = reflector.current_draw_at_ma(input_dbm, gain, leakage)
+            reflector.amplifier.set_gain_db(gain)
+            unstable += not reflector.is_stable()
+            assert explicit == reflector.current_draw_ma(input_dbm)
+        assert (unstable > 0) == (beams == (45.0, 135.0))
+
+    def test_ramp_is_the_step_loops_gains(self):
+        reflector = make_reflector()
+        controller = CurrentSensingGainController(reflector, step_db=0.3, rng=0)
+        ramp = controller.gain_ramp_db()
+        assert ramp[:4] == [0.0, 0.5, 1.0, 1.5]
+        assert ramp[-1] == reflector.amplifier.spec.max_gain_db
+
+    def test_ramp_stops_at_the_top_of_the_gain_grid(self):
+        """A maximum off the DAC grid: the ramp ends at the highest grid
+        gain below it instead of stepping in place."""
+        reflector = make_reflector(amplifier=AmplifierSpec(max_gain_db=59.7))
+        controller = CurrentSensingGainController(reflector, rng=0)
+        assert controller.gain_ramp_db()[-1] == 59.5
+        result = controller.calibrate(input_power_dbm=-80.0)
+        assert result.final_gain_db <= 59.5
+
+    def test_readings_are_read_ma_in_turn(self):
+        reflector = make_reflector()
+        gains = [10.0, 30.0, 55.0]
+        truths = []
+        for gain in gains:
+            reflector.amplifier.set_gain_db(gain)
+            truths.append(reflector.current_draw_ma(-30.0))
+        batch = CurrentSensor(reflector, rng=9).readings_ma(truths, num_samples=3)
+        one_by_one = CurrentSensor(reflector, rng=9)
+        singles = []
+        for gain in gains:
+            reflector.amplifier.set_gain_db(gain)
+            singles.append(one_by_one.read_ma(-30.0, num_samples=3))
+        assert batch == singles
 
 
 class TestCurrentSensor:
@@ -123,6 +281,28 @@ class TestCalibration:
             CurrentSensingGainController(reflector, step_db=0.0)
         with pytest.raises(ValueError):
             CurrentSensingGainController(reflector, jump_threshold_ma=0.0)
+
+    @pytest.mark.parametrize("step_db", [0.25, 0.2, 0.1])
+    def test_sub_resolution_step_refused(self, step_db):
+        """A step that rounds away on the 0.5 dB gain grid would never
+        leave the minimum gain."""
+        with pytest.raises(ValueError) as info:
+            CurrentSensingGainController(make_reflector(), step_db=step_db)
+        assert str(step_db) in str(info.value)
+        assert "0.5" in str(info.value)
+
+    def test_smallest_advancing_step_calibrates(self):
+        """0.3 dB rounds up to one 0.5 dB grid step per step."""
+        results = []
+        for run in (reference_calibrate, calibrate_with_event):
+            controller = CurrentSensingGainController(make_reflector(), step_db=0.3, rng=1)
+            results.append(run(controller, -40.0))
+        assert results[1] == results[0]
+        assert results[1][0].gain_trace_db[:3] == [0.0, 0.5, 1.0]
+
+    def test_samples_per_reading_validated(self):
+        with pytest.raises(ValueError):
+            CurrentSensingGainController(make_reflector(), samples_per_reading=0)
 
 
 class TestStaticPolicies:

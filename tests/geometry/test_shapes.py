@@ -125,6 +125,17 @@ class TestCircle:
         assert c.contains(Vec2(0.5, 0.5))
         assert not c.contains(Vec2(2, 0))
 
+    @given(points, st.floats(min_value=0.01, max_value=3.0))
+    def test_rows_built_once_from_the_geometry(self, center, radius):
+        c = Circle(center, radius)
+        pad = 1.01 * radius
+        assert c.signature == ("circle", center.x, center.y, radius)
+        assert c.screen_row == (
+            center.x, center.y, radius,
+            center.x - pad, center.y - pad, center.x + pad, center.y + pad,
+        )
+        assert c.signature is c.signature and c.screen_row is c.screen_row
+
     def test_leg_within_radius_is_cut(self):
         assert not cuts(Circle(Vec2(0, 1), 0.5), Vec2(-2, 0), Vec2(2, 0))
         assert cuts(Circle(Vec2(0, 0.3), 0.5), Vec2(-2, 0), Vec2(2, 0))
@@ -179,6 +190,16 @@ class TestAxisAlignedBox:
     def test_corner_validation(self):
         with pytest.raises(ValueError):
             AxisAlignedBox(Vec2(1, 1), Vec2(1, 2))
+
+    @given(points, st.floats(min_value=0.01, max_value=3.0), st.floats(min_value=0.01, max_value=3.0))
+    def test_rows_built_once_from_the_geometry(self, lo, w, h):
+        hi = Vec2(lo.x + w, lo.y + h)
+        assume(lo.x < hi.x and lo.y < hi.y)
+        box = AxisAlignedBox(lo, hi)
+        c = (lo + hi) * 0.5
+        assert box.signature == ("box", lo.x, lo.y, hi.x, hi.y)
+        assert box.screen_row == (c.x, c.y, 0.0, lo.x, lo.y, hi.x, hi.y)
+        assert box.signature is box.signature and box.screen_row is box.screen_row
 
     def test_dimensions(self):
         box = AxisAlignedBox(Vec2(0, 0), Vec2(2, 3))

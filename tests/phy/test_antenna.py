@@ -1,5 +1,6 @@
 """Unit tests for the phased-array models."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +11,7 @@ from repro.phy.antenna import (
     PhasedArray,
     PhasedArrayConfig,
 )
+from repro.utils.units import angle_difference_deg
 
 
 class TestPhasedArrayConfig:
@@ -161,6 +163,27 @@ class TestMultiPanelArray:
         array.boresight_deg = 120.0
         array.steer_to(45.0)
         assert array.gain_dbi(45.0) > config.boresight_gain_dbi - 6.0
+
+    @pytest.mark.parametrize("num_panels", [2, 3, 4])
+    @pytest.mark.parametrize("boresight", [0.0, 37.5, -135.0, 179.9])
+    def test_panel_choice_keeps_first_minimum_rule(self, num_panels, boresight):
+        """Steerings on a grid, exactly between two panels included:
+        the serving panel is the closest, the first of tied ones, as
+        ``min`` over the panels picks it, and as the batch path does."""
+        array = MultiPanelArray(PhasedArrayConfig(num_panels=num_panels), boresight_deg=boresight)
+        panels = array._panels
+        half = 180.0 / num_panels
+        grid = [p.boresight_deg + d for p in panels for d in (-half, 0.0, half, 180.0)]
+        grid += [float(a) for a in np.arange(-180.0, 180.0, 7.5)]
+        batch = array._serving_boresights(np.array(grid))
+        ties = 0
+        for steer, batch_boresight in zip(grid, batch):
+            offsets = [abs(angle_difference_deg(steer, p.boresight_deg)) for p in panels]
+            expected = min(range(len(panels)), key=lambda i: offsets[i])
+            ties += offsets.count(offsets[expected]) > 1
+            assert array._best_panel_for(steer) == expected
+            assert panels[expected].boresight_deg == batch_boresight
+        assert ties > 0
 
     def test_gain_with_override_uses_serving_panel(self):
         config = PhasedArrayConfig(num_panels=3)
