@@ -38,7 +38,7 @@ from workloads import WORKLOADS, build_inputs, build_testbed  # noqa: E402
 from repro.core.multiuser import MultiUserSystem  # noqa: E402
 from repro.geometry.raytrace import PropagationPath, RayTracer  # noqa: E402
 from repro.link.radios import HEADSET_RADIO_CONFIG, Radio  # noqa: E402
-from repro.sim.cache import link_columns, occluder_signature  # noqa: E402
+from repro.sim.cache import occluder_signature  # noqa: E402
 
 
 class Fingerprint:
@@ -70,7 +70,7 @@ class Fingerprint:
                 self._floats(
                     [o.leg_index, o.depth_m, o.clearance_m, o.along_leg_m, o.leg_length_m]
                 )
-        self._floats(link_columns(paths, self._channel).ravel().tolist())
+        self._floats(self._channel.link_columns(paths).ravel().tolist())
 
     def decisions(self, decisions) -> None:
         for d in decisions:

@@ -206,7 +206,7 @@ def test_bench_link_columns(benchmark):
 
     def miss_and_columns(headset):
         paths = budget.cache.all_paths(ap, headset, 2, bodies)
-        return budget.cache.link_columns(paths, budget.channel)
+        return budget.channel.link_columns(paths)
 
     rounds = 40
     columns = benchmark.pedantic(miss_and_columns, setup=new_scene, rounds=rounds)

@@ -114,6 +114,11 @@ class CurrentSensingGainController:
     consumption ... until the current consumption suddenly goes high
     ... The algorithm keeps the amplification gain just below this
     point."
+
+    ``jump_threshold_ma`` is the sudden rise per dB of gain actually
+    stepped on the amplifier's grid: a smaller step (0.5 dB for a
+    ``step_db`` of 0.3 or 0.5) raises the current by less, and is held
+    to a proportionally lower threshold.
     """
 
     def __init__(
@@ -166,7 +171,8 @@ class CurrentSensingGainController:
         The whole ramp is evaluated in one pass: the true current at
         every ramp gain (the beams, and so the leakage, stay fixed), one
         reading per gain from one draw, and the knee is the first
-        reading more than ``jump_threshold_ma`` above the one before it.
+        reading that rises above the one before it by more than
+        ``jump_threshold_ma`` per dB of gain between the two.
         The sensor's stream is then left where stepping the gain and
         reading at each step would leave it: after the readings up to
         the knee.
@@ -186,7 +192,8 @@ class CurrentSensingGainController:
             (
                 k
                 for k in range(1, len(currents))
-                if currents[k] - currents[k - 1] > self.jump_threshold_ma
+                if currents[k] - currents[k - 1]
+                > self.jump_threshold_ma * (gains[k] - gains[k - 1])
             ),
             None,
         )
@@ -244,27 +251,30 @@ def oracle_gain_db(
     power is given, the oracle also respects the amplifier's 1 dB
     compression point (the other constraint the current-sensing
     controller satisfies implicitly), found by bisection over the
-    reflector's closed-loop output model.
+    reflector's closed-loop output model.  The leakage is read once and
+    the amplifier's gain is left as it is.
     """
     require_non_negative(margin_db, "margin_db")
     leak = reflector.leakage_db()
-    spec = reflector.amplifier.spec
+    amp = reflector.amplifier
+    spec = amp.spec
     gain = max(spec.min_gain_db, min(spec.max_gain_db, -leak - margin_db))
     if input_power_dbm is None:
         return gain
-    saved = reflector.amplifier.gain_db
-    try:
-        lo, hi = spec.min_gain_db, gain
-        reflector.amplifier.set_gain_db(hi)
-        if not reflector.is_saturated_at(input_power_dbm):
-            return hi
-        for _ in range(30):
-            mid = (lo + hi) / 2.0
-            reflector.amplifier.set_gain_db(mid)
-            if reflector.is_saturated_at(input_power_dbm):
-                hi = mid
-            else:
-                lo = mid
-        return lo
-    finally:
-        reflector.amplifier.set_gain_db(saved)
+
+    def saturates(command_db: float) -> bool:
+        # At the gain the amplifier would reach for the command.
+        return reflector.saturates_at(
+            input_power_dbm, leak, amp.quantize_gain_db(command_db)
+        )
+
+    lo, hi = spec.min_gain_db, gain
+    if not saturates(hi):
+        return hi
+    for _ in range(30):
+        mid = (lo + hi) / 2.0
+        if saturates(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo

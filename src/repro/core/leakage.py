@@ -34,7 +34,6 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.phy.antenna import MOVR_ARRAY, PhasedArray, PhasedArrayConfig
-from repro.phy.channel import free_space_path_loss_db
 from repro.utils.db import db_sum_powers
 from repro.utils.validation import require_in_range, require_positive
 
@@ -44,9 +43,14 @@ MAX_ANGLE_DEG = 140.0
 BROADSIDE_DEG = 90.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReflectorLeakageModel:
-    """Computes TX->RX coupling (a negative dB gain) vs beam angles."""
+    """Computes TX->RX coupling (a negative dB gain) vs beam angles.
+
+    Frozen: the arrays and the batch memo built from the fields in
+    ``__post_init__`` can never disagree with them.  Use
+    :func:`dataclasses.replace` for a model with other parameters.
+    """
 
     array: PhasedArrayConfig = field(default_factory=lambda: MOVR_ARRAY)
     antenna_separation_m: float = 0.08
@@ -63,16 +67,16 @@ class ReflectorLeakageModel:
         require_positive(self.scatterer_coupling_db, "scatterer_coupling_db")
         # Two identical arrays mounted side by side, boresight at the
         # prototype's 90-degree broadside.
-        self._tx_array = PhasedArray(self.array, boresight_deg=BROADSIDE_DEG)
-        self._rx_array = PhasedArray(self.array, boresight_deg=BROADSIDE_DEG)
-        self._separation_loss_db = free_space_path_loss_db(
-            self.antenna_separation_m, self.array.carrier_hz
+        object.__setattr__(
+            self, "_tx_array", PhasedArray(self.array, boresight_deg=BROADSIDE_DEG)
+        )
+        object.__setattr__(
+            self, "_rx_array", PhasedArray(self.array, boresight_deg=BROADSIDE_DEG)
         )
         # Memo for batch queries: the coupling depends only on the
-        # angle grids (the model itself is stateless), and sweeps ask
-        # for the same prototype-angle grid over and over.  Assumes the
-        # dataclass fields are not mutated after first use.
-        self._batch_memo: dict = {}
+        # angle grids and the (frozen) fields, and sweeps ask for the
+        # same prototype-angle grid over and over.
+        object.__setattr__(self, "_batch_memo", {})
 
     def leakage_db(self, tx_angle_deg: float, rx_angle_deg: float) -> float:
         """Coupling gain (negative dB) for a beam-angle pair: the

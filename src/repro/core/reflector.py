@@ -21,7 +21,6 @@ Two angle conventions coexist:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -102,9 +101,6 @@ class MoVRReflector:
             noise_figure_db=amplifier.noise_figure_db,
         )
         self.modulation_on = False
-        # Last leakage evaluation: (tx prototype angle, rx prototype
-        # angle, leakage model, leakage dB).  See :meth:`leakage_db`.
-        self._leakage_memo: Optional[tuple] = None
 
     # -- angle conventions ------------------------------------------------
 
@@ -176,25 +172,18 @@ class MoVRReflector:
     def leakage_db(self) -> float:
         """TX->RX coupling at the current beam angles (negative dB).
 
-        The coupling depends only on the two prototype angles (which
-        fold in the boresight) and the leakage model, so the last value
-        is kept and returned again while all three are unchanged: the
-        oracle gain's bisection asks again and again at fixed beams
-        (stability, closed-loop gain, output power).  The model is
-        compared by identity and assumed not to be mutated in place, as
-        its own batch memo assumes.  The relay pass reads the coupling
-        of many beam states at once through :func:`leakages_db_many`,
-        which neither reads nor writes this memo.
+        Each call evaluates the leakage model (two antenna-kernel
+        calls).  Callers that ask many questions at fixed beams (gain
+        calibration, the oracle gain) read it once and use the
+        explicit-leakage forms (:meth:`output_power_at_dbm`,
+        :meth:`saturates_at`, :meth:`current_draw_at_ma`); the relay
+        pass reads many beam states at once through
+        :func:`leakages_db_many`.
         """
-        tx = self.azimuth_to_prototype(self.tx_azimuth_deg)
-        rx = self.azimuth_to_prototype(self.rx_azimuth_deg)
-        model = self.leakage_model
-        memo = self._leakage_memo
-        if memo is not None and memo[2] is model and memo[0] == tx and memo[1] == rx:
-            return memo[3]
-        value = model.leakage_db(tx, rx)
-        self._leakage_memo = (tx, rx, model, value)
-        return value
+        return self.leakage_model.leakage_db(
+            self.azimuth_to_prototype(self.tx_azimuth_deg),
+            self.azimuth_to_prototype(self.rx_azimuth_deg),
+        )
 
     def is_stable(self) -> bool:
         """Is the feedback loop stable at the current gain and beams?"""
@@ -206,9 +195,9 @@ class MoVRReflector:
         ``None`` when the loop is unstable (the amplifier would emit
         garbage, not an amplified copy of the input).
         """
-        return self._effective_gain_at(self.leakage_db())
+        return self.effective_gain_at(self.leakage_db())
 
-    def _effective_gain_at(
+    def effective_gain_at(
         self, leakage_db: float, gain_db: Optional[float] = None
     ) -> Optional[float]:
         """:meth:`effective_gain_db` with ``leakage_db`` of coupling, at
@@ -236,19 +225,16 @@ class MoVRReflector:
         compression — the current signature the gain controller
         detects), soft-capped at the amplifier's saturation power.
         """
-        effective = self._effective_gain_at(leakage_db, gain_db)
+        effective = self.effective_gain_at(leakage_db, gain_db)
         if effective is None:
             # Self-oscillation: output pinned at saturation.
             return self.amplifier.spec.psat_dbm
         signal_out = input_power_dbm + effective
         noise_out = self.front_end_noise.noise_floor_dbm + effective
-        linear_total = db_sum_powers([signal_out, noise_out])
-        # Re-apply the saturation cap on the combined power.
-        psat = self.amplifier.spec.psat_dbm
-        lin = 10.0 ** (linear_total / 10.0)
-        sat = 10.0 ** (psat / 10.0)
-        out = lin / (1.0 + (lin / sat) ** 2.0) ** 0.5
-        return 10.0 * math.log10(out)
+        # The amplifier's soft saturation cap on the combined power.
+        return self.amplifier.output_power_dbm(
+            db_sum_powers([signal_out, noise_out]), gain_db=0.0
+        )
 
     def is_saturated_at(self, input_power_dbm: float) -> bool:
         """Is the amplifier compressing (or oscillating) at this input?
@@ -258,9 +244,21 @@ class MoVRReflector:
         the forwarded waveform is distorted and unusable for 802.11ad
         modulation.
         """
-        if not self.is_stable():
+        return self.saturates_at(
+            input_power_dbm, self.leakage_db(), self.amplifier.gain_db
+        )
+
+    def saturates_at(
+        self, input_power_dbm: float, leakage_db: float, gain_db: float
+    ) -> bool:
+        """:meth:`is_saturated_at` with ``leakage_db`` of TX->RX coupling
+        at amplifier gain ``gain_db``, without setting the gain."""
+        if not loop_is_stable(gain_db, leakage_db):
             return True
-        return self.output_power_dbm(input_power_dbm) > self.amplifier.spec.output_p1db_dbm
+        return (
+            self.output_power_at_dbm(input_power_dbm, leakage_db, gain_db)
+            > self.amplifier.spec.output_p1db_dbm
+        )
 
     def current_draw_ma(self, input_power_dbm: float) -> float:
         """DC supply current at the present operating point."""

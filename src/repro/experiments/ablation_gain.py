@@ -73,10 +73,14 @@ def run_ablation_gain(
         policies["conservative"] = conservative
         policies["oracle"] = oracle_gain_db(reflector, input_power_dbm)
         policies["reckless"] = spec.max_gain_db
+        # The beams stay put while the policies are scored: one leakage read.
+        leakage_db = reflector.leakage_db()
         for name, gain in policies.items():
-            reflector.amplifier.set_gain_db(gain)
-            effective = reflector.effective_gain_db()
-            if effective is None or reflector.is_saturated_at(input_power_dbm):
+            gain = reflector.amplifier.set_gain_db(gain)
+            effective = reflector.effective_gain_at(leakage_db, gain)
+            if effective is None or reflector.saturates_at(
+                input_power_dbm, leakage_db, gain
+            ):
                 saturations[name] += 1
                 stats[name].append(float("-inf"))
             else:

@@ -253,9 +253,15 @@ class PathSet:
     A set the tracer built also keeps what its paths' objects are built
     from when read (see :meth:`_views`).  A set gathered from path
     objects (:meth:`of`) keeps only the arrays.
+
+    ``columns_memo`` is the channel's memo on the set: the link columns
+    :meth:`repro.phy.channel.MmWaveChannel.link_columns_many` built for
+    it and the channel key they were built under, or None.  The columns
+    live and die with the set.
     """
 
     __slots__ = (
+        "columns_memo",
         "length",
         "departure",
         "arrival",
@@ -290,6 +296,7 @@ class PathSet:
         self.penetration_db = penetration_db
         self.cuts = cuts
         self.occluders = occluders
+        self.columns_memo: Optional[Tuple[object, np.ndarray]] = None
 
     def __len__(self) -> int:
         return len(self.length)
@@ -299,9 +306,13 @@ class PathSet:
         """The set ``paths`` describe: the traced set itself when they
         are exactly its paths in order, else one gathered from the path
         objects' properties and obstruction records."""
-        whole = traced_set(paths)
-        if whole is not None:
-            return whole
+        whole = paths[0]._set if paths else None
+        if whole is not None and len(paths) == len(whole):
+            for i, path in enumerate(paths):
+                if path._set is not whole or path._index != i:
+                    break
+            else:
+                return whole
         records = [(i, o) for i, p in enumerate(paths) for o in p.obstructions]
         return cls(
             np.array([p.total_length_m for p in paths], dtype=float),
@@ -395,20 +406,6 @@ class PathSet:
             path._set, path._index = self, index
             views.append(path)
         return views
-
-
-def traced_set(paths: Sequence[PropagationPath]) -> Optional[PathSet]:
-    """The traced :class:`PathSet` whose paths are exactly ``paths``, in
-    order, or None."""
-    if not paths:
-        return None
-    path_set = paths[0]._set
-    if path_set is None or len(paths) != len(path_set):
-        return None
-    for i, path in enumerate(paths):
-        if path._set is not path_set or path._index != i:
-            return None
-    return path_set
 
 
 class RayTracer:

@@ -70,6 +70,28 @@ class LinkMeasurement:
             rx_steer_deg=rx_steer_deg,
         )
 
+    @classmethod
+    def of_total(
+        cls,
+        total_dbm: float,
+        noise_floor_dbm: float,
+        dominant_path: PropagationPath,
+        tx_steer_deg: float,
+        rx_steer_deg: float,
+    ) -> "LinkMeasurement":
+        """The measurement of ``total_dbm`` received over a noise floor:
+        an outage when it is ``-inf``, else SNR ``total_dbm -
+        noise_floor_dbm`` with ``dominant_path``."""
+        if total_dbm == -math.inf:
+            return cls.outage(tx_steer_deg, rx_steer_deg)
+        return cls(
+            received_power_dbm=total_dbm,
+            snr_db=total_dbm - noise_floor_dbm,
+            dominant_path=dominant_path,
+            tx_steer_deg=tx_steer_deg,
+            rx_steer_deg=rx_steer_deg,
+        )
+
 
 class LinkBudget:
     """Evaluates links inside one room/channel context.
@@ -120,17 +142,18 @@ class LinkBudget:
 
         Returns shape ``(P,) + broadcast(tx_steer, rx_steer).shape``;
         ``axis=0`` holds the paths.  Angles and unshadowed channel gains
-        come from the path set's link columns (kept by the scene cache
-        for a cached set); shadowing is drawn per call, one draw per
-        path.  Each side's antenna kernel evaluates every path and
-        steering in one call, with the paths on a new leading axis.
+        come from the paths' link columns
+        (:meth:`MmWaveChannel.link_columns`); shadowing is drawn per
+        call, one draw per path.  Each side's antenna kernel evaluates
+        every path and steering in one call, with the paths on a new
+        leading axis.
         """
         tx_steer = np.asarray(tx_steer_deg, dtype=float)
         rx_steer = np.asarray(rx_steer_deg, dtype=float)
         shape = np.broadcast(tx_steer, rx_steer).shape
         # Paths along axis 0, broadcasting against every steering axis.
         per_path = (len(paths),) + (1,) * len(shape)
-        departures, arrivals, unshadowed = self.cache.link_columns(paths, self.channel)
+        departures, arrivals, unshadowed = self.channel.link_columns(paths)
         channel = self.channel.shadowed_db(unshadowed).reshape(per_path)
         const = tx.config.tx_power_dbm - tx.config.implementation_loss_db
         tx_gain = tx.array.gain_dbi_batch(departures.reshape(per_path), tx_steer)
@@ -147,15 +170,16 @@ class LinkBudget:
         self, hops: Sequence[PropagationPath]
     ) -> Tuple[List[float], List[float], List[float]]:
         """Departure azimuths, arrival azimuths and channel gains (dB) of
-        traced hops, read from their cached link columns.
+        traced hops, read from their link columns.
 
-        Each hop is what :meth:`SceneCache.line_of_sight` returned, so a
-        hop re-read from the cache costs one shadowing draw; the hops
-        whose entries lack columns get them from one array formula.
+        Each hop is what :meth:`SceneCache.line_of_sight` returned, the
+        one path of its traced set, so a hop read again costs one
+        shadowing draw; the hops lacking columns get them from one array
+        formula (:meth:`MmWaveChannel.link_columns_many`).
         Shadowing is one draw per hop, in hop order.  A gain is what
         :meth:`MmWaveChannel.path_gain_db` would give.
         """
-        columns = self.cache.link_columns_many([(hop,) for hop in hops], self.channel)
+        columns = self.channel.link_columns_many([(hop,) for hop in hops])
         joined = np.concatenate(columns, axis=1)
         departures, arrivals = joined[:2].tolist()
         return departures, arrivals, self.channel.shadowed_db(joined[2]).tolist()
@@ -274,16 +298,12 @@ class LinkBudget:
         powers = self.path_powers_dbm(
             tx, rx, paths, float(tx_steer_deg), float(rx_steer_deg)
         )
-        total_dbm = float(db_sum_powers(powers, axis=0))
-        if total_dbm == -math.inf:
-            return LinkMeasurement.outage(tx_steer_deg, rx_steer_deg)
-        dominant = paths[int(np.argmax(powers))]
-        return LinkMeasurement(
-            received_power_dbm=total_dbm,
-            snr_db=total_dbm - rx.config.noise_floor_dbm,
-            dominant_path=dominant,
-            tx_steer_deg=tx_steer_deg,
-            rx_steer_deg=rx_steer_deg,
+        return LinkMeasurement.of_total(
+            float(db_sum_powers(powers, axis=0)),
+            rx.config.noise_floor_dbm,
+            paths[int(np.argmax(powers))],
+            tx_steer_deg,
+            rx_steer_deg,
         )
 
     def measure_aligned(
@@ -308,11 +328,11 @@ class LinkBudget:
         One scene lookup per receiver, in order, serves both the
         steering and the sum: the LOS that steers the beams is the first
         path of the set, and its angles are the set's first link
-        columns.  Entries lacking columns get them from one array
-        formula.  ``tx`` and then each receiver steer onto their LOS in
-        receiver order (scan-range clipping and phase quantization
-        included, so an unreachable path shows up as low gain), which
-        leaves ``tx`` steered at the last receiver.  Every path's
+        columns.  Sets lacking columns get them from one array formula.
+        ``tx`` and then each receiver steer onto their LOS in receiver
+        order (scan-range clipping and phase quantization included, so
+        an unreachable path shows up as low gain), which leaves ``tx``
+        steered at the last receiver.  Every path's
         transmit and receive gains are one :func:`panel_gains_dbi` call
         (one antenna-kernel call per array pattern), each side on the
         panel that serves its steering.  Shadowing is one draw per path
@@ -321,12 +341,11 @@ class LinkBudget:
         require_same_length(rxs, occluder_lists, "rxs", "occluder_lists")
         if not rxs:
             return []
-        cache = self.cache
         path_lists = [
-            cache.all_paths(tx.position, rx.position, extra_occluders=occluders)
+            self.cache.all_paths(tx.position, rx.position, extra_occluders=occluders)
             for rx, occluders in zip(rxs, occluder_lists)
         ]
-        columns = cache.link_columns_many(path_lists, self.channel)
+        columns = self.channel.link_columns_many(path_lists)
         tx_steers, rx_steers, tx_panels, rx_panels = [], [], [], []
         for rx, block in zip(rxs, columns):
             departure, arrival = block[:2, 0].tolist()
@@ -355,23 +374,16 @@ class LinkBudget:
         # db_sum_powers per receiver: each slice sums as its own array.
         linear = np.power(10.0, powers / 10.0)
         totals = linear_to_db(np.array([linear[a:b].sum() for a, b in spans])).tolist()
-        measurements = []
-        for i, rx in enumerate(rxs):
-            tx_steer, rx_steer, total_dbm = tx_steers[i], rx_steers[i], totals[i]
-            if total_dbm == -math.inf:
-                measurements.append(LinkMeasurement.outage(tx_steer, rx_steer))
-                continue
-            start, stop = spans[i]
-            measurements.append(
-                LinkMeasurement(
-                    received_power_dbm=total_dbm,
-                    snr_db=total_dbm - rx.config.noise_floor_dbm,
-                    dominant_path=path_lists[i][int(powers[start:stop].argmax())],
-                    tx_steer_deg=tx_steer,
-                    rx_steer_deg=rx_steer,
-                )
+        return [
+            LinkMeasurement.of_total(
+                totals[i],
+                rx.config.noise_floor_dbm,
+                path_lists[i][int(powers[start:stop].argmax())],
+                tx_steers[i],
+                rx_steers[i],
             )
-        return measurements
+            for i, (rx, (start, stop)) in enumerate(zip(rxs, spans))
+        ]
 
     def best_alignment(
         self,
@@ -406,7 +418,7 @@ class LinkBudget:
             tx.position, rx.position, max_bounces=max_bounces, extra_occluders=extra_occluders
         )
         if candidate_paths is None:
-            angles = self.cache.link_columns(all_paths, self.channel)[:2]
+            angles = self.channel.link_columns(all_paths)[:2]
             if not include_los:
                 angles = angles[:, 1:]
         else:
@@ -427,18 +439,13 @@ class LinkBudget:
             powers = self.path_powers_dbm(tx, rx, all_paths, tx_steers, rx_steers)
             totals = np.asarray(db_sum_powers(powers, axis=0))
             best = int(np.argmax(totals))
-            if totals[best] == -np.inf:
-                result = LinkMeasurement.outage(
-                    float(tx_steers[best]), float(rx_steers[best])
-                )
-            else:
-                result = LinkMeasurement(
-                    received_power_dbm=float(totals[best]),
-                    snr_db=float(totals[best]) - rx.config.noise_floor_dbm,
-                    dominant_path=all_paths[int(np.argmax(powers[:, best]))],
-                    tx_steer_deg=float(tx_steers[best]),
-                    rx_steer_deg=float(rx_steers[best]),
-                )
+            result = LinkMeasurement.of_total(
+                float(totals[best]),
+                rx.config.noise_floor_dbm,
+                all_paths[int(np.argmax(powers[:, best]))],
+                float(tx_steers[best]),
+                float(rx_steers[best]),
+            )
         telemetry.observe(
             "link.sweep_ms", (time.perf_counter() - started) * 1000.0
         )

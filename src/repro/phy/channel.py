@@ -7,23 +7,44 @@ dB (always negative) in two parts:
   free-space spreading loss over the traveled distance, atmospheric
   absorption, per-bounce reflection loss, wall penetration and
   blockage attenuation from the obstruction table, one array formula
-  over a whole :class:`~repro.geometry.raytrace.PathSet`.  It is a
-  pure function of the paths, the carrier and the blockage model, so
-  :class:`repro.sim.cache.SceneCache` keeps it per cached path set;
+  over a whole :class:`~repro.geometry.raytrace.PathSet`;
 * an optional log-normal **shadowing** term
   (:meth:`MmWaveChannel.shadowed_db`), drawn afresh on every query,
   one draw per path in path order, which models the run-to-run spread
   visible in the paper's measurements.
 
-:meth:`MmWaveChannel.path_gains_db` adds the two over a list of paths;
-:meth:`MmWaveChannel.path_gain_db` is its one-path form.
+Link columns
+------------
+
+Every link evaluation reads a path list's **link columns**
+(:meth:`MmWaveChannel.link_columns`): one read-only ``(3, P)`` array
+of each path's departure azimuth, arrival azimuth and unshadowed gain.
+The unshadowed gain is a pure function of the paths, the carrier and
+the blockage model, so the columns are a memo on the list's
+:class:`~repro.geometry.raytrace.PathSet` (``PathSet.of``), keyed by
+``(carrier_hz, blockage_model)``:
+
+* a traced list (a scene cache's, a copy of it, the one-path list of
+  a LOS hop) reads its traced set's columns, built on first use and
+  rebuilt when the channel's carrier or blockage model changes; they
+  live as long as the set, that is, as long as any of its paths;
+* any other list (a caller's candidates, a slice) is gathered into a
+  set of its own, and its columns go with it;
+* :meth:`MmWaveChannel.link_columns_many` builds the sets that lack
+  columns with one :meth:`~MmWaveChannel.unshadowed_gains_db` call over
+  their joined set (``PathSet.concat``), so a tick's new scenes cost
+  one formula; a set listed twice is built once.
+
+:meth:`MmWaveChannel.path_gains_db` adds one shadowing draw per path to
+the columns' gains; :meth:`MmWaveChannel.path_gain_db` is its one-path
+form.  Shadowing is never part of the memo.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -116,8 +137,8 @@ class MmWaveChannel:
         good reflectors), gaseous absorption, per-bounce reflection
         loss, wall penetration and blockage: everything but shadowing.
         It depends only on the paths, the carrier and the blockage
-        model, which is what lets a scene cache keep it per path set.
-        Each term is subtracted in that order, path by path.
+        model, which is what lets :meth:`link_columns_many` keep it on
+        the path set.  Each term is subtracted in that order, path by path.
         """
         length = path_set.length  # traced lengths are positive and finite
         gain = -_free_space_db(length, self.carrier_hz)
@@ -141,9 +162,61 @@ class MmWaveChannel:
             )
         return unshadowed_db
 
+    def link_columns(self, paths: Sequence[PropagationPath]) -> np.ndarray:
+        """The read-only ``(3, P)`` link columns of ``paths``: departure
+        azimuths, arrival azimuths and unshadowed gains, one column per
+        path.  The one-list case of :meth:`link_columns_many`.
+
+        >>> from repro.geometry.raytrace import RayTracer
+        >>> from repro.geometry.room import rectangular_room
+        >>> from repro.geometry.vectors import Vec2
+        >>> tracer = RayTracer(rectangular_room(5.0, 5.0))
+        >>> paths = tracer.all_paths(Vec2(1.0, 1.0), Vec2(1.0, 4.0))
+        >>> columns = MmWaveChannel().link_columns(paths)
+        >>> columns.shape == (3, len(paths))
+        True
+        >>> float(columns[0, 0]), float(columns[1, 0])  # the LOS: north, back south
+        (90.0, -90.0)
+        """
+        return self.link_columns_many((paths,))[0]
+
+    def link_columns_many(
+        self, path_lists: Sequence[Sequence[PropagationPath]]
+    ) -> List[np.ndarray]:
+        """:meth:`link_columns` of each list in ``path_lists``, read from
+        the memo on each list's :class:`PathSet`.
+
+        The sets lacking columns under this carrier and blockage model
+        get them from one :meth:`unshadowed_gains_db` call over their
+        joined set, each keeping its own slice.
+        """
+        key = (self.carrier_hz, self.blockage_model)
+        sets = [PathSet.of(paths) for paths in path_lists]
+        # Each set lacking columns once, in first-seen order.
+        lacking: Dict[int, PathSet] = {}
+        for path_set in sets:
+            memo = path_set.columns_memo
+            if memo is None or memo[0] != key:
+                lacking[id(path_set)] = path_set
+        if lacking:
+            built = list(lacking.values())
+            gains = self.unshadowed_gains_db(PathSet.concat(built))
+            start = 0
+            for path_set in built:
+                stop = start + len(path_set)
+                columns = np.empty((3, len(path_set)))
+                columns[0], columns[1] = path_set.departure, path_set.arrival
+                columns[2] = gains[start:stop]
+                columns.flags.writeable = False
+                path_set.columns_memo = (key, columns)
+                start = stop
+        return [path_set.columns_memo[1] for path_set in sets]
+
     def path_gains_db(self, paths: Sequence[PropagationPath]) -> np.ndarray:
-        """Channel gain (negative dB) per path, shadowing drawn in path order."""
-        return self.shadowed_db(self.unshadowed_gains_db(PathSet.of(paths)))
+        """Channel gain (negative dB) per path: the link columns' gains,
+        shadowing drawn in path order.  Without shadowing this is the
+        read-only gain row of the columns."""
+        return self.shadowed_db(self.link_columns(paths)[2])
 
     def path_gain_db(self, path: PropagationPath) -> float:
         """Channel gain (negative dB) along one path: the unshadowed

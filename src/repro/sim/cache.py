@@ -28,41 +28,17 @@ Caching contract
   length; the newest entry always stays), so motion traces with
   thousands of distinct poses cannot grow the cache without bound.
 
-Path sets and link columns
---------------------------
+What an entry holds
+-------------------
 
-Every entry holds the :class:`~repro.geometry.raytrace.PathSet` its
-trace described the scene with, and the list of paths the query
-returns: views of the set whose points, walls and obstruction records
-are built only if a caller reads them (experiments, baselines,
-``repro.viz``, a measurement's dominant path).  Serving reads none.
-
-Every entry also carries its **link columns**
-(:meth:`SceneCache.link_columns`): one ``(3, P)`` array holding each
-path's departure azimuth, arrival azimuth and unshadowed channel gain,
-read from the set's arrays and computed by one array formula
-(:meth:`repro.phy.channel.MmWaveChannel.unshadowed_gains_db`).  They
-are built on the entry's first link evaluation, read by every later
-one, and dropped with the entry on eviction or
-:meth:`SceneCache.invalidate`.
-
-* :meth:`SceneCache.link_columns_many` reads the columns of many path
-  sequences at once: the live entries among them that lack columns get
-  them from one array formula over their joined sets
-  (:meth:`~repro.geometry.raytrace.PathSet.concat`), each keeping its
-  own slice, so a tick's new scenes (every headset's direct link, every
-  relay hop) cost one formula, not one each.
-  :meth:`SceneCache.link_columns` is its one-sequence case.
-* Columns are found through the path set: a sequence holding, in
-  order, exactly the paths of a live entry reads that entry's columns
-  (the path list itself or a copy of it, or the one-path list behind
-  a LOS hop).  Any other sequence — a caller's candidate list, the
-  ``[1:]`` slice :meth:`SceneCache.reflection_paths` returns — gets
-  columns computed for the call and not retained.
-* Columns record the carrier and blockage model they were built with
-  and are rebuilt when the channel asked differs, so editing the
-  channel never returns stale gains.  Shadowing is never cached: it is
-  drawn per call on top of the unshadowed column.
+An entry is the list of paths its query returns: views of the trace's
+:class:`~repro.geometry.raytrace.PathSet`, whose points, walls and
+obstruction records are built only if a caller reads them
+(experiments, baselines, ``repro.viz``, a measurement's dominant
+path).  The cache holds geometry only.  The link columns every link
+evaluation reads (angles and unshadowed gains) are the channel's memo
+on the path set (:meth:`repro.phy.channel.MmWaveChannel.link_columns`),
+so they live as long as the set does, in the cache or out of it.
 
 All queries record into the active telemetry scope
 (``scene.cache.hits`` / ``scene.cache.misses`` / ``scene.tracer_calls``
@@ -72,15 +48,12 @@ in :func:`repro.telemetry.metrics`), which experiment reports surface.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Iterable, List, Sequence, Tuple
 
 from repro import telemetry
-from repro.geometry.raytrace import PathSet, PropagationPath, RayTracer, traced_set
+from repro.geometry.raytrace import PropagationPath, RayTracer
 from repro.geometry.room import Occluder
 from repro.geometry.vectors import Vec2
-from repro.phy.channel import MmWaveChannel
 
 #: Most paths the cache retains, summed over its entries.
 MAX_PATHS = 4096
@@ -98,52 +71,6 @@ def occluder_signature(occluders: Iterable[Occluder]) -> Tuple:
     return tuple([occ.signature for occ in occluders])
 
 
-def link_columns(
-    paths: Union[Sequence[PropagationPath], PathSet], channel: MmWaveChannel
-) -> np.ndarray:
-    """The ``(3, P)`` link columns of a path set: departure azimuths,
-    arrival azimuths and unshadowed channel gains, one column per path.
-    ``paths`` is a :class:`PathSet` or any sequence of paths
-    (:meth:`PathSet.of`).
-
-    >>> from repro.geometry.room import rectangular_room
-    >>> tracer = RayTracer(rectangular_room(5.0, 5.0))
-    >>> paths = tracer.all_paths(Vec2(1.0, 1.0), Vec2(1.0, 4.0))
-    >>> columns = link_columns(paths, MmWaveChannel())
-    >>> columns.shape == (3, len(paths))
-    True
-    >>> float(columns[0, 0]), float(columns[1, 0])  # the LOS: north, back south
-    (90.0, -90.0)
-    """
-    path_set = paths if isinstance(paths, PathSet) else PathSet.of(paths)
-    return _columns(path_set, channel.unshadowed_gains_db(path_set))
-
-
-def _columns(path_set: PathSet, gains: np.ndarray) -> np.ndarray:
-    """A set's read-only link columns, its unshadowed ``gains`` given."""
-    columns = np.empty((3, len(path_set)))
-    columns[0], columns[1], columns[2] = path_set.departure, path_set.arrival, gains
-    columns.flags.writeable = False
-    return columns
-
-
-class _Entry:
-    """One cached scene: its path set, the path list queries return, and
-    the lazily built link columns."""
-
-    __slots__ = ("paths", "path_set", "columns", "built_with")
-
-    def __init__(self, paths: List[PropagationPath]) -> None:
-        self.paths = paths
-        self.path_set: Optional[PathSet] = traced_set(paths)
-        self.columns: Optional[np.ndarray] = None
-        # (carrier_hz, blockage_model) the columns were built with.
-        self.built_with: Optional[Tuple] = None
-
-    def __len__(self) -> int:
-        return len(self.paths)
-
-
 class SceneCache:
     """Memoizes :class:`RayTracer` queries for one room.
 
@@ -155,10 +82,7 @@ class SceneCache:
     def __init__(self, tracer: RayTracer) -> None:
         self.tracer = tracer
         # A LOS entry is a one-path list, so every entry's size is its len.
-        self._entries: "OrderedDict[Tuple, _Entry]" = OrderedDict()
-        # Live entries by the identity of their path set (every trace
-        # builds its own), for the link columns.
-        self._by_set: Dict[int, _Entry] = {}
+        self._entries: "OrderedDict[Tuple, List[PropagationPath]]" = OrderedDict()
         self._paths = 0  # paths retained over all entries
 
     # -- bookkeeping -----------------------------------------------------
@@ -173,7 +97,6 @@ class SceneCache:
         (wall edits, material swaps on the traced room).
         """
         self._entries.clear()
-        self._by_set.clear()
         self._paths = 0
         telemetry.inc("scene.cache.invalidations")
 
@@ -182,75 +105,18 @@ class SceneCache:
     ) -> List[PropagationPath]:
         """The paths of one scene, keyed by what ``trace`` reads on a miss."""
         key = (kind, tx.x, tx.y, rx.x, rx.y, occluder_signature(occluders))
-        entry = self._entries.get(key)
-        if entry is not None:
+        paths = self._entries.get(key)
+        if paths is not None:
             telemetry.inc("scene.cache.hits")
             self._entries.move_to_end(key)
-            return entry.paths
+            return paths
         telemetry.inc("scene.cache.misses")
         telemetry.inc("scene.tracer_calls")
-        entry = _Entry(trace())
-        self._entries[key] = entry
-        if entry.path_set is not None:
-            self._by_set[id(entry.path_set)] = entry
-        self._paths += len(entry)
+        paths = self._entries[key] = trace()
+        self._paths += len(paths)
         while self._paths > MAX_PATHS and len(self._entries) > 1:
-            evicted = self._entries.popitem(last=False)[1]
-            self._paths -= len(evicted)
-            if evicted.path_set is not None:
-                del self._by_set[id(evicted.path_set)]
-        return entry.paths
-
-    # -- link columns ----------------------------------------------------
-
-    def link_columns(
-        self, paths: Sequence[PropagationPath], channel: MmWaveChannel
-    ) -> np.ndarray:
-        """The read-only ``(3, P)`` link columns of ``paths`` under ``channel``.
-
-        Reads (building on first use) the columns of the live entry
-        whose paths ``paths`` are; any other sequence gets columns
-        computed for this call only (see the module docstring).
-        """
-        return self.link_columns_many((paths,), channel)[0]
-
-    def link_columns_many(
-        self, path_lists: Sequence[Sequence[PropagationPath]], channel: MmWaveChannel
-    ) -> List[np.ndarray]:
-        """:meth:`link_columns` of each sequence in ``path_lists``.
-
-        The live entries among them that lack columns under ``channel``
-        get them from one array formula over their joined sets
-        (:meth:`PathSet.concat`), each keeping its own slice; an entry
-        listed twice is built once.
-        """
-        built_with = (channel.carrier_hz, channel.blockage_model)
-        columns: List[Optional[np.ndarray]] = [None] * len(path_lists)
-        reads: List[Tuple[int, _Entry]] = []
-        stale: Dict[int, _Entry] = {}
-        for i, paths in enumerate(path_lists):
-            entry = self._by_set.get(id(paths[0]._set)) if paths else None
-            if entry is None or not (
-                paths is entry.paths or traced_set(paths) is entry.path_set
-            ):
-                columns[i] = link_columns(paths, channel)
-                continue
-            reads.append((i, entry))
-            if entry.built_with != built_with:
-                stale[id(entry)] = entry
-        if stale:
-            entries = list(stale.values())
-            sets = [entry.path_set for entry in entries]
-            gains = channel.unshadowed_gains_db(PathSet.concat(sets))
-            start = 0
-            for entry, path_set in zip(entries, sets):
-                stop = start + len(path_set)
-                entry.columns = _columns(path_set, gains[start:stop])
-                entry.built_with = built_with
-                start = stop
-        for i, entry in reads:
-            columns[i] = entry.columns
-        return columns
+            self._paths -= len(self._entries.popitem(last=False)[1])
+        return paths
 
     def _all(
         self, tx: Vec2, rx: Vec2, max_bounces: int, extra_occluders: Sequence[Occluder]

@@ -59,12 +59,13 @@ def reference_calibrate(controller, input_power_dbm):
     previous = read()
     gains, currents, steps, knee, event = [gain], [previous], 0, False, None
     while gain < amp.spec.max_gain_db:
-        gain = amp.set_gain_db(gain + controller.step_db)
+        stepped_from, gain = gain, amp.set_gain_db(gain + controller.step_db)
         reading = read()
         steps += 1
         gains.append(gain)
         currents.append(reading)
-        if reading - previous > controller.jump_threshold_ma:
+        # The threshold is per dB of gain stepped.
+        if reading - previous > controller.jump_threshold_ma * (gain - stepped_from):
             tripped_gain_db = gain
             gain = amp.set_gain_db(gain - controller.step_db - controller.backoff_db)
             knee = True
@@ -79,6 +80,27 @@ def reference_calibrate(controller, input_power_dbm):
         previous = reading
     result = GainControlResult(amp.gain_db, knee, steps, gains, currents)
     return result, event
+
+
+def reference_oracle_gain_db(reflector, input_power_dbm, margin_db=3.0):
+    """The oracle by setting each bisection gain and asking the reflector."""
+    leak = reflector.leakage_db()
+    spec = reflector.amplifier.spec
+    gain = max(spec.min_gain_db, min(spec.max_gain_db, -leak - margin_db))
+    if input_power_dbm is None:
+        return gain
+    lo, hi = spec.min_gain_db, gain
+    reflector.amplifier.set_gain_db(hi)
+    if not reflector.is_saturated_at(input_power_dbm):
+        return hi
+    for _ in range(30):
+        mid = (lo + hi) / 2.0
+        reflector.amplifier.set_gain_db(mid)
+        if reflector.is_saturated_at(input_power_dbm):
+            hi = mid
+        else:
+            lo = mid
+    return lo
 
 
 def calibrate_with_event(controller, input_power_dbm):
@@ -260,19 +282,34 @@ class TestCalibration:
             knee_gain = result.gain_trace_db[-1]
             assert result.final_gain_db <= knee_gain - 5.0
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(
         st.floats(min_value=45.0, max_value=135.0),
         st.floats(min_value=45.0, max_value=135.0),
         st.floats(min_value=-55.0, max_value=-30.0),
+        st.floats(min_value=0.3, max_value=4.0),
     )
-    def test_never_leaves_amplifier_saturated(self, rx, tx, input_dbm):
-        """The safety property of section 4.2: whatever the beam angles and
-        input power, calibration lands on a stable, uncompressed point."""
+    def test_never_leaves_amplifier_saturated(self, rx, tx, input_dbm, step_db):
+        """The safety property of section 4.2: whatever the beam angles,
+        input power and gain step, calibration lands on a stable,
+        uncompressed point."""
         reflector = make_reflector(rx, tx)
-        controller = CurrentSensingGainController(reflector, rng=6)
+        controller = CurrentSensingGainController(reflector, step_db=step_db, rng=6)
         controller.calibrate(input_power_dbm=input_dbm)
         assert reflector.is_stable()
+        assert not reflector.is_saturated_at(input_dbm)
+
+    @pytest.mark.parametrize("step_db", [0.5, 0.3])
+    @pytest.mark.parametrize("input_dbm", [-45.0, -40.0, -30.0])
+    def test_half_db_steps_find_the_knee(self, step_db, input_dbm):
+        """Steps of one 0.5 dB grid step raise the current half as much
+        per step as 1 dB steps; the threshold scales with the gain
+        stepped, so the knee is still found and backed off from."""
+        reflector = make_reflector()
+        controller = CurrentSensingGainController(reflector, step_db=step_db, rng=1)
+        result = controller.calibrate(input_power_dbm=input_dbm)
+        assert result.knee_detected
+        assert result.final_gain_db < reflector.amplifier.spec.max_gain_db
         assert not reflector.is_saturated_at(input_dbm)
 
     def test_parameter_validation(self):
@@ -324,6 +361,29 @@ class TestStaticPolicies:
         gain = oracle_gain_db(reflector, input_power_dbm=-25.0)
         reflector.amplifier.set_gain_db(gain)
         assert not reflector.is_saturated_at(-25.0)
+
+    @pytest.mark.parametrize("beams", BEAMS + [(60.0, 120.0)])
+    @pytest.mark.parametrize("input_dbm", [None, -60.0, -40.0, -25.0])
+    def test_oracle_is_the_set_gain_bisection(self, beams, input_dbm, monkeypatch):
+        """The oracle bisects over the gains the amplifier would reach,
+        reading the leakage once and never moving the amplifier's gain:
+        the same result as setting each gain and asking the reflector."""
+        reflector = make_reflector(*beams)
+        reflector.amplifier.set_gain_db(12.5)
+        expected = reference_oracle_gain_db(make_reflector(*beams), input_dbm)
+        reads = []
+        original = MoVRReflector.leakage_db
+
+        def counting(instance):
+            reads.append(instance)
+            return original(instance)
+
+        monkeypatch.setattr(MoVRReflector, "leakage_db", counting)
+        # Any gain command would now fail.
+        monkeypatch.setattr(type(reflector.amplifier), "set_gain_db", None)
+        assert oracle_gain_db(reflector, input_dbm) == expected
+        assert reads == [reflector]
+        assert reflector.amplifier.gain_db == 12.5
 
     def test_margin_validated(self):
         with pytest.raises(ValueError):

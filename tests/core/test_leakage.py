@@ -1,5 +1,6 @@
 """Unit tests for the reflector TX-to-RX leakage model (Fig. 7)."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -77,6 +78,21 @@ class TestCurve:
             ReflectorLeakageModel(antenna_separation_m=0.0)
         with pytest.raises(ValueError):
             ReflectorLeakageModel(grazing_angle_deg=60.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("board_isolation_db", 40.0), ("grazing_angle_deg", 100.0)],
+    )
+    def test_fields_cannot_go_stale(self, field, value):
+        """The arrays and the batch memo are built from the fields, so the
+        fields are frozen; a changed model is a new, validated one."""
+        model = ReflectorLeakageModel()
+        tx, rx = np.array([60.0, 90.0, 120.0]), np.array([90.0, 90.0, 90.0])
+        before = model.leakage_db_batch(tx, rx).tolist()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, field, value)
+        assert getattr(model, field) != value
+        assert model.leakage_db_batch(tx, rx).tolist() == before
 
 
 def scalar_leakage_db(model, tx, rx):

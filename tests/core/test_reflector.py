@@ -138,32 +138,36 @@ class TestFeedbackBehaviour:
 
 
 class TestLeakageMemo:
-    """``leakage_db`` keeps its last value per beam state and model."""
+    """``leakage_db`` keeps no memo: every read evaluates the reflector's
+    model at its current beam state."""
 
     @pytest.fixture
     def counted(self, reflector, monkeypatch):
         calls = []
 
         def spy(model):
-            original = model.leakage_db
+            # The model is frozen: count its calls through the class.
+            original = ReflectorLeakageModel.leakage_db
 
-            def counting(tx, rx):
-                calls.append((tx, rx))
-                return original(tx, rx)
+            def counting(instance, tx, rx):
+                if instance is model:
+                    calls.append((tx, rx))
+                return original(instance, tx, rx)
 
-            monkeypatch.setattr(model, "leakage_db", counting)
+            monkeypatch.setattr(ReflectorLeakageModel, "leakage_db", counting)
 
         spy(reflector.leakage_model)
         reflector.point_at(Vec2(0.3, 0.3), Vec2(2.5, 2.5))
         return reflector, calls, spy
 
-    def test_same_beams_evaluate_once(self, counted):
+    def test_every_read_evaluates_the_model(self, counted):
         reflector, calls, _ = counted
         first = reflector.leakage_db()
         assert reflector.is_stable() in (True, False)
         reflector.effective_gain_db()
         assert reflector.leakage_db() == first
-        assert len(calls) == 1
+        assert len(calls) == 4
+        assert calls == [calls[0]] * 4
         assert first == reflector.leakage_model.leakage_db(*calls[0])
 
     @pytest.mark.parametrize(
@@ -209,13 +213,14 @@ class TestLeakageMemo:
         before = reflector.state()
         pairs = []
         model = reflector.leakage_model
-        original = model.leakage_db_pairs
+        original = ReflectorLeakageModel.leakage_db_pairs
 
-        def counting_pairs(tx, rx):
-            pairs.append(list(zip(tx, rx)))
-            return original(tx, rx)
+        def counting_pairs(instance, tx, rx):
+            if instance is model:
+                pairs.append(list(zip(tx, rx)))
+            return original(instance, tx, rx)
 
-        monkeypatch.setattr(model, "leakage_db_pairs", counting_pairs)
+        monkeypatch.setattr(ReflectorLeakageModel, "leakage_db_pairs", counting_pairs)
         values = leakages_db_many([reflector] * len(states), states)
         assert reflector.state() == before  # the beams did not move
         assert [len(p) for p in pairs] == [len(states)]
@@ -229,7 +234,7 @@ class TestLeakageMemo:
 class TestLeakagesManyReflectors:
     """``leakages_db_many`` is a pure function of the beam states: one
     model call per equal model, each value what the reflector's own
-    ``leakage_db`` gives at that state, no beam or memo touched."""
+    ``leakage_db`` gives at that state, no beam moved."""
 
     STATES = [(2.5, 2.5), (2.5, 2.5), (1.5, 3.5), (3.0, 2.0)]
 
@@ -255,17 +260,15 @@ class TestLeakagesManyReflectors:
 
     def test_equals_each_reflector_alone(self):
         pooled, alone = self.fleet(), self.fleet()
-        # One reflector starts with a memo on its first state.
         for reflectors in (pooled, alone):
             reflectors[1].point_at(Vec2(0.3, 0.3), Vec2(2.5, 2.5))
-            reflectors[1].leakage_db()
-        before = [(r.state(), r._leakage_memo) for r in pooled]
+        before = [r.state() for r in pooled]
         with telemetry.scope("leak") as sc:
             got = leakages_db_many(*self.steerings(pooled))
         # Distinct but equal models: one pair of pattern calls in all.
         assert len({id(r.leakage_model) for r in pooled}) == 3
         assert sc.registry.counter_value("kernel.batches") == 2
-        assert [(r.state(), r._leakage_memo) for r in pooled] == before
+        assert [r.state() for r in pooled] == before
         assert got == self.one_at_a_time(*self.steerings(alone))
 
     def test_unequal_models_are_separate_calls(self):

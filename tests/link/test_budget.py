@@ -201,6 +201,16 @@ class TestLinkMeasurement:
         best = budget.best_alignment(tx, rx)
         assert not best.in_outage
 
+    def test_of_total(self, setup):
+        """One rule for every measured link: ``-inf`` is the outage,
+        anything else is SNR over the noise floor with its path."""
+        budget, tx, rx = setup
+        path = budget.cache.line_of_sight(tx.position, rx.position)
+        dead = LinkMeasurement.of_total(-math.inf, -70.0, path, 10.0, 20.0)
+        assert dead == LinkMeasurement.outage(10.0, 20.0)
+        live = LinkMeasurement.of_total(-50.0, -70.0, path, 10.0, 20.0)
+        assert live == LinkMeasurement(-50.0, 20.0, path, 10.0, 20.0)
+
 
 class TestMeasureAlignedMany:
     """One array pass over many receivers measures, steers, traces and
@@ -287,7 +297,7 @@ class TestMeasureAlignedMany:
         ]
         assert formulas == [sum(len(p) for p in paths[:4])]
         for p in paths:
-            budget.cache.link_columns(p, budget.channel)
+            budget.channel.link_columns(p)
         assert len(formulas) == 1
 
     def test_no_receivers(self, setup):

@@ -1,4 +1,4 @@
-"""Link columns: each cached path set's angles and unshadowed channel
+"""Link columns: each traced path set's angles and unshadowed channel
 gains, built once and read by every later link evaluation.
 
 The properties pin the arithmetic: the tracer's path-set arrays and the
@@ -152,7 +152,7 @@ class TestPathSetMatchesScalarReference:
             assert path_set.penetration_db.tolist() == [
                 p.total_penetration_loss_db for p in paths
             ]
-            columns = cache_module.link_columns(paths, channel)
+            columns = channel.link_columns(paths)
             assert columns.tolist() == [
                 [p.departure_angle_deg for p in paths],
                 [p.arrival_angle_deg for p in paths],
@@ -167,7 +167,7 @@ class TestPathSetMatchesScalarReference:
             copies = [
                 type(p)(p.points, p.walls, p.obstructions, p.penetrated_walls) for p in paths
             ]
-            assert cache_module.link_columns(copies, channel).tolist() == columns.tolist()
+            assert channel.link_columns(copies).tolist() == columns.tolist()
 
 
 def make_budget(furnished=False, sigma_db=0.0, seed=7):
@@ -240,7 +240,17 @@ class TestColumnsMatchTheScalarChannel:
         assert vector.rng.bit_generator.state == scalar.rng.bit_generator.state
 
 
+def fresh_columns(paths, channel):
+    """Columns computed anew: from copies of the paths, which share no
+    path set with them."""
+    copies = [type(p)(p.points, p.walls, p.obstructions, p.penetrated_walls) for p in paths]
+    return channel.link_columns(copies)
+
+
 class TestColumnsLiveWithTheirEntry:
+    """Columns are a memo on the traced path set: they live as long as
+    the set, in the scene cache or out of it, and die with it."""
+
     def test_cached_scene_computes_no_gain_twice(self, monkeypatch):
         budget = make_budget(furnished=True)
         tx, rx = radios()
@@ -273,25 +283,31 @@ class TestColumnsLiveWithTheirEntry:
         assert budget.hop_columns(hop) == expected
 
     def test_eviction_drops_columns(self, monkeypatch):
+        """An evicted set that nothing references is collected with its
+        columns; while anything holds one of its paths, they stay."""
         monkeypatch.setattr(cache_module, "MAX_PATHS", 3)
         budget = make_budget()
         hop = budget.cache.line_of_sight(TX, RX)
-        columns = weakref.ref(budget.cache.link_columns((hop,), budget.channel))
-        gc.collect()
-        assert columns() is not None  # held beside the live entry
+        columns = weakref.ref(budget.channel.link_columns((hop,)))
         for y in (1.0, 1.5, 2.0):
             budget.cache.line_of_sight(TX, Vec2(4.0, y))
+        gc.collect()
+        assert columns() is not None  # evicted, but the hop holds its set
+        assert budget.channel.link_columns((hop,)) is columns()
+        del hop
         gc.collect()
         assert columns() is None
 
     def test_invalidate_drops_columns(self):
         budget = make_budget()
         paths = budget.cache.all_paths(TX, RX)
-        columns = weakref.ref(budget.cache.link_columns(paths, budget.channel))
+        columns = weakref.ref(budget.channel.link_columns(paths))
         budget.cache.invalidate()
         gc.collect()
+        assert budget.channel.link_columns(paths) is columns()
+        del paths
+        gc.collect()
         assert columns() is None
-        assert budget.cache.link_columns(paths, budget.channel) is not None
 
     def test_caller_built_list_is_not_retained(self, monkeypatch):
         class CallerPaths(list):
@@ -300,14 +316,14 @@ class TestColumnsLiveWithTheirEntry:
         budget = make_budget()
         tx, rx = radios()
         built = []
-        original = cache_module.link_columns
+        original = MmWaveChannel.link_columns_many
 
-        def tracking(paths, channel):
-            columns = original(paths, channel)
-            built.append(weakref.ref(columns))
+        def tracking(channel, path_lists):
+            columns = original(channel, path_lists)
+            built.extend(weakref.ref(c) for c in columns)
             return columns
 
-        monkeypatch.setattr(cache_module, "link_columns", tracking)
+        monkeypatch.setattr(MmWaveChannel, "link_columns_many", tracking)
         entry = budget.cache.all_paths(TX, RX)
         for build in (lambda: entry[1:], lambda: reversed(entry)):
             caller = CallerPaths(build())
@@ -318,20 +334,41 @@ class TestColumnsLiveWithTheirEntry:
             assert held() is None
         assert len(built) == 2
         assert all(ref() is None for ref in built)
+        assert entry[0]._set.columns_memo is None  # the entry's set is untouched
 
     def test_a_copy_of_an_entry_reads_its_columns(self):
         budget = make_budget()
         paths = budget.cache.all_paths(TX, RX)
-        columns = budget.cache.link_columns(paths, budget.channel)
-        assert budget.cache.link_columns(tuple(paths), budget.channel) is columns
+        columns = budget.channel.link_columns(paths)
+        assert budget.channel.link_columns(tuple(paths)) is columns
+        assert budget.channel.link_columns(list(paths)) is columns
 
     def test_columns_are_read_only(self):
         budget = make_budget()
-        columns = budget.cache.link_columns(
-            budget.cache.all_paths(TX, RX), budget.channel
-        )
+        columns = budget.channel.link_columns(budget.cache.all_paths(TX, RX))
         with pytest.raises(ValueError):
             columns[2, 0] = 0.0
+
+    def test_probe_reads_the_hop_once_and_draws_every_time(self, monkeypatch):
+        """Repeated ``path_gain_db`` calls on one traced hop, as the angle
+        search's probe makes them, compute its unshadowed gain once and
+        draw shadowing on every call."""
+        budget = make_budget(sigma_db=2.0, seed=5)
+        reference = MmWaveChannel(shadowing_sigma_db=2.0, rng=np.random.default_rng(5))
+        hop = budget.cache.line_of_sight(TX, RX, include_room_occluders=False)
+        unshadowed = fresh_columns([hop], budget.channel)[2, 0]
+        computed = []
+        original = MmWaveChannel.unshadowed_gains_db
+
+        def counting(channel, path_set):
+            computed.append(len(path_set))
+            return original(channel, path_set)
+
+        monkeypatch.setattr(MmWaveChannel, "unshadowed_gains_db", counting)
+        gains = [budget.channel.path_gain_db(hop) for _ in range(4)]
+        assert computed == [1]
+        assert gains == [unshadowed + reference.rng.normal(0.0, 2.0) for _ in range(4)]
+        assert len(set(gains)) == 4
 
 
 class TestChannelEdits:
@@ -349,13 +386,13 @@ class TestChannelEdits:
         budget = make_budget(furnished=True)
         hand = Circle(Vec2(3.8, 3.3), 0.1)
         paths = budget.cache.all_paths(TX, RX, extra_occluders=[hand])
-        before = budget.cache.link_columns(paths, budget.channel)
+        before = budget.channel.link_columns(paths)
         edit(budget.channel)
-        after = budget.cache.link_columns(paths, budget.channel)
+        after = budget.channel.link_columns(paths)
         assert after is not before
-        assert after.tolist() == cache_module.link_columns(paths, budget.channel).tolist()
+        assert after.tolist() == fresh_columns(paths, budget.channel).tolist()
         assert after[2].tolist() != before[2].tolist()
-        assert budget.cache.link_columns(paths, budget.channel) is after
+        assert budget.channel.link_columns(paths) is after
 
 
 class TestJoinedSets:
@@ -392,10 +429,10 @@ class TestJoinedSets:
             return original(channel, path_set)
 
         monkeypatch.setattr(MmWaveChannel, "unshadowed_gains_db", counting)
-        first, again, second = budget.cache.link_columns_many(
-            [paths, tuple(paths), other], budget.channel
+        first, again, second = budget.channel.link_columns_many(
+            [paths, tuple(paths), other]
         )
         assert first is again
         assert built == [len(paths) + len(other)]
-        assert second is budget.cache.link_columns(other, budget.channel)
-        assert np.array_equal(first, cache_module.link_columns(paths, budget.channel))
+        assert second is budget.channel.link_columns(other)
+        assert np.array_equal(first, fresh_columns(paths, budget.channel))
