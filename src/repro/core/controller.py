@@ -29,7 +29,6 @@ from repro.geometry.room import Occluder, Room
 from repro.geometry.vectors import Vec2, bearing_deg
 from repro.link.budget import LinkBudget, LinkMeasurement
 from repro.link.radios import Radio
-from repro.phy.amplifier import loop_is_stable
 from repro.phy.antenna import panel_gains_dbi
 from repro.phy.channel import MmWaveChannel
 from repro.phy.noise import relay_path_snr_db
@@ -405,8 +404,8 @@ class MoVRSystem:
             ap_gain, rx_gain, tx_gain, headset_gain = gains[4 * k:4 * k + 4]
             amp_input = tx_power + ap_gain + hop_gains[2 * k] + rx_gain
             first_hop_snr = amp_input - reflector.front_end_noise.noise_floor_dbm
-            amp_output = reflector.output_power_at_dbm(amp_input, leakages[k])
-            stable = loop_is_stable(reflector.amplifier.gain_db, leakages[k])
+            amp_output = reflector.output_power_dbm(amp_input, leakages[k])
+            stable = reflector.is_stable(leakages[k])
             received = (
                 amp_output
                 + tx_gain

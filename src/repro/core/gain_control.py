@@ -151,18 +151,9 @@ class CurrentSensingGainController:
         self.samples_per_reading = samples_per_reading
 
     def gain_ramp_db(self) -> List[float]:
-        """The gains the step-up loop visits, in order: the minimum, then
-        ``step_db`` more each step, on the amplifier's gain grid, up to
-        the maximum (or the highest grid gain below it)."""
-        amp = self.reflector.amplifier
-        gain = amp.quantize_gain_db(amp.spec.min_gain_db)
-        gains = [gain]
-        while gain < amp.spec.max_gain_db:
-            gain = amp.quantize_gain_db(gain + self.step_db)
-            if gain <= gains[-1]:
-                break
-            gains.append(gain)
-        return gains
+        """The gains the step-up loop visits, in order (see
+        :meth:`VariableGainAmplifier.gain_ramp_db`)."""
+        return self.reflector.amplifier.gain_ramp_db(self.step_db)
 
     def calibrate(self, input_power_dbm: float) -> GainControlResult:
         """Run the step-up-until-knee loop; leaves the reflector at the
@@ -181,9 +172,7 @@ class CurrentSensingGainController:
         amp = reflector.amplifier
         gains = self.gain_ramp_db()
         leakage_db = reflector.leakage_db()
-        true_ma = [
-            reflector.current_draw_at_ma(input_power_dbm, gain, leakage_db) for gain in gains
-        ]
+        true_ma = [reflector.current_draw_ma(input_power_dbm, leakage_db, gain) for gain in gains]
         telemetry.inc("gain_control.calibrations")
         rng = self.sensor.rng
         state = rng.bit_generator.state
@@ -264,9 +253,7 @@ def oracle_gain_db(
 
     def saturates(command_db: float) -> bool:
         # At the gain the amplifier would reach for the command.
-        return reflector.saturates_at(
-            input_power_dbm, leak, amp.quantize_gain_db(command_db)
-        )
+        return reflector.is_saturated_at(input_power_dbm, leak, amp.quantize_gain_db(command_db))
 
     lo, hi = spec.min_gain_db, gain
     if not saturates(hi):

@@ -13,8 +13,9 @@ The model composes three physically distinct mechanisms:
 2. **Over-the-air coupling** — the TX array's pattern evaluated toward
    the RX array (which sits broadside-adjacent on the same board, i.e.
    near endfire), times the RX array's pattern toward the TX array,
-   over the free-space loss across the few-centimeter antenna
-   separation.  Steering moves both arrays' sidelobe structures across
+   under an empirical near-field coupling constant (the antennas sit
+   inside each other's Fresnel region, where free-space loss does not
+   apply).  Steering moves both arrays' sidelobe structures across
    endfire, producing exactly the oscillatory angle dependence of
    Fig. 7.
 3. **Nearby-scatterer bounce** — energy reflected off objects near the
@@ -53,14 +54,12 @@ class ReflectorLeakageModel:
     """
 
     array: PhasedArrayConfig = field(default_factory=lambda: MOVR_ARRAY)
-    antenna_separation_m: float = 0.08
     board_isolation_db: float = 80.0
     edge_diffraction_loss_db: float = 8.0
     grazing_angle_deg: float = 15.0
     scatterer_coupling_db: float = 85.0
 
     def __post_init__(self) -> None:
-        require_positive(self.antenna_separation_m, "antenna_separation_m")
         require_positive(self.board_isolation_db, "board_isolation_db")
         require_positive(self.edge_diffraction_loss_db, "edge_diffraction_loss_db")
         require_in_range(self.grazing_angle_deg, 1.0, 45.0, "grazing_angle_deg")

@@ -37,8 +37,8 @@ from repro.phy.amplifier import (
     MOVR_AMPLIFIER,
     AmplifierSpec,
     VariableGainAmplifier,
-    closed_loop_gain_db,
     closed_loop_gain_db_batch,
+    feedback_peaking_db,
     loop_is_stable,
 )
 from repro.phy.antenna import PhasedArray, PhasedArrayConfig
@@ -49,7 +49,7 @@ from repro.utils.units import (
     angle_difference_deg,
     angle_difference_deg_batch,
 )
-from repro.utils.validation import require_same_length
+from repro.utils.validation import require_finite, require_same_length
 
 #: The reflector arrays scan +/-50 degrees, i.e. prototype angles 40-140
 #: (the sweep range of Figs. 7 and 8 of the paper).
@@ -168,75 +168,78 @@ class MoVRReflector:
         )
 
     # -- feedback loop ------------------------------------------------------
+    #
+    # One method per analog-chain quantity, each with one signature:
+    # the input power at the RX array port where the quantity depends on
+    # it, then ``leakage_db`` and ``gain_db``.  ``None`` means the current
+    # beams' leakage (one leakage-model read, two kernel calls) and the
+    # amplifier's own gain; an explicit value is checked finite on entry
+    # and nowhere below.  Each call applies the loop's stability
+    # criterion exactly once.
 
     def leakage_db(self) -> float:
         """TX->RX coupling at the current beam angles (negative dB).
 
         Each call evaluates the leakage model (two antenna-kernel
         calls).  Callers that ask many questions at fixed beams (gain
-        calibration, the oracle gain) read it once and use the
-        explicit-leakage forms (:meth:`output_power_at_dbm`,
-        :meth:`saturates_at`, :meth:`current_draw_at_ma`); the relay
-        pass reads many beam states at once through
-        :func:`leakages_db_many`.
+        calibration, the oracle gain) read it once and pass it as
+        ``leakage_db``; the relay pass reads many beam states at once
+        through :func:`leakages_db_many`.
         """
         return self.leakage_model.leakage_db(
             self.azimuth_to_prototype(self.tx_azimuth_deg),
             self.azimuth_to_prototype(self.rx_azimuth_deg),
         )
 
-    def is_stable(self) -> bool:
-        """Is the feedback loop stable at the current gain and beams?"""
-        return loop_is_stable(self.amplifier.gain_db, self.leakage_db())
+    def _loop(self, leakage_db, gain_db) -> Tuple[float, float, bool]:
+        """The loop's ``(leakage_db, gain_db, stable)``: the one stability
+        decision of an evaluation."""
+        if leakage_db is None:
+            leakage_db = self.leakage_db()
+        else:
+            require_finite(leakage_db, "leakage_db")
+        if gain_db is None:
+            gain_db = self.amplifier.gain_db
+        else:
+            require_finite(gain_db, "gain_db")
+        return leakage_db, gain_db, loop_is_stable(gain_db, leakage_db)
 
-    def effective_gain_db(self) -> Optional[float]:
+    def is_stable(self, leakage_db=None, gain_db=None) -> bool:
+        """Is the feedback loop stable at this gain and coupling?"""
+        return self._loop(leakage_db, gain_db)[2]
+
+    def effective_gain_db(self, leakage_db=None, gain_db=None) -> Optional[float]:
         """Closed-loop amplifier gain including feedback peaking.
 
         ``None`` when the loop is unstable (the amplifier would emit
         garbage, not an amplified copy of the input).
         """
-        return self.effective_gain_at(self.leakage_db())
-
-    def effective_gain_at(
-        self, leakage_db: float, gain_db: Optional[float] = None
-    ) -> Optional[float]:
-        """:meth:`effective_gain_db` with ``leakage_db`` of coupling, at
-        amplifier gain ``gain_db`` (default: the amplifier's own)."""
-        gain = self.amplifier.gain_db if gain_db is None else gain_db
-        if not loop_is_stable(gain, leakage_db):
+        leakage_db, gain_db, stable = self._loop(leakage_db, gain_db)
+        if not stable:
             return None
-        return closed_loop_gain_db(gain, leakage_db)
+        return gain_db + feedback_peaking_db(gain_db, leakage_db)
 
-    def output_power_dbm(self, input_power_dbm: float) -> float:
-        """Amplifier output power for a given power at the RX array port,
-        at the current beams' leakage (:meth:`output_power_at_dbm`)."""
-        return self.output_power_at_dbm(input_power_dbm, self.leakage_db())
-
-    def output_power_at_dbm(
-        self, input_power_dbm: float, leakage_db: float, gain_db: Optional[float] = None
-    ) -> float:
-        """Amplifier output power for a given power at the RX array port
-        with ``leakage_db`` of TX->RX coupling, at amplifier gain
-        ``gain_db`` (default: the amplifier's own).
-
-        Includes closed-loop peaking of both the signal and the
-        amplifier's own front-end noise (near instability the
-        recirculating noise alone drives the amplifier into
-        compression — the current signature the gain controller
-        detects), soft-capped at the amplifier's saturation power.
-        """
-        effective = self.effective_gain_at(leakage_db, gain_db)
-        if effective is None:
-            # Self-oscillation: output pinned at saturation.
+    def _output_dbm(self, input_power_dbm: float, effective_db: Optional[float]) -> float:
+        """Amplifier output at closed-loop gain ``effective_db``: the signal
+        and the amplifier's own front-end noise, both peaked by the loop
+        (near instability the recirculating noise alone drives the
+        amplifier into compression — the current signature the gain
+        controller detects), soft-capped at the saturation power.  An
+        oscillating loop (``None``) pins the output at saturation."""
+        if effective_db is None:
             return self.amplifier.spec.psat_dbm
-        signal_out = input_power_dbm + effective
-        noise_out = self.front_end_noise.noise_floor_dbm + effective
-        # The amplifier's soft saturation cap on the combined power.
+        signal_out = input_power_dbm + effective_db
+        noise_out = self.front_end_noise.noise_floor_dbm + effective_db
         return self.amplifier.output_power_dbm(
             db_sum_powers([signal_out, noise_out]), gain_db=0.0
         )
 
-    def is_saturated_at(self, input_power_dbm: float) -> bool:
+    def output_power_dbm(self, input_power_dbm: float, leakage_db=None, gain_db=None) -> float:
+        """Amplifier output power for a given power at the RX array port."""
+        require_finite(input_power_dbm, "input_power_dbm")
+        return self._output_dbm(input_power_dbm, self.effective_gain_db(leakage_db, gain_db))
+
+    def is_saturated_at(self, input_power_dbm: float, leakage_db=None, gain_db=None) -> bool:
         """Is the amplifier compressing (or oscillating) at this input?
 
         True when the loop is unstable, or when the closed-loop output
@@ -244,39 +247,23 @@ class MoVRReflector:
         the forwarded waveform is distorted and unusable for 802.11ad
         modulation.
         """
-        return self.saturates_at(
-            input_power_dbm, self.leakage_db(), self.amplifier.gain_db
-        )
-
-    def saturates_at(
-        self, input_power_dbm: float, leakage_db: float, gain_db: float
-    ) -> bool:
-        """:meth:`is_saturated_at` with ``leakage_db`` of TX->RX coupling
-        at amplifier gain ``gain_db``, without setting the gain."""
-        if not loop_is_stable(gain_db, leakage_db):
-            return True
+        require_finite(input_power_dbm, "input_power_dbm")
+        effective = self.effective_gain_db(leakage_db, gain_db)
         return (
-            self.output_power_at_dbm(input_power_dbm, leakage_db, gain_db)
+            effective is None
+            or self._output_dbm(input_power_dbm, effective)
             > self.amplifier.spec.output_p1db_dbm
         )
 
-    def current_draw_ma(self, input_power_dbm: float) -> float:
-        """DC supply current at the present operating point."""
-        return self.current_draw_at_ma(
-            input_power_dbm, self.amplifier.gain_db, self.leakage_db()
-        )
-
-    def current_draw_at_ma(
-        self, input_power_dbm: float, gain_db: float, leakage_db: float
-    ) -> float:
-        """DC supply current at amplifier gain ``gain_db`` with
-        ``leakage_db`` of TX->RX coupling, without setting the gain: gain
-        calibration evaluates its whole ramp at the installed beams."""
-        if not loop_is_stable(gain_db, leakage_db):
+    def current_draw_ma(self, input_power_dbm: float, leakage_db=None, gain_db=None) -> float:
+        """DC supply current at this operating point: what gain
+        calibration senses, evaluated over its whole ramp at the
+        installed beams without setting the gain."""
+        require_finite(input_power_dbm, "input_power_dbm")
+        effective = self.effective_gain_db(leakage_db, gain_db)
+        if effective is None:
             return self.amplifier.spec.saturation_current_ma
-        return self.amplifier.current_draw_ma(
-            self.output_power_at_dbm(input_power_dbm, leakage_db, gain_db)
-        )
+        return self.amplifier.current_draw_ma(self._output_dbm(input_power_dbm, effective))
 
     # -- relay gain (for the link budget) ------------------------------------
 

@@ -76,11 +76,9 @@ def run_ablation_gain(
         # The beams stay put while the policies are scored: one leakage read.
         leakage_db = reflector.leakage_db()
         for name, gain in policies.items():
-            gain = reflector.amplifier.set_gain_db(gain)
-            effective = reflector.effective_gain_at(leakage_db, gain)
-            if effective is None or reflector.saturates_at(
-                input_power_dbm, leakage_db, gain
-            ):
+            reflector.amplifier.set_gain_db(gain)
+            effective = reflector.effective_gain_db(leakage_db)
+            if effective is None or reflector.is_saturated_at(input_power_dbm, leakage_db):
                 saturations[name] += 1
                 stats[name].append(float("-inf"))
             else:

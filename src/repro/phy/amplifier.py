@@ -20,8 +20,8 @@ Fig. 6(b): closed-loop gain and the ``G < L`` stability criterion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import List, Optional
 
 import numpy as np
 
@@ -46,7 +46,8 @@ class AmplifierSpec:
     saturation_current_ma: float = 380.0
 
     def __post_init__(self) -> None:
-        require_finite(self.min_gain_db, "min_gain_db")
+        for spec_field in fields(self):
+            require_finite(getattr(self, spec_field.name), spec_field.name)
         if self.max_gain_db <= self.min_gain_db:
             raise ValueError("max_gain_db must exceed min_gain_db")
         require_positive(self.gain_step_db, "gain_step_db")
@@ -84,9 +85,28 @@ class VariableGainAmplifier:
         without setting it: clipped to the range, rounded to the DAC
         grid."""
         require_finite(gain_db, "gain_db")
+        return self._on_grid(gain_db)
+
+    def _on_grid(self, gain_db: float) -> float:
+        """:meth:`quantize_gain_db` for a gain known to be finite."""
         clipped = max(self.spec.min_gain_db, min(self.spec.max_gain_db, gain_db))
         steps = round((clipped - self.spec.min_gain_db) / self.spec.gain_step_db)
         return min(self.spec.min_gain_db + steps * self.spec.gain_step_db, self.spec.max_gain_db)
+
+    def gain_ramp_db(self, step_db: float) -> List[float]:
+        """The gains a step-up from the minimum visits, in order: the
+        minimum, then ``step_db`` more each step, on the gain grid, up
+        to the maximum (or the highest grid gain below it).  Only
+        ``step_db`` is checked, once: the grid gains are computed."""
+        require_positive(step_db, "step_db")
+        gain = self._on_grid(self.spec.min_gain_db)
+        gains = [gain]
+        while gain < self.spec.max_gain_db:
+            gain = self._on_grid(gain + step_db)
+            if gain <= gains[-1]:
+                break
+            gains.append(gain)
+        return gains
 
     def set_gain_db(self, gain_db: float) -> float:
         """Command a gain; returns the achieved (quantized) value."""
@@ -150,21 +170,27 @@ def loop_is_stable(gain_db: float, leakage_db: float) -> bool:
     ``gain_db + leakage_db`` is below 0 dB — equivalently, the
     amplifier gain must be smaller than the leakage attenuation
     ``|leakage_db|`` (the paper's ``G_dB - L_dB < 0``).
+    Arguments are not re-validated here (a NaN reads as unstable).
     """
-    require_finite(gain_db, "gain_db")
-    require_finite(leakage_db, "leakage_db")
     return gain_db + leakage_db < 0.0
+
+
+def feedback_peaking_db(gain_db: float, leakage_db: float) -> float:
+    """Extra gain (and extra output power) contributed by a stable loop.
+
+    With forward amplitude gain ``g`` and feedback amplitude ``l``,
+    ``out = g / (1 - g*l) * in``: the loop adds
+    ``-20*log10(1 - 10^((G+L)/20))`` dB, which diverges as the loop
+    gain approaches 0 dB (in hardware the amplifier saturates instead,
+    the failure the gain controller must avoid).  The loop must be
+    stable (:func:`loop_is_stable`).
+    """
+    loop_amplitude = 10.0 ** ((gain_db + leakage_db) / 20.0)
+    return -20.0 * math.log10(1.0 - loop_amplitude)
 
 
 def closed_loop_gain_db(gain_db: float, leakage_db: float) -> float:
     """Closed-loop gain of the reflector including feedback peaking.
-
-    With forward amplitude gain ``g`` and feedback amplitude ``l``:
-    ``out = g / (1 - g*l) * in``, so the closed-loop power gain is
-    ``G - 20*log10(1 - 10^((G+L)/20))`` dB.  As the loop gain
-    approaches 0 dB, the closed-loop gain diverges — in hardware the
-    amplifier saturates instead, which is exactly the failure the gain
-    controller must avoid.
 
     Raises ``ValueError`` for an unstable configuration.
     """
@@ -173,8 +199,7 @@ def closed_loop_gain_db(gain_db: float, leakage_db: float) -> float:
             f"feedback loop unstable: gain {gain_db:.1f} dB >= leakage "
             f"attenuation {-leakage_db:.1f} dB"
         )
-    loop_amplitude = 10.0 ** ((gain_db + leakage_db) / 20.0)
-    return gain_db - 20.0 * math.log10(1.0 - loop_amplitude)
+    return gain_db + feedback_peaking_db(gain_db, leakage_db)
 
 
 def closed_loop_gain_db_batch(gain_db, leakage_db) -> np.ndarray:
@@ -192,7 +217,3 @@ def closed_loop_gain_db_batch(gain_db, leakage_db) -> np.ndarray:
     loop_amplitude = np.power(10.0, np.where(stable, loop, -np.inf) / 20.0)
     return np.where(stable, gain - 20.0 * np.log10(1.0 - loop_amplitude), np.nan)
 
-
-def feedback_peaking_db(gain_db: float, leakage_db: float) -> float:
-    """Extra gain (and extra output power) contributed by the loop."""
-    return closed_loop_gain_db(gain_db, leakage_db) - gain_db

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.core.controller import LinkDecision, MoVRSystem, RelayMeasurement
+from repro.core import reflector as reflector_module
 from repro.core.reflector import MoVRReflector
 from repro.geometry.bodies import hand_occluder, person_blocking_path
 from repro.geometry.raytrace import RayTracer
@@ -15,6 +16,7 @@ from repro.geometry.room import standard_office
 from repro.geometry.vectors import Vec2, bearing_deg
 from repro.link.budget import LinkBudget, LinkMeasurement
 from repro.link.radios import HEADSET_RADIO_CONFIG, Radio
+from repro.phy.amplifier import loop_is_stable
 from repro.phy.antenna import PhasedArray, PhasedArrayConfig
 from repro.phy.channel import MmWaveChannel
 from repro.rate.mcs import data_rate_mbps_for_snr
@@ -435,6 +437,24 @@ class TestRelayBidKernelCalls:
         assert sc.registry.counter_value("kernel.angles") == 6 * 3 * k
         twin = self.facing_fleet()
         assert bids == [twin.relay_candidates(h) for h in headsets]
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_at_most_two_loop_evaluations_per_pair(self, k, monkeypatch):
+        """Each bid reads its stable flag and its amplifier output from
+        the reflector: at most two stability decisions per pair."""
+        system = self.facing_fleet()
+        headsets = [headset_at(2.0 + 0.15 * i, 2.4, yaw=40.0 * i) for i in range(k)]
+        calls = []
+
+        def spy(gain_db, leakage_db):
+            calls.append((gain_db, leakage_db))
+            return loop_is_stable(gain_db, leakage_db)
+
+        monkeypatch.setattr(reflector_module, "loop_is_stable", spy)
+        bids = system.relay_candidates_many(headsets, [()] * k)
+        pairs = sum(len(b) for b in bids)
+        assert pairs == 3 * k
+        assert 0 < len(calls) <= 2 * pairs
 
 
 class TestFeedGainMemo:

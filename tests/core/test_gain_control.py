@@ -18,9 +18,10 @@ from repro.core.gain_control import (
     conservative_gain_db,
     oracle_gain_db,
 )
+from repro.core import reflector as reflector_module
 from repro.core.reflector import MoVRReflector
 from repro.geometry.vectors import Vec2
-from repro.phy.amplifier import AmplifierSpec
+from repro.phy.amplifier import AmplifierSpec, loop_is_stable
 
 
 def make_reflector(rx_proto=90.0, tx_proto=90.0, **kwargs):
@@ -157,19 +158,54 @@ class TestOnePassRamp:
     @pytest.mark.parametrize("beams", BEAMS)
     @pytest.mark.parametrize("input_dbm", [-80.0, -45.0, -25.0])
     def test_true_current_at_every_ramp_gain(self, beams, input_dbm):
-        """The explicit-gain chain equals, to the last bit, the current
-        at the amplifier's own gain once set there, unstable gains
-        included."""
+        """Every analog-chain quantity at an explicit leakage and gain
+        equals, to the last bit, its value at the beams' leakage and the
+        amplifier's own gain once set there.  The ramp crosses the
+        saturation edge and, at the leakier beams, the stability edge."""
         reflector = make_reflector(*beams)
         controller = CurrentSensingGainController(reflector, rng=0)
         leakage = reflector.leakage_db()
-        unstable = 0
+        stable, saturated = set(), set()
         for gain in controller.gain_ramp_db():
-            explicit = reflector.current_draw_at_ma(input_dbm, gain, leakage)
+            explicit = [
+                reflector.is_stable(leakage, gain),
+                reflector.effective_gain_db(leakage, gain),
+                reflector.output_power_dbm(input_dbm, leakage, gain),
+                reflector.is_saturated_at(input_dbm, leakage, gain),
+                reflector.current_draw_ma(input_dbm, leakage, gain),
+            ]
             reflector.amplifier.set_gain_db(gain)
-            unstable += not reflector.is_stable()
-            assert explicit == reflector.current_draw_ma(input_dbm)
-        assert (unstable > 0) == (beams == (45.0, 135.0))
+            state = [
+                reflector.is_stable(),
+                reflector.effective_gain_db(),
+                reflector.output_power_dbm(input_dbm),
+                reflector.is_saturated_at(input_dbm),
+                reflector.current_draw_ma(input_dbm),
+            ]
+            assert explicit == state
+            stable.add(state[0])
+            saturated.add(state[3])
+        assert (False in stable) == (beams == (45.0, 135.0))
+        # Only a weak input at the quiet beams stays linear to max gain.
+        assert saturated == ({False} if (beams, input_dbm) == (BEAMS[0], -80.0) else {True, False})
+
+    @pytest.mark.parametrize("beams", BEAMS)
+    @pytest.mark.parametrize("input_dbm", [-80.0, -25.0])
+    def test_one_loop_evaluation_per_ramp_gain(self, beams, input_dbm, monkeypatch):
+        """Calibration decides the loop's stability once per ramp gain,
+        in ramp order, and nowhere else."""
+        reflector = make_reflector(*beams)
+        controller = CurrentSensingGainController(reflector, rng=0)
+        ramp = controller.gain_ramp_db()
+        gains = []
+
+        def spy(gain_db, leakage_db):
+            gains.append(gain_db)
+            return loop_is_stable(gain_db, leakage_db)
+
+        monkeypatch.setattr(reflector_module, "loop_is_stable", spy)
+        controller.calibrate(input_dbm)
+        assert gains == ramp
 
     def test_ramp_is_the_step_loops_gains(self):
         reflector = make_reflector()

@@ -75,7 +75,7 @@ class TestCurve:
 
     def test_configuration_validation(self):
         with pytest.raises(ValueError):
-            ReflectorLeakageModel(antenna_separation_m=0.0)
+            ReflectorLeakageModel(board_isolation_db=0.0)
         with pytest.raises(ValueError):
             ReflectorLeakageModel(grazing_angle_deg=60.0)
 

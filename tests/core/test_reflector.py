@@ -137,6 +137,34 @@ class TestFeedbackBehaviour:
         assert reflector.is_saturated_at(-30.0)
 
 
+#: Each analog-chain entry with finite explicit arguments.
+OPERATING_POINT = {"input_power_dbm": -40.0, "leakage_db": -70.0, "gain_db": 30.0}
+ENTRIES = {
+    "is_stable": ("leakage_db", "gain_db"),
+    "effective_gain_db": ("leakage_db", "gain_db"),
+    "output_power_dbm": ("input_power_dbm", "leakage_db", "gain_db"),
+    "is_saturated_at": ("input_power_dbm", "leakage_db", "gain_db"),
+    "current_draw_ma": ("input_power_dbm", "leakage_db", "gain_db"),
+}
+
+
+class TestExplicitValuesChecked:
+    """Every value a caller passes an analog-chain entry is checked where
+    it enters: a non-finite one is refused by name."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "entry, name",
+        [(entry, name) for entry, names in ENTRIES.items() for name in names],
+    )
+    def test_non_finite_value_refused(self, reflector, entry, name, bad):
+        args = {arg: OPERATING_POINT[arg] for arg in ENTRIES[entry]}
+        getattr(reflector, entry)(**args)
+        args[name] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            getattr(reflector, entry)(**args)
+
+
 class TestLeakageMemo:
     """``leakage_db`` keeps no memo: every read evaluates the reflector's
     model at its current beam state."""

@@ -26,6 +26,17 @@ class TestAmplifierSpec:
         with pytest.raises(ValueError):
             AmplifierSpec(quiescent_current_ma=400.0, saturation_current_ma=300.0)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize(
+        "name",
+        ["max_gain_db", "min_gain_db", "output_p1db_dbm", "psat_dbm", "saturation_current_ma"],
+    )
+    def test_non_finite_limits_refused(self, name, bad):
+        """An infinite maximum gain would give an endless gain ramp; every
+        limit is refused by name unless finite (construction only)."""
+        with pytest.raises(ValueError, match=name):
+            AmplifierSpec(**{name: bad})
+
 
 class TestGainControl:
     def test_starts_at_minimum(self):
