@@ -18,7 +18,9 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro import telemetry
 from repro.telemetry.slo import SERVING_MODE_CODES
@@ -153,7 +155,11 @@ class MoVRSystem:
 
         Each reflector first aims its receive beam at the AP (the
         incidence angle is "measured once at installation"); the gain
-        knee is then found at the installed beam geometry.
+        knee is then found at the installed beam geometry.  The fleet's
+        leakages at those beams are one :func:`leakages_db_many` read and
+        its feed hops one :meth:`_amp_inputs_dbm` pass; then, reflector
+        by reflector, the feed hop draws its shadowing and the
+        calibration its readings, from the system's generator.
         """
         results: Dict[str, GainControlResult] = {}
         with telemetry.span("controller.calibrate", reflectors=len(self.reflectors)):
@@ -162,9 +168,16 @@ class MoVRSystem:
                     bearing_deg(reflector.position, self.ap.position),
                     reflector.tx_azimuth_deg,
                 )
-                input_dbm = self._amp_input_dbm(reflector, extra_occluders=())
+            leakages = leakages_db_many(
+                self.reflectors,
+                [(r.rx_azimuth_deg, r.tx_azimuth_deg) for r in self.reflectors],
+            )
+            # The inputs are taken one per turn: each feed hop draws its
+            # shadowing after the previous reflector's readings.
+            inputs = self._amp_inputs_dbm(self.reflectors, ())
+            for reflector, leakage, input_dbm in zip(self.reflectors, leakages, inputs):
                 controller = CurrentSensingGainController(reflector, rng=self._rng)
-                results[reflector.name] = controller.calibrate(input_dbm)
+                results[reflector.name] = controller.calibrate(input_dbm, leakage)
         self._gain_results = results
         return results
 
@@ -237,18 +250,42 @@ class MoVRSystem:
         extra_occluders: Sequence[Occluder],
     ) -> float:
         """Signal power at the reflector's amplifier input port, its
-        receive beam where it is.  The AP steers at the reflector: along
+        receive beam where it is: the one-reflector case of
+        :meth:`_amp_inputs_dbm`."""
+        return next(self._amp_inputs_dbm((reflector,), extra_occluders))
+
+    def _amp_inputs_dbm(
+        self,
+        reflectors: Sequence[MoVRReflector],
+        extra_occluders: Sequence[Occluder],
+    ) -> Iterator[float]:
+        """The signal power at each reflector's amplifier input port, its
+        receive beam where it is, in reflector order.
+
+        The feed hops' link columns are one array formula and their AP
+        and receive-array gains one :func:`panel_gains_dbi` call; each
+        hop's shadowing is drawn only when its input is taken, so a
+        caller drawing from the same generator between inputs (gain
+        calibration's readings) keeps the order of a reflector-by-
+        reflector installation.  The AP steers at each reflector: along
         the feed hop's departure, which is the bearing from the AP to
         the reflector, float for float."""
-        departure, arrival, feed_gain = self.budget.hop_columns(
-            self._feed_hop(reflector, extra_occluders)
+        hops = [self._feed_hop(reflector, extra_occluders) for reflector in reflectors]
+        columns = np.concatenate(
+            self.channel.link_columns_many([(hop,) for hop in hops]), axis=1
         )
-        ap_gain, rx_gain = panel_gains_dbi(
-            [self.ap.array.panel_for(departure), reflector.rx_array],
-            [departure, arrival],
-            [departure, reflector.rx_azimuth_deg],
-        ).tolist()
-        return self.ap.config.tx_power_dbm + ap_gain + feed_gain + rx_gain
+        departures, arrivals = columns[:2].tolist()
+        panels, toward, steer = [], [], []
+        for reflector, departure, arrival in zip(reflectors, departures, arrivals):
+            panels += [self.ap.array.panel_for(departure), reflector.rx_array]
+            toward += [departure, arrival]
+            steer += [departure, reflector.rx_azimuth_deg]
+        gains = panel_gains_dbi(panels, toward, steer).tolist()
+        tx_power = self.ap.config.tx_power_dbm
+        for k in range(len(reflectors)):
+            # One shadowing draw, as LinkBudget.hop_columns draws it.
+            (feed_gain,) = self.channel.shadowed_db(columns[2, k : k + 1]).tolist()
+            yield tx_power + gains[2 * k] + feed_gain + gains[2 * k + 1]
 
     def relay_link(
         self,

@@ -155,15 +155,19 @@ class CurrentSensingGainController:
         :meth:`VariableGainAmplifier.gain_ramp_db`)."""
         return self.reflector.amplifier.gain_ramp_db(self.step_db)
 
-    def calibrate(self, input_power_dbm: float) -> GainControlResult:
+    def calibrate(
+        self, input_power_dbm: float, leakage_db: Optional[float] = None
+    ) -> GainControlResult:
         """Run the step-up-until-knee loop; leaves the reflector at the
         chosen gain and returns the trace.
 
         The whole ramp is evaluated in one pass: the true current at
-        every ramp gain (the beams, and so the leakage, stay fixed), one
-        reading per gain from one draw, and the knee is the first
-        reading that rises above the one before it by more than
-        ``jump_threshold_ma`` per dB of gain between the two.
+        every ramp gain as one array evaluation (the beams, and so the
+        leakage, stay fixed), one reading per gain from one draw, and
+        the knee is the first reading that rises above the one before it
+        by more than ``jump_threshold_ma`` per dB of gain between the
+        two.  ``leakage_db`` is the coupling at the installed beams
+        (:meth:`MoVRReflector.leakage_db`, read here when not given).
         The sensor's stream is then left where stepping the gain and
         reading at each step would leave it: after the readings up to
         the knee.
@@ -171,8 +175,9 @@ class CurrentSensingGainController:
         reflector = self.reflector
         amp = reflector.amplifier
         gains = self.gain_ramp_db()
-        leakage_db = reflector.leakage_db()
-        true_ma = [reflector.current_draw_ma(input_power_dbm, leakage_db, gain) for gain in gains]
+        if leakage_db is None:
+            leakage_db = reflector.leakage_db()
+        true_ma = reflector.current_draw_ma(input_power_dbm, leakage_db, np.array(gains))
         telemetry.inc("gain_control.calibrations")
         rng = self.sensor.rng
         state = rng.bit_generator.state

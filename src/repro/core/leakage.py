@@ -36,7 +36,11 @@ import numpy as np
 
 from repro.phy.antenna import MOVR_ARRAY, PhasedArray, PhasedArrayConfig
 from repro.utils.db import db_sum_powers
-from repro.utils.validation import require_in_range, require_positive
+from repro.utils.validation import (
+    require_all_in_range,
+    require_in_range,
+    require_positive,
+)
 
 #: Prototype angle convention bounds (Figs. 7 and 8 of the paper).
 MIN_ANGLE_DEG = 40.0
@@ -97,9 +101,8 @@ class ReflectorLeakageModel:
         :func:`db_sum_powers`), so each value is exactly the one-pair
         formula's.
         """
-        for tx, rx in zip(tx_angles_deg, rx_angles_deg):
-            require_in_range(tx, MIN_ANGLE_DEG, MAX_ANGLE_DEG, "tx_angle_deg")
-            require_in_range(rx, MIN_ANGLE_DEG, MAX_ANGLE_DEG, "rx_angle_deg")
+        require_all_in_range(tx_angles_deg, MIN_ANGLE_DEG, MAX_ANGLE_DEG, "tx_angle_deg")
+        require_all_in_range(rx_angles_deg, MIN_ANGLE_DEG, MAX_ANGLE_DEG, "rx_angle_deg")
         # Over-the-air: pure endfire is shadowed by the arrays' ground
         # plane, so coupling rides over the board edge at a grazing
         # direction just in front of the board — where the steered

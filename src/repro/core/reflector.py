@@ -43,13 +43,17 @@ from repro.phy.amplifier import (
 )
 from repro.phy.antenna import PhasedArray, PhasedArrayConfig
 from repro.phy.noise import ReceiverNoise
-from repro.utils.db import db_sum_powers
+from repro.utils import exactmath
 from repro.utils.units import (
     IEEE80211AD_BANDWIDTH_HZ,
     angle_difference_deg,
     angle_difference_deg_batch,
 )
-from repro.utils.validation import require_finite, require_same_length
+from repro.utils.validation import (
+    require_all_finite,
+    require_finite,
+    require_same_length,
+)
 
 #: The reflector arrays scan +/-50 degrees, i.e. prototype angles 40-140
 #: (the sweep range of Figs. 7 and 8 of the paper).
@@ -175,7 +179,10 @@ class MoVRReflector:
     # beams' leakage (one leakage-model read, two kernel calls) and the
     # amplifier's own gain; an explicit value is checked finite on entry
     # and nowhere below.  Each call applies the loop's stability
-    # criterion exactly once.
+    # criterion exactly once.  :meth:`current_draw_ma` also takes an
+    # array of gains (gain calibration's whole ramp): one criterion over
+    # the array, the chain over its stable gains, the scalar formulas'
+    # rounding at each.
 
     def leakage_db(self) -> float:
         """TX->RX coupling at the current beam angles (negative dB).
@@ -183,23 +190,25 @@ class MoVRReflector:
         Each call evaluates the leakage model (two antenna-kernel
         calls).  Callers that ask many questions at fixed beams (gain
         calibration, the oracle gain) read it once and pass it as
-        ``leakage_db``; the relay pass reads many beam states at once
-        through :func:`leakages_db_many`.
+        ``leakage_db``; the relay pass and fleet calibration read many
+        beam states at once through :func:`leakages_db_many`.
         """
         return self.leakage_model.leakage_db(
             self.azimuth_to_prototype(self.tx_azimuth_deg),
             self.azimuth_to_prototype(self.rx_azimuth_deg),
         )
 
-    def _loop(self, leakage_db, gain_db) -> Tuple[float, float, bool]:
+    def _loop(self, leakage_db, gain_db):
         """The loop's ``(leakage_db, gain_db, stable)``: the one stability
-        decision of an evaluation."""
+        decision of an evaluation (one per gain of a gain array)."""
         if leakage_db is None:
             leakage_db = self.leakage_db()
         else:
             require_finite(leakage_db, "leakage_db")
         if gain_db is None:
             gain_db = self.amplifier.gain_db
+        elif isinstance(gain_db, np.ndarray):
+            require_all_finite(gain_db.tolist(), "gain_db")
         else:
             require_finite(gain_db, "gain_db")
         return leakage_db, gain_db, loop_is_stable(gain_db, leakage_db)
@@ -219,25 +228,29 @@ class MoVRReflector:
             return None
         return gain_db + feedback_peaking_db(gain_db, leakage_db)
 
-    def _output_dbm(self, input_power_dbm: float, effective_db: Optional[float]) -> float:
-        """Amplifier output at closed-loop gain ``effective_db``: the signal
-        and the amplifier's own front-end noise, both peaked by the loop
-        (near instability the recirculating noise alone drives the
-        amplifier into compression — the current signature the gain
-        controller detects), soft-capped at the saturation power.  An
-        oscillating loop (``None``) pins the output at saturation."""
-        if effective_db is None:
-            return self.amplifier.spec.psat_dbm
-        signal_out = input_power_dbm + effective_db
-        noise_out = self.front_end_noise.noise_floor_dbm + effective_db
+    def _output_dbm(self, input_power_dbm: float, effective_db):
+        """Amplifier output at closed-loop gain ``effective_db`` (a float
+        or an array): the signal and the amplifier's own front-end
+        noise, both peaked by the loop (near instability the
+        recirculating noise alone drives the amplifier into compression
+        — the current signature the gain controller detects), their
+        powers summed as the list form of :func:`db_sum_powers` sums two
+        finite powers, then soft-capped at the saturation power."""
+        xm = exactmath.ops(effective_db)
+        signal = xm.exp10((input_power_dbm + effective_db) / 10.0)
+        noise = xm.exp10((self.front_end_noise.noise_floor_dbm + effective_db) / 10.0)
         return self.amplifier.output_power_dbm(
-            db_sum_powers([signal_out, noise_out]), gain_db=0.0
+            10.0 * xm.log10(signal + noise), gain_db=0.0
         )
 
     def output_power_dbm(self, input_power_dbm: float, leakage_db=None, gain_db=None) -> float:
-        """Amplifier output power for a given power at the RX array port."""
+        """Amplifier output power for a given power at the RX array port.
+        An oscillating loop pins the output at saturation."""
         require_finite(input_power_dbm, "input_power_dbm")
-        return self._output_dbm(input_power_dbm, self.effective_gain_db(leakage_db, gain_db))
+        effective = self.effective_gain_db(leakage_db, gain_db)
+        if effective is None:
+            return self.amplifier.spec.psat_dbm
+        return self._output_dbm(input_power_dbm, effective)
 
     def is_saturated_at(self, input_power_dbm: float, leakage_db=None, gain_db=None) -> bool:
         """Is the amplifier compressing (or oscillating) at this input?
@@ -255,14 +268,28 @@ class MoVRReflector:
             > self.amplifier.spec.output_p1db_dbm
         )
 
-    def current_draw_ma(self, input_power_dbm: float, leakage_db=None, gain_db=None) -> float:
+    def current_draw_ma(self, input_power_dbm: float, leakage_db=None, gain_db=None):
         """DC supply current at this operating point: what gain
         calibration senses, evaluated over its whole ramp at the
-        installed beams without setting the gain."""
+        installed beams without setting the gain.  An array of gains
+        gives an array of currents; an oscillating loop draws the
+        saturation current."""
         require_finite(input_power_dbm, "input_power_dbm")
-        effective = self.effective_gain_db(leakage_db, gain_db)
-        if effective is None:
-            return self.amplifier.spec.saturation_current_ma
+        leakage_db, gain_db, stable = self._loop(leakage_db, gain_db)
+        saturation_ma = self.amplifier.spec.saturation_current_ma
+        if isinstance(stable, np.ndarray):
+            currents = np.full(stable.shape, saturation_ma)
+            currents[stable] = self._stable_current_ma(
+                input_power_dbm, leakage_db, gain_db[stable]
+            )
+            return currents
+        if not stable:
+            return saturation_ma
+        return self._stable_current_ma(input_power_dbm, leakage_db, gain_db)
+
+    def _stable_current_ma(self, input_power_dbm: float, leakage_db: float, gain_db):
+        """The current at stable gains (a float or an array)."""
+        effective = gain_db + feedback_peaking_db(gain_db, leakage_db)
         return self.amplifier.current_draw_ma(self._output_dbm(input_power_dbm, effective))
 
     # -- relay gain (for the link budget) ------------------------------------

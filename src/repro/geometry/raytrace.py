@@ -239,6 +239,14 @@ class PropagationPath:
         return self.total_length_m / speed
 
 
+class _TracedPaths(list):
+    """The list of views a trace returns, naming their set: the set
+    keeps no reference back, so a dropped list frees its set without
+    the cycle collector."""
+
+    __slots__ = ("path_set",)
+
+
 class PathSet:
     """The paths of one scene as a struct of arrays, one entry per path.
 
@@ -304,8 +312,11 @@ class PathSet:
     @classmethod
     def of(cls, paths: Sequence[PropagationPath]) -> "PathSet":
         """The set ``paths`` describe: the traced set itself when they
-        are exactly its paths in order, else one gathered from the path
+        are exactly its paths in order (at once when ``paths`` is the
+        list the trace returned), else one gathered from the path
         objects' properties and obstruction records."""
+        if type(paths) is _TracedPaths:
+            return paths.path_set
         whole = paths[0]._set if paths else None
         if whole is not None and len(paths) == len(whole):
             for i, path in enumerate(paths):
@@ -399,7 +410,8 @@ class PathSet:
         self._tx, self._rx, self._walls, self._penetrated = tx, rx, walls, penetrated
         self._leg_starts, self._leg_walls = leg_starts, leg_walls
         self._first, self._width = first, width
-        views = []
+        views = _TracedPaths()
+        views.path_set = self
         for index in range(len(first)):
             # A view: no fields yet, each built from the set when read.
             path = object.__new__(PropagationPath)

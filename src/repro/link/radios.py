@@ -12,6 +12,7 @@ commercial 802.11ad chipset.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from repro.geometry.vectors import Vec2, bearing_deg
@@ -46,13 +47,15 @@ class RadioConfig:
         require_non_negative(self.noise_figure_db, "noise_figure_db")
         require_non_negative(self.implementation_loss_db, "implementation_loss_db")
 
-    @property
+    # Computed once: the config is frozen.
+
+    @cached_property
     def receiver_noise(self) -> ReceiverNoise:
         return ReceiverNoise(
             bandwidth_hz=self.bandwidth_hz, noise_figure_db=self.noise_figure_db
         )
 
-    @property
+    @cached_property
     def noise_floor_dbm(self) -> float:
         return self.receiver_noise.noise_floor_dbm
 

@@ -19,12 +19,13 @@ Fig. 6(b): closed-loop gain and the ``G < L`` stability criterion.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
-from typing import List, Optional
+from functools import lru_cache
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.utils import exactmath
 from repro.utils.validation import (
     require_finite,
     require_non_negative,
@@ -85,28 +86,15 @@ class VariableGainAmplifier:
         without setting it: clipped to the range, rounded to the DAC
         grid."""
         require_finite(gain_db, "gain_db")
-        return self._on_grid(gain_db)
-
-    def _on_grid(self, gain_db: float) -> float:
-        """:meth:`quantize_gain_db` for a gain known to be finite."""
-        clipped = max(self.spec.min_gain_db, min(self.spec.max_gain_db, gain_db))
-        steps = round((clipped - self.spec.min_gain_db) / self.spec.gain_step_db)
-        return min(self.spec.min_gain_db + steps * self.spec.gain_step_db, self.spec.max_gain_db)
+        return _on_grid(self.spec, gain_db)
 
     def gain_ramp_db(self, step_db: float) -> List[float]:
         """The gains a step-up from the minimum visits, in order: the
         minimum, then ``step_db`` more each step, on the gain grid, up
         to the maximum (or the highest grid gain below it).  Only
-        ``step_db`` is checked, once: the grid gains are computed."""
-        require_positive(step_db, "step_db")
-        gain = self._on_grid(self.spec.min_gain_db)
-        gains = [gain]
-        while gain < self.spec.max_gain_db:
-            gain = self._on_grid(gain + step_db)
-            if gain <= gains[-1]:
-                break
-            gains.append(gain)
-        return gains
+        ``step_db`` is checked, once: the grid gains are computed, once
+        per spec and step (amplifiers of one spec share the ramp)."""
+        return list(_gain_ramp(self.spec, require_positive(step_db, "step_db")))
 
     def set_gain_db(self, gain_db: float) -> float:
         """Command a gain; returns the achieved (quantized) value."""
@@ -118,21 +106,26 @@ class VariableGainAmplifier:
         return self.set_gain_db(self._gain_db + steps * self.spec.gain_step_db)
 
     # -- large-signal behaviour ----------------------------------------
+    #
+    # The power and current formulas take floats or arrays (with the
+    # scalar rounding, :mod:`repro.utils.exactmath`): gain calibration
+    # evaluates its whole ramp in one pass.
 
-    def output_power_dbm(self, input_dbm: float, gain_db: Optional[float] = None) -> float:
+    def output_power_dbm(self, input_dbm, gain_db=None):
         """Output power with soft (Rapp-style) compression toward psat.
 
         Linear for small signals; saturates smoothly at ``psat_dbm``.
         """
         g = self._gain_db if gain_db is None else gain_db
         linear_out_dbm = input_dbm + g
+        xm = exactmath.ops(linear_out_dbm)
         psat = self.spec.psat_dbm
         # Rapp model in the power domain with smoothness p=2.
         p = 2.0
-        lin = 10.0 ** (linear_out_dbm / 10.0)
+        lin = xm.exp10(linear_out_dbm / 10.0)
         sat = 10.0 ** (psat / 10.0)
-        out = lin / (1.0 + (lin / sat) ** p) ** (1.0 / p)
-        return 10.0 * math.log10(out)
+        out = lin / xm.power(1.0 + xm.power(lin / sat, p), 1.0 / p)
+        return 10.0 * xm.log10(out)
 
     def compression_db(self, input_dbm: float, gain_db: Optional[float] = None) -> float:
         """How many dB below linear the output currently is."""
@@ -143,7 +136,7 @@ class VariableGainAmplifier:
         """Compressing by more than 1 dB counts as saturated."""
         return self.compression_db(input_dbm, gain_db) > 1.0
 
-    def current_draw_ma(self, output_dbm: float) -> float:
+    def current_draw_ma(self, output_dbm):
         """DC supply current at a given output power.
 
         Flat at the quiescent level for small signals, rising
@@ -152,9 +145,32 @@ class VariableGainAmplifier:
         only transiently in an unstable loop) pins the current at the
         saturation value.
         """
+        xm = exactmath.ops(output_dbm)
         span = self.spec.saturation_current_ma - self.spec.quiescent_current_ma
-        rise = 10.0 ** ((output_dbm - self.spec.psat_dbm) / 10.0)
-        return self.spec.quiescent_current_ma + span * min(1.0, rise)
+        rise = xm.exp10((output_dbm - self.spec.psat_dbm) / 10.0)
+        return self.spec.quiescent_current_ma + span * xm.minimum(1.0, rise)
+
+
+def _on_grid(spec: AmplifierSpec, gain_db: float) -> float:
+    """A finite gain clipped to ``spec``'s range and rounded to its DAC
+    grid."""
+    clipped = max(spec.min_gain_db, min(spec.max_gain_db, gain_db))
+    steps = round((clipped - spec.min_gain_db) / spec.gain_step_db)
+    return min(spec.min_gain_db + steps * spec.gain_step_db, spec.max_gain_db)
+
+
+@lru_cache(maxsize=64)
+def _gain_ramp(spec: AmplifierSpec, step_db: float) -> Tuple[float, ...]:
+    """:meth:`VariableGainAmplifier.gain_ramp_db`: a pure function of
+    the (frozen) spec and the step."""
+    gain = _on_grid(spec, spec.min_gain_db)
+    gains = [gain]
+    while gain < spec.max_gain_db:
+        gain = _on_grid(spec, gain + step_db)
+        if gain <= gains[-1]:
+            break
+        gains.append(gain)
+    return tuple(gains)
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +178,7 @@ class VariableGainAmplifier:
 # ----------------------------------------------------------------------
 
 
-def loop_is_stable(gain_db: float, leakage_db: float) -> bool:
+def loop_is_stable(gain_db, leakage_db):
     """Stability criterion of the reflector's feedback loop.
 
     ``leakage_db`` is the TX-to-RX coupling *gain* and is negative
@@ -171,11 +187,12 @@ def loop_is_stable(gain_db: float, leakage_db: float) -> bool:
     amplifier gain must be smaller than the leakage attenuation
     ``|leakage_db|`` (the paper's ``G_dB - L_dB < 0``).
     Arguments are not re-validated here (a NaN reads as unstable).
+    An array of gains gives the criterion at each.
     """
     return gain_db + leakage_db < 0.0
 
 
-def feedback_peaking_db(gain_db: float, leakage_db: float) -> float:
+def feedback_peaking_db(gain_db, leakage_db):
     """Extra gain (and extra output power) contributed by a stable loop.
 
     With forward amplitude gain ``g`` and feedback amplitude ``l``,
@@ -183,10 +200,12 @@ def feedback_peaking_db(gain_db: float, leakage_db: float) -> float:
     ``-20*log10(1 - 10^((G+L)/20))`` dB, which diverges as the loop
     gain approaches 0 dB (in hardware the amplifier saturates instead,
     the failure the gain controller must avoid).  The loop must be
-    stable (:func:`loop_is_stable`).
+    stable (:func:`loop_is_stable`); arrays give the peaking at each
+    entry, rounded as the scalar formula rounds.
     """
-    loop_amplitude = 10.0 ** ((gain_db + leakage_db) / 20.0)
-    return -20.0 * math.log10(1.0 - loop_amplitude)
+    xm = exactmath.ops(gain_db)
+    loop_amplitude = xm.exp10((gain_db + leakage_db) / 20.0)
+    return -20.0 * xm.log10(1.0 - loop_amplitude)
 
 
 def closed_loop_gain_db(gain_db: float, leakage_db: float) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from repro.utils.units import IEEE80211AD_BANDWIDTH_HZ, thermal_noise_dbm
@@ -26,9 +27,10 @@ class ReceiverNoise:
         require_positive(self.bandwidth_hz, "bandwidth_hz")
         require_non_negative(self.noise_figure_db, "noise_figure_db")
 
-    @property
+    @cached_property
     def noise_floor_dbm(self) -> float:
-        """Total input-referred noise power: kTB + NF."""
+        """Total input-referred noise power: kTB + NF (computed once: the
+        receiver is frozen)."""
         return thermal_noise_dbm(self.bandwidth_hz) + self.noise_figure_db
 
     def snr_db(self, received_power_dbm: float) -> float:

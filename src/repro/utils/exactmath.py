@@ -9,15 +9,23 @@ ufunc, far faster than a Python call per element of the whole formula.
 Each function takes arrays of one shape and returns a float array of
 that shape.
 
+A formula written once for floats and arrays takes its functions from
+:func:`ops`: these maps for an array, the scalar functions themselves
+for a float, so the float form costs what plain float arithmetic costs.
+
 >>> import numpy as np
 >>> log10(np.array([1.0, 100.0])).tolist()
 [0.0, 2.0]
+>>> ops(100.0).log10(100.0)
+2.0
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import repeat
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -41,6 +49,26 @@ def exp10(x: np.ndarray) -> np.ndarray:
     return _collect(map(pow, repeat(10.0), x.ravel().tolist()), x)
 
 
+def power(x: np.ndarray, exponent: float) -> np.ndarray:
+    """Elementwise ``x ** exponent`` for one exponent."""
+    return _collect(map(pow, x.ravel().tolist(), repeat(exponent)), x)
+
+
 def square(x: np.ndarray) -> np.ndarray:
     """Elementwise ``x ** 2``."""
-    return _collect(map(pow, x.ravel().tolist(), repeat(2)), x)
+    return power(x, 2)
+
+
+#: The functions for arrays, and the scalar functions they map, by name.
+#: ``minimum(cap, x)`` is exact either way.
+_ARRAY = SimpleNamespace(log10=log10, exp10=exp10, power=power, minimum=np.minimum)
+_SCALAR = SimpleNamespace(
+    log10=math.log10, exp10=partial(pow, 10.0), power=pow, minimum=min
+)
+
+
+def ops(x) -> SimpleNamespace:
+    """``log10``, ``exp10``, ``power`` and ``minimum`` for ``x``: the
+    maps above for an array, :func:`math.log10`, ``10.0 **``, ``**``
+    and :func:`min` for a float."""
+    return _ARRAY if isinstance(x, np.ndarray) else _SCALAR

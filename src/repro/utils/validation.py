@@ -46,6 +46,33 @@ def require_in_range(value: float, low: float, high: float, name: str) -> float:
     return value
 
 
+def require_all_finite(values: Sequence[float], name: str) -> None:
+    """Check every value as :func:`require_finite` does, in one pass;
+    raises what it raises for the first value it refuses."""
+    try:
+        accepted = all(map(math.isfinite, values))
+    except TypeError:
+        accepted = False
+    if not accepted:
+        for value in values:
+            require_finite(value, name)
+
+
+def require_all_in_range(
+    values: Sequence[float], low: float, high: float, name: str
+) -> None:
+    """Check every value as :func:`require_in_range` does, for finite
+    bounds, in one pass; raises what it raises for the first value it
+    refuses (a NaN fails both comparisons, an infinity one)."""
+    try:
+        accepted = all(low <= value <= high for value in values)
+    except TypeError:
+        accepted = False
+    if not accepted:
+        for value in values:
+            require_in_range(value, low, high, name)
+
+
 def require_probability(value: float, name: str) -> float:
     """Return ``value`` if in ``[0, 1]``."""
     return require_in_range(value, 0.0, 1.0, name)

@@ -20,7 +20,8 @@ from repro.core.gain_control import (
 )
 from repro.core import reflector as reflector_module
 from repro.core.reflector import MoVRReflector
-from repro.geometry.vectors import Vec2
+from repro.experiments.testbed import default_testbed
+from repro.geometry.vectors import Vec2, bearing_deg
 from repro.phy.amplifier import AmplifierSpec, loop_is_stable
 
 
@@ -160,13 +161,21 @@ class TestOnePassRamp:
     def test_true_current_at_every_ramp_gain(self, beams, input_dbm):
         """Every analog-chain quantity at an explicit leakage and gain
         equals, to the last bit, its value at the beams' leakage and the
-        amplifier's own gain once set there.  The ramp crosses the
-        saturation edge and, at the leakier beams, the stability edge."""
+        amplifier's own gain once set there, and the current over the
+        whole ramp as one array equals the current at each gain.  The
+        ramp crosses the saturation edge and, at the leakier beams, the
+        stability edge."""
         reflector = make_reflector(*beams)
         controller = CurrentSensingGainController(reflector, rng=0)
         leakage = reflector.leakage_db()
+        ramp = controller.gain_ramp_db()
+        # The array form: one evaluation over the whole ramp.
+        currents = reflector.current_draw_ma(input_dbm, leakage, np.array(ramp))
+        assert currents.tolist() == [
+            reflector.current_draw_ma(input_dbm, leakage, gain) for gain in ramp
+        ]
         stable, saturated = set(), set()
-        for gain in controller.gain_ramp_db():
+        for gain in ramp:
             explicit = [
                 reflector.is_stable(leakage, gain),
                 reflector.effective_gain_db(leakage, gain),
@@ -193,19 +202,20 @@ class TestOnePassRamp:
     @pytest.mark.parametrize("input_dbm", [-80.0, -25.0])
     def test_one_loop_evaluation_per_ramp_gain(self, beams, input_dbm, monkeypatch):
         """Calibration decides the loop's stability once per ramp gain,
-        in ramp order, and nowhere else."""
+        in ramp order, and nowhere else: one criterion call over the
+        whole ramp."""
         reflector = make_reflector(*beams)
         controller = CurrentSensingGainController(reflector, rng=0)
         ramp = controller.gain_ramp_db()
-        gains = []
+        calls = []
 
         def spy(gain_db, leakage_db):
-            gains.append(gain_db)
+            calls.append(np.asarray(gain_db).tolist())
             return loop_is_stable(gain_db, leakage_db)
 
         monkeypatch.setattr(reflector_module, "loop_is_stable", spy)
         controller.calibrate(input_dbm)
-        assert gains == ramp
+        assert calls == [ramp]
 
     def test_ramp_is_the_step_loops_gains(self):
         reflector = make_reflector()
@@ -237,6 +247,48 @@ class TestOnePassRamp:
             reflector.amplifier.set_gain_db(gain)
             singles.append(one_by_one.read_ma(-30.0, num_samples=3))
         assert batch == singles
+
+
+class TestFleetCalibration:
+    @pytest.mark.parametrize("num_reflectors", [1, 3])
+    def test_matches_the_per_reflector_step_loop(self, num_reflectors):
+        """Installing a fleet (every beam set, then one leakage read for
+        all) gives the results, backoff events and generator state of
+        installing each reflector in turn with the scalar step loop.
+        The testbed's generator feeds both the 2 dB shadowing of each
+        feed hop and the current sensors, so the draws must stay in
+        reflector order: feed hop, readings, knee redraw."""
+        outcomes = []
+        for fleet in (True, False):
+            bed = default_testbed(
+                seed=2016, num_reflectors=num_reflectors, calibrate_gains=False
+            )
+            system = bed.system
+            with telemetry.scope("install") as sc:
+                if fleet:
+                    results = system.calibrate_reflector_gains()
+                else:
+                    results, events = {}, []
+                    for reflector in system.reflectors:
+                        reflector.set_beams(
+                            bearing_deg(reflector.position, system.ap.position),
+                            reflector.tx_azimuth_deg,
+                        )
+                        input_dbm = system._amp_input_dbm(reflector, ())
+                        controller = CurrentSensingGainController(reflector, rng=bed.rng)
+                        result, event = reference_calibrate(controller, input_dbm)
+                        results[reflector.name] = result
+                        events += [event] if event is not None else []
+            backoffs = [
+                e.fields for e in sc.events if e.kind is telemetry.EventKind.GAIN_BACKOFF
+            ]
+            if not fleet:
+                assert backoffs == []
+                backoffs = events
+            gains = [r.amplifier.gain_db for r in system.reflectors]
+            outcomes.append((results, backoffs, gains, bed.rng.bit_generator.state))
+        assert outcomes[0] == outcomes[1]
+        assert len(outcomes[0][0]) == num_reflectors
 
 
 class TestCurrentSensor:

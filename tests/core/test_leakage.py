@@ -147,3 +147,27 @@ class TestPairsForm:
             model.leakage_db_pairs([90.0, 30.0], [90.0, 90.0])
         with pytest.raises(ValueError):
             model.leakage_db_pairs([90.0], [150.0])
+
+    @pytest.mark.parametrize(
+        "tx, rx, message",
+        [
+            ([90.0, 30.0, 150.0], [90.0] * 3, "tx_angle_deg must be in [40.0, 140.0], got 30.0"),
+            ([90.0, 141.0], [90.0, 90.0], "tx_angle_deg must be in [40.0, 140.0], got 141.0"),
+            ([90.0, 90.0], [90.0, math.nan], "rx_angle_deg must be finite, got nan"),
+            ([math.inf, 30.0], [90.0, 90.0], "tx_angle_deg must be finite, got inf"),
+            ([90.0], [-math.inf], "rx_angle_deg must be finite, got -inf"),
+        ],
+    )
+    def test_first_bad_angle_named(self, model, tx, rx, message):
+        """Each angle list is checked in one pass; the error names the
+        first value the per-value check refuses."""
+        with pytest.raises(ValueError) as err:
+            model.leakage_db_pairs(tx, rx)
+        assert str(err.value) == message
+
+    def test_edges_of_the_range_accepted(self, model):
+        values = model.leakage_db_pairs([MIN_ANGLE_DEG, MAX_ANGLE_DEG], [MAX_ANGLE_DEG, MIN_ANGLE_DEG])
+        assert values == [
+            model.leakage_db(MIN_ANGLE_DEG, MAX_ANGLE_DEG),
+            model.leakage_db(MAX_ANGLE_DEG, MIN_ANGLE_DEG),
+        ]

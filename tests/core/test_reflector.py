@@ -1,5 +1,6 @@
 """Unit tests for the MoVR reflector device."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -163,6 +164,12 @@ class TestExplicitValuesChecked:
         args[name] = bad
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             getattr(reflector, entry)(**args)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_gain_in_an_array_refused(self, reflector, bad):
+        gains = np.array([10.0, bad, 20.0])
+        with pytest.raises(ValueError, match=f"gain_db must be finite, got {bad}"):
+            reflector.current_draw_ma(-40.0, -70.0, gains)
 
 
 class TestLeakageMemo:

@@ -395,6 +395,35 @@ class TestChannelEdits:
         assert budget.channel.link_columns(paths) is after
 
 
+class TestPathSetOf:
+    """``PathSet.of`` hands back a traced set without re-reading it."""
+
+    def test_the_traced_list_is_its_set_without_a_walk(self):
+        paths = RayTracer(standard_office(furnished=True)).all_paths(TX, RX)
+        whole = paths[0]._set
+        assert len(paths) > 2
+        # A walk over the views would now refuse the list.
+        last = paths[-1]
+        last._index = 0
+        try:
+            assert PathSet.of(paths) is whole
+        finally:
+            last._index = len(paths) - 1
+
+    def test_other_lists_are_read_path_by_path(self):
+        paths = RayTracer(standard_office(furnished=True)).all_paths(TX, RX)
+        whole = paths[0]._set
+        # A list the caller built with the traced paths in order is
+        # still the traced set (a hop's one-path tuple keeps its memo).
+        assert PathSet.of(list(paths)) is whole
+        # A slice gathers a new set from the objects.
+        tail = PathSet.of(paths[1:])
+        assert tail is not whole
+        assert tail.length.tolist() == whole.length.tolist()[1:]
+        assert tail.departure.tolist() == whole.departure.tolist()[1:]
+        assert tail.arrival.tolist() == whole.arrival.tolist()[1:]
+
+
 class TestJoinedSets:
     """One formula over joined sets gives each set's own columns."""
 

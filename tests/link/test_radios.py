@@ -17,6 +17,14 @@ class TestRadioConfig:
         # kTB(2.16 GHz) = -80.6 dBm + 8 dB NF.
         assert DEFAULT_RADIO_CONFIG.noise_floor_dbm == pytest.approx(-72.6, abs=0.3)
 
+    def test_noise_built_once_per_config(self):
+        config = RadioConfig(noise_figure_db=7.0)
+        noise = config.receiver_noise
+        assert config.receiver_noise is noise
+        assert (noise.bandwidth_hz, noise.noise_figure_db) == (config.bandwidth_hz, 7.0)
+        assert config.noise_floor_dbm == noise.noise_floor_dbm
+        assert config == RadioConfig(noise_figure_db=7.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RadioConfig(noise_figure_db=-1.0)

@@ -22,6 +22,26 @@ class TestReceiverNoise:
         rx = ReceiverNoise(bandwidth_hz=2.16e9, noise_figure_db=6.0)
         assert rx.snr_db(-50.0) == pytest.approx(rx.noise_floor_dbm * -1 - 50.0)
 
+    def test_noise_floor_computed_once(self, monkeypatch):
+        from repro.phy import noise as noise_module
+
+        calls = []
+        original = noise_module.thermal_noise_dbm
+
+        def counting(bandwidth_hz):
+            calls.append(bandwidth_hz)
+            return original(bandwidth_hz)
+
+        monkeypatch.setattr(noise_module, "thermal_noise_dbm", counting)
+        rx = ReceiverNoise(bandwidth_hz=2.16e9, noise_figure_db=6.0)
+        first = rx.noise_floor_dbm
+        assert first == original(2.16e9) + 6.0
+        assert rx.noise_floor_dbm == first
+        assert calls == [2.16e9]
+        # The cached value is not a field: equality and hashing hold.
+        assert rx == ReceiverNoise(bandwidth_hz=2.16e9, noise_figure_db=6.0)
+        assert hash(rx) == hash(ReceiverNoise(bandwidth_hz=2.16e9, noise_figure_db=6.0))
+
     def test_default_instance(self):
         assert DEFAULT_RECEIVER_NOISE.noise_figure_db == 6.0
 
