@@ -22,15 +22,18 @@ those of the scalar geometry; the per-path values equal what the
 :class:`PropagationPath` properties compute from the built objects.
 
 What does not depend on the receiver is kept between queries: the
-room's wall table, and per transmitter position the image tree (every
-mirror image of TX and its wall sequence).  A query only walks the
-bounce points back from its receiver, tests its legs against the walls
-and cuts them with the occluders whose bounding boxes they overlap.
+room's wall table with the convex hull of its wall ends, and per
+transmitter position the image tree (every mirror image of TX and its
+wall sequence).  A query only walks the bounce points back from its
+receiver, tests its legs against the walls they can cross (none on the
+hull when TX and RX lie inside it, see :func:`_hull_screen`) and cuts
+them with the occluders.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import operator
 from collections import OrderedDict
@@ -53,6 +56,10 @@ MIN_SEPARATION_M = 0.05
 #: bounce budget), least recently used dropped first.  Serving traces
 #: every multipath query from the AP, so one tree answers nearly all.
 MAX_IMAGE_TREES = 8
+
+#: Most wall layouts whose hull screen (:func:`_hull_screen`) is kept,
+#: least recently used dropped first.
+MAX_HULL_SCREENS = 16
 
 #: Slack (meters) on a leg's bounding box when screening occluders: far
 #: above the rounding of the slab test, far below any occluder.
@@ -440,6 +447,12 @@ class RayTracer:
         self._walls: Optional[Tuple[Wall, ...]] = None
         self._table: Optional[np.ndarray] = None
         self._same: Optional[np.ndarray] = None
+        # The hull's edges, and the walls a leg may cross (indices, then
+        # their rows' start and start-to-end vector): those off the hull
+        # for a query inside it, every wall for any other.
+        self._hull: Tuple[Tuple[float, float, float, float], ...] = ()
+        self._interior: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._every: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._trees: "OrderedDict[Tuple[float, float, int], tuple]" = OrderedDict()
 
     # ------------------------------------------------------------------
@@ -462,11 +475,11 @@ class RayTracer:
         wall-mounted reflector) that run above furniture height, a
         deliberate correction for the floor plan being 2-D.
         """
-        self._check_separation(tx, rx)
+        distance = self._separation(tx, rx)
         occluders = (
             list(self.room.occluders) if include_room_occluders else []
         ) + list(extra_occluders)
-        return self._trace(tx, rx, 0, occluders)[0]
+        return self._trace(tx, rx, distance, 0, occluders)[0]
 
     def reflection_paths(
         self,
@@ -494,24 +507,29 @@ class RayTracer:
         """LOS plus every reflection path up to ``max_bounces``."""
         if max_bounces not in (1, 2):
             raise ValueError(f"max_bounces must be 1 or 2, got {max_bounces}")
-        self._check_separation(tx, rx)
+        distance = self._separation(tx, rx)
         occluders = list(self.room.occluders) + list(extra_occluders)
-        return self._trace(tx, rx, max_bounces, occluders)
+        return self._trace(tx, rx, distance, max_bounces, occluders)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _check_separation(tx: Vec2, rx: Vec2) -> None:
-        if tx.distance_to(rx) < MIN_SEPARATION_M:
+    def _separation(tx: Vec2, rx: Vec2) -> float:
+        """The TX–RX distance, which is the LOS leg's length; refused
+        below the far-field limit."""
+        distance = tx.distance_to(rx)
+        if distance < MIN_SEPARATION_M:
             raise ValueError(
                 f"TX and RX closer than {MIN_SEPARATION_M} m: far-field model invalid"
             )
+        return distance
 
     def _room_tables(self) -> Tuple[Tuple[Wall, ...], np.ndarray, np.ndarray]:
         """The walls, their table and same-wall mask, rebuilt (and the
-        image trees dropped) when ``room.walls`` changed."""
+        image trees dropped) when ``room.walls`` changed; so are the
+        hull's edges and the crossable wall sets (:func:`_hull_screen`)."""
         walls, built = self.room.walls, self._walls
         if (
             built is None
@@ -540,6 +558,14 @@ class RayTracer:
             # wall.
             ids = np.array([id(wall) for wall in built] + [0])
             self._same = ids[:, None] == ids[:-1]
+            self._hull, on_hull = _hull_screen(
+                tuple((p.x, p.y) for w in built for p in (w.segment.a, w.segment.b))
+            )
+            wall_a, wall_r = self._table[:, 0:2], self._table[:, 2:4]
+            self._every, self._interior = (
+                (index, wall_a[index], wall_r[index])
+                for index in (np.arange(len(built)), np.flatnonzero(np.logical_not(on_hull)))
+            )
             self._trees.clear()
         return built, self._table, self._same
 
@@ -560,49 +586,62 @@ class RayTracer:
 
     @np.errstate(all="ignore")
     def _trace(
-        self, tx: Vec2, rx: Vec2, max_bounces: int, occluders: List[Occluder]
+        self,
+        tx: Vec2,
+        rx: Vec2,
+        distance: float,
+        max_bounces: int,
+        occluders: List[Occluder],
     ) -> List[PropagationPath]:
         """The LOS, then every reflection path up to ``max_bounces``, as
-        views of one :class:`PathSet`.
+        views of one :class:`PathSet`; ``distance`` is the TX–RX
+        distance.
 
         Chains come grouped by bounce count: wall indices after a
         leading -1 for TX, points and leg lengths, one row per chain;
         the LOS is the one chain of no walls.  A reflection chain is
         dropped when a leg crosses any wall other than the ones it
         bounces on; the LOS is kept and lists the walls it crosses as
-        penetrated.  Paths come LOS first, then by bounce count, then in
-        room wall order.
+        penetrated.  When TX and RX lie in the hull of the walls, only
+        the walls off the hull are tested: no leg crosses the others
+        (:func:`_hull_screen`).  Paths come LOS first, then by bounce
+        count, then in room wall order.
         """
         walls, table, same = self._room_tables()
-        wall_a, wall_r = table[:, 0:2], table[:, 2:4]
         los = np.array([tx.as_tuple(), rx.as_tuple()], dtype=float)
         # The LOS chain: no wall, one leg, touching no wall (row -1).
-        levels = [
-            (_LOS_SEQUENCE, los[None], np.array([[tx.distance_to(rx)]]), same[-1:][None])
-        ]
+        levels = [(_LOS_SEQUENCE, los[None], np.array([[distance]]), same[-1:][None])]
         if max_bounces:
             levels += _reflection_chains(self._image_tree(tx, max_bounces), los)
 
-        # Every leg of every chain, chain by chain: start, end, length,
-        # the wall it starts on (-1 at TX) and the walls it touches at
-        # its ends, which it bounces on rather than crosses.
-        starts = np.concatenate([points[:, :-1].reshape(-1, 2) for _, points, _, _ in levels])
-        ends = np.concatenate([points[:, 1:].reshape(-1, 2) for _, points, _, _ in levels])
+        # Every leg of every chain, chain by chain: start, end, length
+        # and the wall it starts on (-1 at TX).
+        starts = _stack([points[:, :-1].reshape(-1, 2) for _, points, _, _ in levels])
+        ends = _stack([points[:, 1:].reshape(-1, 2) for _, points, _, _ in levels])
         legs = ends - starts
-        lengths = np.concatenate([n.ravel() for _, _, n, _ in levels])
-        start_wall = np.concatenate([seq.ravel() for seq, _, _, _ in levels])
-        touching = np.concatenate([m.reshape(-1, len(walls)) for _, _, _, m in levels])
-        meets, t = _intersect(starts[:, None], legs[:, None], wall_a, wall_r)
-        leg, wall = np.nonzero(meets & ~touching)
-        if leg.size:
-            # Endpoint grazes are ignored: a radio sits against a wall,
-            # not inside it.
-            t = _clamp(t[leg, wall], 0.0, 1.0)
-            hits = starts[leg] + legs[leg] * t[:, None]
-            gaps = np.concatenate([hits - starts[leg], hits - ends[leg]])
-            through = exactmath.hypot(gaps[:, 0], gaps[:, 1]) > 1e-6
-            through = through[: len(leg)] & through[len(leg) :]
-            leg, wall = leg[through], wall[through]
+        lengths = _stack([n.ravel() for _, _, n, _ in levels])
+        start_wall = _stack([seq.ravel() for seq, _, _, _ in levels])
+        # The crossings of the walls a leg may cross, skipping the walls
+        # it touches at its ends, which it bounces on rather than
+        # crosses.
+        hull = self._hull
+        inside = _in_hull(hull, tx.x, tx.y) and _in_hull(hull, rx.x, rx.y)
+        cross, cross_a, cross_r = self._interior if inside else self._every
+        leg = wall = _NO_ROWS
+        if cross.size:
+            touching = _stack([m.reshape(-1, len(walls)) for _, _, _, m in levels])
+            meets, t = _intersect(starts[:, None], legs[:, None], cross_a, cross_r)
+            leg, column = np.nonzero(meets & ~touching[:, cross])
+            wall = cross[column]
+            if leg.size:
+                # Endpoint grazes are ignored: a radio sits against a
+                # wall, not inside it.
+                t = _clamp(t[leg, column], 0.0, 1.0)
+                hits = starts[leg] + legs[leg] * t[:, None]
+                gaps = np.concatenate([hits - starts[leg], hits - ends[leg]])
+                through = exactmath.hypot(gaps[:, 0], gaps[:, 1]) > 1e-6
+                through = through[: len(leg)] & through[len(leg) :]
+                leg, wall = leg[through], wall[through]
 
         # Per chain its first leg row and leg count.  There are a few
         # dozen chains, few enough that lists beat arrays.
@@ -627,10 +666,11 @@ class RayTracer:
         # run path by path.
         cuts = _NO_OBSTRUCTIONS
         if occluders:
-            kept_legs = np.array([row for a, w in zip(first, width) for row in range(a, a + w)])
-            cut, occluder, depth, clearance, along = _cuts(
-                starts[kept_legs], ends[kept_legs], legs[kept_legs], lengths[kept_legs], occluders
-            )
+            kept = (starts, ends, legs, lengths)
+            if dropped:
+                rows = np.array([row for a, w in zip(first, width) for row in range(a, a + w)])
+                kept = tuple(column[rows] for column in kept)
+            cut, occluder, depth, clearance, along = _cuts(*kept, occluders)
             path_start = np.array(list(accumulate(width[:-1], initial=0)))
             path = np.searchsorted(path_start, cut, side="right") - 1
             cuts = ObstructionTable(
@@ -640,7 +680,7 @@ class RayTracer:
                 depth,
                 clearance,
                 along,
-                lengths[kept_legs[cut]],
+                kept[3][cut],
             )
 
         # Per path: length (legs summed in order, as Python sums them),
@@ -671,6 +711,90 @@ class RayTracer:
             occluders,
         )
         return path_set._views(tx, rx, walls, starts, start_wall, first, width, penetrated)
+
+
+@functools.lru_cache(maxsize=MAX_HULL_SCREENS)
+def _hull_screen(
+    ends: Tuple[Tuple[float, float], ...],
+) -> Tuple[Tuple[Tuple[float, float, float, float], ...], Tuple[bool, ...]]:
+    """The closed convex hull of the wall ends, and which walls lie on it.
+
+    ``ends`` holds each wall's start and end point, wall by wall.
+    Returns the hull's edges, counter-clockwise, each as its start and
+    start-to-end vector, and per wall whether both its ends are exactly
+    collinear with one hull edge.  The hull and the collinearity are
+    computed on the floats' exact values (as integers), so a wall that
+    only rounds onto a hull edge stays off it.  If a wall end fails the
+    closed-hull test (:func:`_in_hull`), or the hull has no area, no wall
+    is on it and the edges are empty.  The answer depends only on the
+    coordinates, so it is kept for the last :data:`MAX_HULL_SCREENS`
+    wall layouts: every system built over one room computes it once.
+
+    Why a query whose TX and RX lie in the closed hull never crosses a
+    wall on it: bounce points are clamped onto wall segments, so every
+    leg of every chain runs between two points of the closed hull.  Such
+    a segment meets the line of a hull edge in one of two ways only.  It
+    touches the line at an endpoint, a graze the crossing test drops
+    (clamped to the leg, its meeting point lies within 1e-6 m of an
+    end); or it runs along the line, the parallel case :func:`_intersect`
+    never reports.  Rounding can change this only for an endpoint within
+    rounding of a hull edge whose leg runs within about 1e-10 rad of that
+    edge's line: the ray sliding along a wall that :func:`_intersect`
+    leaves unmodelled.  Walls off the hull (partitions, the reflex walls
+    of an L-shaped room) stay in the test, and a query with an endpoint
+    outside the hull tests every wall.
+    """
+    none_on = (False,) * (len(ends) // 2)
+    coordinates = [v for end in ends for v in end]
+    if not all(map(math.isfinite, coordinates)):
+        return (), none_on
+    # Exact values as integers over one common power-of-two denominator,
+    # which the products below keep exact.
+    ratios = [v.as_integer_ratio() for v in coordinates]
+    scale = max(den for _, den in ratios)
+    exact = [num * (scale // den) for num, den in ratios]
+    exact = list(zip(exact[::2], exact[1::2]))
+
+    def turn(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    # Andrew's monotone chain; collinear points are dropped, so every
+    # hull vertex is a corner.
+    points = sorted(set(exact))
+    chains = []
+    for run in (points, points[::-1]):
+        chain: list = []
+        for p in run:
+            while len(chain) >= 2 and turn(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        chains.append(chain[:-1])
+    corners = chains[0] + chains[1]
+    if len(corners) < 3:
+        return (), none_on
+    sides = list(zip(corners, corners[1:] + corners[:1]))
+    float_of = dict(zip(exact, ends))
+    edges = tuple(
+        (px, py, qx - px, qy - py)
+        for (px, py), (qx, qy) in ((float_of[p], float_of[q]) for p, q in sides)
+    )
+    if not all(_in_hull(edges, x, y) for x, y in ends):
+        return (), none_on
+    on_hull = tuple(
+        any(turn(p, q, a) == 0 and turn(p, q, b) == 0 for p, q in sides)
+        for a, b in zip(exact[::2], exact[1::2])
+    )
+    return (edges if any(on_hull) else ()), on_hull
+
+
+def _in_hull(edges: Sequence[Tuple[float, float, float, float]], x: float, y: float) -> bool:
+    """Whether ``(x, y)`` lies on or inside every edge of a hull from
+    :func:`_hull_screen`, in floats; every point lies in a hull of no
+    edges.  A NaN coordinate lies outside."""
+    for px, py, ex, ey in edges:
+        if not ex * (y - py) - ey * (x - px) >= 0.0:
+            return False
+    return True
 
 
 def _build_image_tree(
@@ -753,6 +877,11 @@ def _reflection_chains(
     return chains
 
 
+def _stack(parts: List[np.ndarray]) -> np.ndarray:
+    """``parts`` joined along their first axis; a single part as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def _bearing_deg(dx: float, dy: float) -> float:
     """:func:`bearing_deg` of the direction ``(dx, dy)``: ``rad_to_deg``
     and ``wrap_angle_deg`` inlined, in their operation order.  An
@@ -775,7 +904,9 @@ def _intersect(
     segment's ends, and ``t``; clamped to [0, 1] it places the meeting
     point.  Parallel and collinear pairs never meet: a ray sliding
     exactly along a wall is a measure-zero configuration the physics
-    does not model.
+    does not model.  That, with the crossing test's graze rule, is why
+    a leg inside the walls' hull never crosses a wall on it
+    (:func:`_hull_screen`).
     """
     denom = r[..., 0] * s[..., 1] - r[..., 1] * s[..., 0]
     q = p - a
@@ -785,6 +916,8 @@ def _intersect(
     return meets & (np.maximum(t, u) <= 1.0 + EPSILON), t
 
 
+#: No leg rows: the crossings of a query that tests no wall.
+_NO_ROWS = np.empty(0, dtype=np.intp)
 #: :func:`_cuts` of no cut.
 _NO_CUTS = (np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),) * 3
 #: The obstruction table of a scene with no occluders.

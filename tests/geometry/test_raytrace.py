@@ -10,16 +10,19 @@ from repro.geometry.bodies import hand_occluder
 from repro.geometry.raytrace import (
     MAX_IMAGE_TREES,
     MIN_SEPARATION_M,
+    PathSet,
     PropagationPath,
     RayTracer,
     _clamp,
     _cuts,
+    _in_hull,
 )
 from repro.geometry.room import (
     CONCRETE,
     DRYWALL,
     GLASS,
     METAL,
+    Room,
     Wall,
     rectangular_room,
     standard_office,
@@ -292,6 +295,21 @@ class TestFlushFixtures:
         assert len(set(points)) == len(points)
 
 
+class TestCircleChord:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a circle's chord is sized from the centre's clamped distance to "
+        "the leg, not its distance to the leg's line (ROADMAP: a circle's chord "
+        "uses the clamped centre distance)",
+    )
+    def test_leg_inside_a_circle_is_cut(self):
+        """The leg lies wholly inside the circle, but the centre projects
+        beyond its end."""
+        tracer = RayTracer(rectangular_room(10.0, 10.0))
+        path = tracer.line_of_sight(Vec2(1, 1), Vec2(1, 2), [Circle(Vec2(1, 7), 7.0)])
+        assert path.is_obstructed
+
+
 class TestRoomTables:
     """The tracer keeps its wall table and image trees between queries,
     yet answers every query as a fresh tracer would."""
@@ -347,6 +365,153 @@ class TestRoomTables:
                         assert len(tracer._trees) <= MAX_IMAGE_TREES
         # The AP, asked every other query, kept its trees throughout.
         assert (ap.x, ap.y, 2) in tracer._trees
+
+
+def walls_of(*corners, closed=True):
+    """Drywall walls joining ``corners`` in order (back to the first
+    when ``closed``)."""
+    points = [Vec2(x, y) for x, y in corners]
+    pairs = zip(points, points[1:] + points[:1] if closed else points[1:])
+    return [Wall(Segment(a, b), DRYWALL) for a, b in pairs]
+
+
+def l_shaped_room():
+    """A 4 m x 4 m L: the square's north-east quarter cut away, so the
+    walls (4, 2)-(2, 2) and (2, 2)-(2, 4) are reflex."""
+    return Room(walls_of((0, 0), (4, 0), (4, 2), (2, 2), (2, 4), (0, 4)), name="l-room")
+
+
+def partitioned_room():
+    """An 8 m x 5 m room with a concrete partition from the south wall
+    and a free-standing drywall one."""
+    room = rectangular_room(8.0, 5.0)
+    room.walls.append(Wall(Segment(Vec2(5.0, 0.0), Vec2(5.0, 3.5)), CONCRETE))
+    room.walls.append(Wall(Segment(Vec2(2.0, 3.0), Vec2(3.5, 4.0)), DRYWALL))
+    return room
+
+
+#: The rooms the hull screen is checked in: no wall off the hull, a
+#: bare rectangle, reflex walls, and partitions.
+SCREEN_ROOMS = {
+    "office": standard_office(furnished=True),
+    "rectangle": rectangular_room(5.0, 4.0),
+    "l-room": l_shaped_room(),
+    "partition": partitioned_room(),
+}
+
+
+@st.composite
+def screen_endpoint(draw, room):
+    """A point inside the room's bounding box, outside it, or exactly
+    on one of its walls (an end or a point between)."""
+    box = room.bounding_box()
+    lo, hi = box.min_corner, box.max_corner
+    kind = draw(st.sampled_from(["inside", "outside", "on a wall"]))
+    if kind == "on a wall":
+        segment = draw(st.sampled_from(room.walls)).segment
+        u = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))
+        return segment.a + (segment.b - segment.a) * u
+    pad = 0.0 if kind == "inside" else 2.0
+    x = draw(st.floats(lo.x - pad, hi.x + pad))
+    y = draw(st.floats(lo.y - pad, hi.y + pad))
+    if kind == "outside":
+        assume(not (lo.x <= x <= hi.x and lo.y <= y <= hi.y))
+    return Vec2(x, y)
+
+
+@st.composite
+def screen_queries(draw):
+    name = draw(st.sampled_from(sorted(SCREEN_ROOMS)))
+    room = SCREEN_ROOMS[name]
+    tx, rx = draw(screen_endpoint(room)), draw(screen_endpoint(room))
+    assume(tx.distance_to(rx) >= MIN_SEPARATION_M)
+    box = room.bounding_box()
+    centres = st.builds(
+        Vec2,
+        st.floats(box.min_corner.x, box.max_corner.x),
+        st.floats(box.min_corner.y, box.max_corner.y),
+    )
+    circles = draw(
+        st.lists(st.builds(Circle, centres, st.floats(0.05, 0.8)), max_size=4)
+    )
+    return name, tx, rx, draw(st.sampled_from([0, 1, 2])), circles
+
+
+def traced(tracer, tx, rx, max_bounces, occluders):
+    if max_bounces == 0:
+        return [tracer.line_of_sight(tx, rx, occluders)]
+    return tracer.all_paths(tx, rx, max_bounces, occluders)
+
+
+class TestHullScreen:
+    """Walls on the convex hull of the wall ends are left out of the
+    crossing test when TX and RX lie in the hull; the paths are those of
+    the test over every wall."""
+
+    @staticmethod
+    def crossable(room):
+        tracer = RayTracer(room)
+        tracer._room_tables()
+        return tracer._interior[0].tolist()
+
+    def test_office_has_no_crossable_wall(self):
+        # Four drywall sides, and the whiteboard and window flush on two
+        # of them.
+        assert self.crossable(standard_office()) == []
+
+    def test_partitions_are_crossable(self):
+        assert self.crossable(partitioned_room()) == [4, 5]
+
+    def test_reflex_walls_of_an_l_are_crossable(self):
+        assert self.crossable(l_shaped_room()) == [2, 3]
+
+    def test_walls_collinear_only_after_rounding_stay_crossable(self):
+        """On the slanted hull edge (0, 0)-(3, 1), a wall to (1.5, 0.5)
+        is exactly collinear; one to (0.03, 0.01) only rounds onto it
+        (3 * 0.01 rounds to 0.03, exactly it is larger), so it stays in
+        the crossing test."""
+        assert 3.0 * 0.01 - 0.03 == 0.0
+        room = Room(
+            walls_of((0, 0), (3, 1), (0, 3))
+            + walls_of((0, 0), (1.5, 0.5), closed=False)
+            + walls_of((0, 0), (0.03, 0.01), closed=False)
+        )
+        assert self.crossable(room) == [4]
+
+    def test_edge_points_are_inside(self):
+        tracer = RayTracer(standard_office())
+        tracer._room_tables()
+        assert _in_hull(tracer._hull, 5.0, 2.0)
+        assert _in_hull(tracer._hull, 0.0, 0.0)
+        assert not _in_hull(tracer._hull, 5.0 + 1e-12, 2.0)
+
+    def test_outside_endpoint_penetrates_the_boundary(self):
+        room = standard_office()
+        tracer = RayTracer(room)
+        for max_bounces in (0, 1, 2):
+            (los, *_) = traced(tracer, Vec2(1.0, 2.0), Vec2(6.5, 2.5), max_bounces, [])
+            assert los.penetrated_walls == (room.walls[1],)
+
+    @settings(max_examples=300, deadline=None)
+    @given(screen_queries())
+    def test_paths_equal_the_test_over_every_wall(self, query):
+        name, tx, rx, max_bounces, circles = query
+        room = SCREEN_ROOMS[name]
+        reference = RayTracer(room)
+        reference._room_tables()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reference, "_interior", reference._every)
+            want = traced(reference, tx, rx, max_bounces, circles)
+        got = traced(RayTracer(room), tx, rx, max_bounces, circles)
+        assert [p.points for p in got] == [p.points for p in want]
+        assert [p.walls for p in got] == [p.walls for p in want]
+        assert [p.penetrated_walls for p in got] == [p.penetrated_walls for p in want]
+        got_set, want_set = PathSet.of(got), PathSet.of(want)
+        for column in ("length", "departure", "arrival", "reflection_db", "penetration_db"):
+            assert getattr(got_set, column).tolist() == getattr(want_set, column).tolist()
+        for mine, theirs in zip(got_set.cuts, want_set.cuts):
+            assert mine.tolist() == theirs.tolist()
+        assert got_set.occluders == want_set.occluders
 
 
 def reference_cuts(starts, legs, lengths, occluders):
