@@ -52,19 +52,24 @@ from repro.utils.units import angle_difference_deg, thermal_noise_dbm
 OOK_SIDEBAND_FRACTION = 1.0 / math.pi**2
 
 
-def _measured_sideband_dbm(
-    rng: np.random.Generator, sideband_dbm: np.ndarray, noise_dbm: float
-) -> np.ndarray:
-    """Noisy band-power readings of a sideband grid, in dBm.
+def _filter_noise_dbm(probe: ToneProbe, noise_figure_db: float) -> float:
+    """Noise inside the sideband measurement filter of a receiver with
+    noise figure ``noise_figure_db``."""
+    return thermal_noise_dbm(probe.measurement_bw_hz) + noise_figure_db
+
+
+def _measured_sideband_dbm(rng: np.random.Generator, echo_dbm, noise_dbm: float):
+    """Noisy band-power readings, in dBm, of the first OOK sideband of
+    echoes of power ``echo_dbm`` (one probe, or a grid of them).
 
     Each entry is |sqrt(P_s) e^{j phi} + CN(0, P_n)|^2 — the
     non-central chi-square the FFT-bin estimator obeys — with one
-    noise pair drawn per probe, exactly as the sequential protocol
-    does.
+    noise pair drawn per probe.
     """
+    sideband_dbm = echo_dbm + 10.0 * math.log10(OOK_SIDEBAND_FRACTION)
     p_signal = 10.0 ** (sideband_dbm / 10.0)
     p_noise = 10.0 ** (noise_dbm / 10.0)
-    noise = rng.normal(0.0, math.sqrt(p_noise / 2.0), (2,) + p_signal.shape)
+    noise = rng.normal(0.0, math.sqrt(p_noise / 2.0), (2,) + np.shape(p_signal))
     estimate = (np.sqrt(p_signal) + noise[0]) ** 2 + noise[1] ** 2
     return 10.0 * np.log10(np.maximum(estimate, 1e-30))
 
@@ -125,41 +130,23 @@ class BackscatterAngleSearch:
     # ------------------------------------------------------------------
 
     def round_trip_power_dbm(self, ap_steer_deg: float, reflector_proto_deg: float) -> float:
-        """Received power of the AP -> reflector -> AP echo (pre-OOK).
+        """Received power of the AP -> reflector -> AP echo (pre-OOK),
+        with the reflector's beams set where the protocol sets them: the
+        one-probe case of :meth:`round_trip_power_dbm_batch`."""
+        refl_azimuth = self.reflector.prototype_to_azimuth(reflector_proto_deg)
+        self.reflector.set_beams(refl_azimuth, refl_azimuth)
+        return float(self.round_trip_power_dbm_batch(ap_steer_deg, reflector_proto_deg))
+
+    def round_trip_power_dbm_batch(self, ap_steer_deg, reflector_proto_deg) -> np.ndarray:
+        """Received power of the AP -> reflector -> AP echo (pre-OOK)
+        over broadcast grids of AP steerings and reflector trial angles.
 
         Both reflector beams sit at the same trial angle, so the
         captured signal is re-emitted back along the receive direction;
-        both AP beams sit at ``ap_steer_deg``.
-        """
-        refl_azimuth = self.reflector.prototype_to_azimuth(reflector_proto_deg)
-        self.reflector.set_beams(refl_azimuth, refl_azimuth)
-        self.reflector.amplifier.set_gain_db(self.search_gain_db)
-        one_way_gain = self.channel.path_gain_db(self._path)
-        ap_gain = self.ap.array.gain_dbi(
-            self._bearing_ap_to_refl, steer_override_deg=ap_steer_deg
-        )
-        through = self.reflector.through_gain_db(
-            self._bearing_refl_to_ap, self._bearing_refl_to_ap
-        )
-        if through is None:
-            # Unstable at the search gain: the echo is garbage; model
-            # as saturated broadband output, which the sideband filter
-            # mostly rejects — return a weak echo.
-            through = 0.0
-        return (
-            self.ap.config.tx_power_dbm
-            + 2.0 * ap_gain
-            + 2.0 * one_way_gain
-            + through
-            - self.ap.config.implementation_loss_db
-        )
-
-    def round_trip_power_dbm_batch(self, ap_steer_deg, reflector_proto_deg) -> np.ndarray:
-        """Vectorized :meth:`round_trip_power_dbm` over broadcast grids.
-
-        The reflector's beam state is not mutated; trial steerings go
-        through the same scan clipping and quantization as
-        ``set_beams`` via the state-free batch kernels.
+        both AP beams sit at ``ap_steer_deg``.  The reflector's beam
+        state is not mutated; trial steerings go through the same scan
+        clipping and quantization as ``set_beams`` via the state-free
+        batch kernels.
         """
         self.reflector.amplifier.set_gain_db(self.search_gain_db)
         proto = np.asarray(reflector_proto_deg, dtype=float)
@@ -174,8 +161,9 @@ class BackscatterAngleSearch:
             rx_steer_azimuth_deg=refl_azimuth,
             tx_steer_azimuth_deg=refl_azimuth,
         )
-        # NaN marks an unstable loop: same weak-echo model as the
-        # scalar probe.
+        # NaN marks a loop unstable at the search gain: the echo is
+        # garbage, modeled as saturated broadband output, which the
+        # sideband filter mostly rejects — a weak echo.
         through = np.where(np.isnan(through), 0.0, through)
         return (
             self.ap.config.tx_power_dbm
@@ -187,27 +175,17 @@ class BackscatterAngleSearch:
 
     def _noise_in_band_dbm(self) -> float:
         """AP noise power inside the sideband measurement filter."""
-        return (
-            thermal_noise_dbm(self.probe.measurement_bw_hz)
-            + self.ap.config.noise_figure_db
-        )
+        return _filter_noise_dbm(self.probe, self.ap.config.noise_figure_db)
 
     def measure_sideband_dbm(
         self, ap_steer_deg: float, reflector_proto_deg: float
     ) -> float:
         """One probe: sideband power at ``f1 + f2`` as the AP sees it."""
         echo_dbm = self.round_trip_power_dbm(ap_steer_deg, reflector_proto_deg)
-        sideband_dbm = echo_dbm + 10.0 * math.log10(OOK_SIDEBAND_FRACTION)
         noise_dbm = self._noise_in_band_dbm()
         if self.signal_level:
             return self._measure_signal_level(echo_dbm, noise_dbm)
-        # Analytic shortcut: |sqrt(P_s) e^{j phi} + CN(0, P_n)|^2 —
-        # the same non-central chi-square the FFT-bin estimator obeys.
-        p_signal = 10.0 ** (sideband_dbm / 10.0)
-        p_noise = 10.0 ** (noise_dbm / 10.0)
-        noise = self._rng.normal(0.0, math.sqrt(p_noise / 2.0), 2)
-        estimate = (math.sqrt(p_signal) + noise[0]) ** 2 + noise[1] ** 2
-        return 10.0 * math.log10(max(estimate, 1e-30))
+        return float(_measured_sideband_dbm(self._rng, echo_dbm, noise_dbm))
 
     def measure_sideband_dbm_batch(self, ap_steer_deg, reflector_proto_deg) -> np.ndarray:
         """Whole probe grids at once (analytic noise model only).
@@ -216,9 +194,7 @@ class BackscatterAngleSearch:
         distribution as :meth:`measure_sideband_dbm`.
         """
         echo_dbm = self.round_trip_power_dbm_batch(ap_steer_deg, reflector_proto_deg)
-        sideband_dbm = echo_dbm + 10.0 * math.log10(OOK_SIDEBAND_FRACTION)
-        noise_dbm = self._noise_in_band_dbm()
-        return _measured_sideband_dbm(self._rng, sideband_dbm, noise_dbm)
+        return _measured_sideband_dbm(self._rng, echo_dbm, self._noise_in_band_dbm())
 
     def _measure_signal_level(self, echo_dbm: float, noise_in_band_dbm: float) -> float:
         """Full DSP probe: synthesize the capture and FFT-filter it."""
@@ -371,12 +347,10 @@ class ReflectionAngleSearch:
             + hs_gain
             - self.ap.config.implementation_loss_db
         )
-        sideband_dbm = power_dbm + 10.0 * math.log10(OOK_SIDEBAND_FRACTION)
-        noise_dbm = (
-            thermal_noise_dbm(self.probe.measurement_bw_hz)
-            + self.headset_radio.config.noise_figure_db
+        noise_dbm = _filter_noise_dbm(
+            self.probe, self.headset_radio.config.noise_figure_db
         )
-        return _measured_sideband_dbm(self._rng, sideband_dbm, noise_dbm)
+        return _measured_sideband_dbm(self._rng, power_dbm, noise_dbm)
 
     def estimate_reflection_angle(
         self,

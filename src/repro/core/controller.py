@@ -283,7 +283,7 @@ class MoVRSystem:
         gains = panel_gains_dbi(panels, toward, steer).tolist()
         tx_power = self.ap.config.tx_power_dbm
         for k in range(len(reflectors)):
-            # One shadowing draw, as LinkBudget.hop_columns draws it.
+            # One shadowing draw, as LinkBudget.hop_columns_many draws it.
             (feed_gain,) = self.channel.shadowed_db(columns[2, k : k + 1]).tolist()
             yield tx_power + gains[2 * k] + feed_gain + gains[2 * k + 1]
 

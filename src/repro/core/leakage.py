@@ -24,6 +24,12 @@ The model composes three physically distinct mechanisms:
 
 Angle convention: the paper's prototype angles, where 90 degrees is
 broadside and the usable range is 40-140 degrees (matching Figs. 7/8).
+
+The coupling has one formula, :meth:`ReflectorLeakageModel.leakage_db_pairs`:
+two kernel calls over any number of (TX, RX) pairs, the rest scalar per
+pair.  A single pair, a Fig. 7 curve, the relay pass's beam states and
+the angle search's probe grids all read it, so each gets the same value
+for the same pair, bit for bit.
 """
 
 from __future__ import annotations
@@ -52,9 +58,9 @@ BROADSIDE_DEG = 90.0
 class ReflectorLeakageModel:
     """Computes TX->RX coupling (a negative dB gain) vs beam angles.
 
-    Frozen: the arrays and the batch memo built from the fields in
-    ``__post_init__`` can never disagree with them.  Use
-    :func:`dataclasses.replace` for a model with other parameters.
+    Frozen: the arrays built from the fields in ``__post_init__`` can
+    never disagree with them.  Use :func:`dataclasses.replace` for a
+    model with other parameters.
     """
 
     array: PhasedArrayConfig = field(default_factory=lambda: MOVR_ARRAY)
@@ -76,10 +82,6 @@ class ReflectorLeakageModel:
         object.__setattr__(
             self, "_rx_array", PhasedArray(self.array, boresight_deg=BROADSIDE_DEG)
         )
-        # Memo for batch queries: the coupling depends only on the
-        # angle grids and the (frozen) fields, and sweeps ask for the
-        # same prototype-angle grid over and over.
-        object.__setattr__(self, "_batch_memo", {})
 
     def leakage_db(self, tx_angle_deg: float, rx_angle_deg: float) -> float:
         """Coupling gain (negative dB) for a beam-angle pair: the
@@ -128,43 +130,6 @@ class ReflectorLeakageModel:
             scatter = -self.scatterer_coupling_db + 4.0 * convergence
             values.append(db_sum_powers([over_air, scatter, board]))
         return values
-
-    def leakage_db_batch(self, tx_angle_deg, rx_angle_deg) -> np.ndarray:
-        """:meth:`leakage_db` over broadcast angle grids: the sweep form.
-
-        Same three coupling mechanisms, computed for every angle pair
-        in one shot — the kernel behind the batched angle search,
-        where leakage sets the closed-loop gain at each trial beam.
-        It is not bit-identical to :meth:`leakage_db`: NumPy's
-        ``cos``, ``power`` and ``log10`` differ from :mod:`math` in the
-        last bit for some pairs.  :meth:`leakage_db_pairs` is the exact
-        form over many pairs.
-        """
-        tx = np.asarray(tx_angle_deg, dtype=float)
-        rx = np.asarray(rx_angle_deg, dtype=float)
-        key = (tx.shape, tx.tobytes(), rx.shape, rx.tobytes())
-        memo = self._batch_memo.get(key)
-        if memo is not None:
-            return memo
-        for name, arr in (("tx_angle_deg", tx), ("rx_angle_deg", rx)):
-            if np.any(arr < MIN_ANGLE_DEG) or np.any(arr > MAX_ANGLE_DEG):
-                raise ValueError(
-                    f"{name} must be within [{MIN_ANGLE_DEG}, {MAX_ANGLE_DEG}]"
-                )
-        graze = self.grazing_angle_deg
-        tx_rel = self._tx_array.relative_pattern_db_batch(graze, steer_deg=tx)
-        rx_rel = self._rx_array.relative_pattern_db_batch(180.0 - graze, steer_deg=rx)
-        over_air = -self.edge_diffraction_loss_db + tx_rel + rx_rel
-        convergence = np.cos(np.radians(tx - rx))
-        scatter = -self.scatterer_coupling_db + 4.0 * convergence
-        board = -self.board_isolation_db
-        stacked = np.stack(np.broadcast_arrays(over_air, scatter, np.full_like(over_air, board)))
-        result = np.asarray(db_sum_powers(stacked, axis=0))
-        result.flags.writeable = False
-        if len(self._batch_memo) >= 64:
-            self._batch_memo.clear()
-        self._batch_memo[key] = result
-        return result
 
     def leakage_curve(
         self,

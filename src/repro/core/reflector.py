@@ -21,6 +21,7 @@ Two angle conventions coexist:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -37,7 +38,6 @@ from repro.phy.amplifier import (
     MOVR_AMPLIFIER,
     AmplifierSpec,
     VariableGainAmplifier,
-    closed_loop_gain_db_batch,
     feedback_peaking_db,
     loop_is_stable,
 )
@@ -299,18 +299,13 @@ class MoVRReflector:
         from_azimuth_deg: float,
         to_azimuth_deg: float,
     ) -> Optional[float]:
-        """End-to-end power gain of the reflector between two directions.
-
-        RX-array gain toward the incoming signal, plus the closed-loop
-        amplifier gain, plus TX-array gain toward the outgoing
-        direction.  ``None`` when the loop is unstable.
+        """End-to-end power gain of the reflector between two directions
+        at the current beams: the one-probe case of
+        :meth:`through_gain_db_batch`.  ``None`` when the loop is
+        unstable.
         """
-        effective = self.effective_gain_db()
-        if effective is None:
-            return None
-        rx_gain = self.rx_array.gain_dbi(from_azimuth_deg)
-        tx_gain = self.tx_array.gain_dbi(to_azimuth_deg)
-        return rx_gain + effective + tx_gain
+        through = float(self.through_gain_db_batch(from_azimuth_deg, to_azimuth_deg))
+        return None if math.isnan(through) else through
 
     def through_gain_db_batch(
         self,
@@ -319,28 +314,49 @@ class MoVRReflector:
         rx_steer_azimuth_deg=None,
         tx_steer_azimuth_deg=None,
     ) -> np.ndarray:
-        """Vectorized :meth:`through_gain_db` over trial beam settings.
+        """End-to-end power gain of the reflector over broadcast grids of
+        directions and trial beam settings.
 
-        ``rx_steer_azimuth_deg``/``tx_steer_azimuth_deg`` default to the
-        current beam state; passing arrays sweeps candidate steerings
-        without mutating the reflector (the batched equivalent of
-        set-beams-then-measure loops).  Entries whose leakage would make
-        the loop unstable come back as ``NaN`` — callers decide what an
-        oscillating probe is worth.
+        RX-array gain toward the incoming signal, plus the closed-loop
+        amplifier gain, plus TX-array gain toward the outgoing
+        direction.  ``rx_steer_azimuth_deg``/``tx_steer_azimuth_deg``
+        are commanded steerings, clipped and quantized as
+        :meth:`set_beams` would, but the beams do not move (a sweep
+        probes candidate steerings without committing to one); ``None``
+        is the current beam.  Entries whose leakage would make the loop
+        unstable come back as ``NaN`` — callers decide what an
+        oscillating probe is worth.  Each entry is what one probe with
+        those beams gives, bit for bit: the leakage is one
+        :meth:`ReflectorLeakageModel.leakage_db_pairs` call over the
+        broadcast beam pairs, the peaking :func:`feedback_peaking_db`
+        over the stable ones.
         """
-        if rx_steer_azimuth_deg is None:
-            rx_steer_azimuth_deg = self.rx_array.steering_deg
-        if tx_steer_azimuth_deg is None:
-            tx_steer_azimuth_deg = self.tx_array.steering_deg
-        achieved_rx = self.rx_array.steer_to_batch(rx_steer_azimuth_deg)
-        achieved_tx = self.tx_array.steer_to_batch(tx_steer_azimuth_deg)
+        achieved_rx = (
+            self.rx_array.steering_deg
+            if rx_steer_azimuth_deg is None
+            else self.rx_array.steer_to_batch(rx_steer_azimuth_deg)
+        )
+        achieved_tx = (
+            self.tx_array.steering_deg
+            if tx_steer_azimuth_deg is None
+            else self.tx_array.steer_to_batch(tx_steer_azimuth_deg)
+        )
         rx_gain = self.rx_array.gain_dbi_batch(from_azimuth_deg, steer_deg=achieved_rx)
         tx_gain = self.tx_array.gain_dbi_batch(to_azimuth_deg, steer_deg=achieved_tx)
-        leak = self.leakage_model.leakage_db_batch(
+        tx_proto, rx_proto = np.broadcast_arrays(
             self.azimuth_to_prototype_batch(achieved_tx),
             self.azimuth_to_prototype_batch(achieved_rx),
         )
-        effective = closed_loop_gain_db_batch(self.amplifier.gain_db, leak)
+        leakage = np.reshape(
+            self.leakage_model.leakage_db_pairs(
+                tx_proto.ravel().tolist(), rx_proto.ravel().tolist()
+            ),
+            tx_proto.shape,
+        )
+        gain = self.amplifier.gain_db
+        stable = loop_is_stable(gain, leakage)
+        effective = np.full(leakage.shape, np.nan)
+        effective[stable] = gain + feedback_peaking_db(gain, leakage[stable])
         return rx_gain + effective + tx_gain
 
     def __repr__(self) -> str:

@@ -160,12 +160,6 @@ class LinkBudget:
         rx_gain = rx.array.gain_dbi_batch(arrivals.reshape(per_path), rx_steer)
         return const + channel + tx_gain + rx_gain
 
-    def hop_columns(self, hop: PropagationPath) -> Tuple[float, float, float]:
-        """Departure azimuth, arrival azimuth and channel gain (dB) of
-        one traced hop: the one-hop case of :meth:`hop_columns_many`."""
-        departures, arrivals, gains = self.hop_columns_many((hop,))
-        return departures[0], arrivals[0], gains[0]
-
     def hop_columns_many(
         self, hops: Sequence[PropagationPath]
     ) -> Tuple[List[float], List[float], List[float]]:

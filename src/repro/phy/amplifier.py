@@ -15,6 +15,9 @@ paper's algorithms and are modeled here:
 
 The module also provides the positive-feedback loop algebra of
 Fig. 6(b): closed-loop gain and the ``G < L`` stability criterion.
+Each formula is written once, for a float and for an array alike
+(:mod:`repro.utils.exactmath`): gain calibration's ramp and the angle
+search's probe grids get, entry for entry, the scalar value.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import List, Optional, Tuple
-
-import numpy as np
 
 from repro.utils import exactmath
 from repro.utils.validation import (
@@ -200,11 +201,13 @@ def feedback_peaking_db(gain_db, leakage_db):
     ``-20*log10(1 - 10^((G+L)/20))`` dB, which diverges as the loop
     gain approaches 0 dB (in hardware the amplifier saturates instead,
     the failure the gain controller must avoid).  The loop must be
-    stable (:func:`loop_is_stable`); arrays give the peaking at each
-    entry, rounded as the scalar formula rounds.
+    stable (:func:`loop_is_stable`).  Either argument may be an array
+    (a gain ramp, or the leakage of a probe grid's stable entries):
+    the peaking at each entry, rounded as the scalar formula rounds.
     """
-    xm = exactmath.ops(gain_db)
-    loop_amplitude = xm.exp10((gain_db + leakage_db) / 20.0)
+    loop_db = gain_db + leakage_db
+    xm = exactmath.ops(loop_db)
+    loop_amplitude = xm.exp10(loop_db / 20.0)
     return -20.0 * xm.log10(1.0 - loop_amplitude)
 
 
@@ -219,20 +222,3 @@ def closed_loop_gain_db(gain_db: float, leakage_db: float) -> float:
             f"attenuation {-leakage_db:.1f} dB"
         )
     return gain_db + feedback_peaking_db(gain_db, leakage_db)
-
-
-def closed_loop_gain_db_batch(gain_db, leakage_db) -> np.ndarray:
-    """Vectorized :func:`closed_loop_gain_db` over broadcast inputs.
-
-    Unstable configurations yield ``NaN`` instead of raising — a batch
-    sweep legitimately probes beam pairs whose leakage would let the
-    loop oscillate, and the caller decides what an unstable probe is
-    worth (the angle search models it as a saturated, filter-rejected
-    echo).
-    """
-    gain = np.asarray(gain_db, dtype=float)
-    loop = gain + np.asarray(leakage_db, dtype=float)
-    stable = loop < 0.0
-    loop_amplitude = np.power(10.0, np.where(stable, loop, -np.inf) / 20.0)
-    return np.where(stable, gain - 20.0 * np.log10(1.0 - loop_amplitude), np.nan)
-

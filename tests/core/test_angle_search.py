@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.angle_search import (
@@ -27,13 +28,21 @@ def scene():
     return room, tracer, channel, ap
 
 
-def make_search(scene, signal_level=False, rng=0, boresight_offset=15.0):
+def make_search(
+    scene, signal_level=False, rng=0, boresight_offset=15.0, search_gain_db=30.0
+):
     room, tracer, channel, ap = scene
     position = Vec2(4.0, 4.2)
     toward_ap = bearing_deg(position, ap.position)
     reflector = MoVRReflector(position, boresight_deg=toward_ap + boresight_offset)
     return BackscatterAngleSearch(
-        ap, reflector, tracer, channel, signal_level=signal_level, rng=rng
+        ap,
+        reflector,
+        tracer,
+        channel,
+        search_gain_db=search_gain_db,
+        signal_level=signal_level,
+        rng=rng,
     )
 
 
@@ -85,6 +94,35 @@ class TestRoundTripPower:
         assert echo + 10.0 * math.log10(OOK_SIDEBAND_FRACTION) > (
             search._noise_in_band_dbm() + 10.0
         )
+
+
+class TestProbeGrid:
+    """A probe grid is the per-probe protocol, entry for entry: one
+    leakage formula, one peaking formula, the same kernels."""
+
+    @pytest.mark.parametrize(
+        "boresight_offset, search_gain_db, oscillating",
+        [(15.0, 30.0, 0), (0.0, 60.0, 26), (-30.0, 59.0, 2), (25.0, 60.0, 26)],
+    )
+    def test_grid_equals_per_probe(
+        self, scene, boresight_offset, search_gain_db, oscillating
+    ):
+        """At 59-60 dB the strongest leakage makes some reflector angles
+        oscillate; trial angles past 40/140 clip onto the range's edges."""
+        search = make_search(
+            scene, boresight_offset=boresight_offset, search_gain_db=search_gain_db
+        )
+        scan = search.ap.config.array.max_scan_deg
+        ap_deg = search.ap.boresight_deg + np.linspace(-scan, scan, 9)
+        proto = np.arange(30.0, 150.5, 1.0)
+        grid = search.round_trip_power_dbm_batch(ap_deg[:, None], proto[None, :])
+        unstable = set()
+        for i, ap_angle in enumerate(ap_deg.tolist()):
+            for j, refl_angle in enumerate(proto.tolist()):
+                assert grid[i, j] == search.round_trip_power_dbm(ap_angle, refl_angle)
+                if not search.reflector.is_stable():
+                    unstable.add(refl_angle)
+        assert len(unstable) == oscillating
 
 
 class TestEstimation:

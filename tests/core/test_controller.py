@@ -467,7 +467,8 @@ class TestFeedGainMemo:
         feed = system.budget.cache.line_of_sight(
             system.ap.position, reflector.position, (), include_room_occluders=False
         )
-        departure, arrival, feed_gain = system.budget.hop_columns(feed)
+        columns = system.budget.hop_columns_many((feed,))
+        (departure,), (arrival,), (feed_gain,) = columns
         ap_gain = system.ap.array.gain_dbi(departure, steer_override_deg=departure)
         rx_gain = reflector.rx_array.gain_dbi(arrival)
         return system.ap.config.tx_power_dbm + ap_gain + feed_gain + rx_gain
@@ -545,8 +546,9 @@ class TestRelayBearingsComputedOnce:
         budget = LinkBudget(RayTracer(standard_office()), MmWaveChannel())
         feed = budget.cache.line_of_sight(ap, reflector, (), include_room_occluders=False)
         out = budget.cache.line_of_sight(reflector, headset, (), include_room_occluders=False)
-        assert budget.hop_columns(feed)[0] == bearing_deg(ap, reflector)
-        assert budget.hop_columns(out)[1] == bearing_deg(headset, reflector)
+        departures, arrivals, _ = budget.hop_columns_many((feed, out))
+        assert departures[0] == bearing_deg(ap, reflector)
+        assert arrivals[1] == bearing_deg(headset, reflector)
         unit = MoVRReflector(reflector, boresight_deg=bearing_deg(reflector, ap))
         beams = unit.bearings_to(ap, headset)
         assert beams == (bearing_deg(reflector, ap), bearing_deg(reflector, headset))

@@ -84,15 +84,15 @@ class TestCurve:
         [("board_isolation_db", 40.0), ("grazing_angle_deg", 100.0)],
     )
     def test_fields_cannot_go_stale(self, field, value):
-        """The arrays and the batch memo are built from the fields, so the
-        fields are frozen; a changed model is a new, validated one."""
+        """The arrays are built from the fields, so the fields are
+        frozen; a changed model is a new, validated one."""
         model = ReflectorLeakageModel()
-        tx, rx = np.array([60.0, 90.0, 120.0]), np.array([90.0, 90.0, 90.0])
-        before = model.leakage_db_batch(tx, rx).tolist()
+        tx, rx = [60.0, 90.0, 120.0], [90.0, 90.0, 90.0]
+        before = model.leakage_db_pairs(tx, rx)
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(model, field, value)
         assert getattr(model, field) != value
-        assert model.leakage_db_batch(tx, rx).tolist() == before
+        assert model.leakage_db_pairs(tx, rx) == before
 
 
 def scalar_leakage_db(model, tx, rx):
@@ -109,7 +109,7 @@ def scalar_leakage_db(model, tx, rx):
 
 class TestPairsForm:
     """``leakage_db_pairs`` is the exact many-pair form of the scalar
-    formula; ``leakage_db_batch`` is the sweep form and is not."""
+    formula."""
 
     @pytest.fixture(scope="class")
     def pairs(self):
@@ -126,14 +126,6 @@ class TestPairsForm:
         expected = [scalar_leakage_db(model, a, b) for a, b in zip(tx, rx)]
         assert model.leakage_db_pairs(tx, rx) == expected
         assert [model.leakage_db(a, b) for a, b in zip(tx[:200], rx[:200])] == expected[:200]
-
-    def test_sweep_form_differs_in_the_last_bit(self, model, pairs):
-        tx, rx = pairs
-        exact = model.leakage_db_pairs(tx, rx)
-        sweep = model.leakage_db_batch(np.array(tx), np.array(rx)).tolist()
-        differ = [(a, b) for a, b in zip(exact, sweep) if a != b]
-        assert differ, "the sweep form is documented as not bit-identical"
-        assert max(abs(a - b) for a, b in differ) < 1e-9
 
     def test_two_kernel_calls_for_any_pair_count(self, model, pairs):
         tx, rx = pairs

@@ -274,13 +274,13 @@ class TestColumnsLiveWithTheirEntry:
         budget = make_budget()
         hop = budget.cache.line_of_sight(TX, RX, include_room_occluders=False)
         expected = (
-            hop.departure_angle_deg,
-            hop.arrival_angle_deg,
-            budget.channel.path_gain_db(hop),
+            [hop.departure_angle_deg],
+            [hop.arrival_angle_deg],
+            [budget.channel.path_gain_db(hop)],
         )
-        assert budget.hop_columns(hop) == expected
+        assert budget.hop_columns_many((hop,)) == expected
         monkeypatch.setattr(MmWaveChannel, "unshadowed_gains_db", None)
-        assert budget.hop_columns(hop) == expected
+        assert budget.hop_columns_many((hop,)) == expected
 
     def test_eviction_drops_columns(self, monkeypatch):
         """An evicted set that nothing references is collected with its
