@@ -4,7 +4,10 @@ Drives the serving loop on the serving benchmark's seeded inputs (the
 workloads of ``perfbench/workloads.py``, imported read-only) and hashes,
 in order, everything each scene trace produced: every traced path's
 points, walls, penetrated walls and obstruction floats, and the path
-set's link columns; then each tick's serving decisions.  Two trees
+set's link columns; then each tick's serving decisions.  A tick's
+traces are hashed after the tick, in trace order, so they are read as
+serving left them: their obstruction tables cut and link columns built
+in the tick's joined passes, not one set at a time.  Two trees
 whose replays print the same digest traced the same paths and served
 the same decisions, float for float::
 
@@ -48,6 +51,7 @@ class Fingerprint:
         self._digest = hashlib.sha256()
         self._walls = {id(wall): i for i, wall in enumerate(room.walls)}
         self._channel = channel
+        self._traced: List[List[PropagationPath]] = []
         self.path_sets = 0
         self.paths = 0
 
@@ -58,6 +62,19 @@ class Fingerprint:
         self._digest.update(value.encode() + b"\0")
 
     def paths_traced(self, paths: List[PropagationPath]) -> None:
+        """Queue one trace's paths, hashed by :meth:`tick_done`."""
+        self._traced.append(paths)
+
+    def tick_done(self, decisions) -> None:
+        """Hash the tick's queued traces, in order, then its decisions."""
+        traced, self._traced = self._traced, []
+        for paths in traced:
+            self._path_set(paths)
+        for d in decisions:
+            self._text(f"{d.user} {d.mode} {d.via} {d.contended}")
+            self._floats([d.snr_db, d.rate_mbps, d.direct_snr_db])
+
+    def _path_set(self, paths: List[PropagationPath]) -> None:
         self.path_sets += 1
         self.paths += len(paths)
         self._text(f"set {len(paths)}")
@@ -71,11 +88,6 @@ class Fingerprint:
                     [o.leg_index, o.depth_m, o.clearance_m, o.along_leg_m, o.leg_length_m]
                 )
         self._floats(self._channel.link_columns(paths).ravel().tolist())
-
-    def decisions(self, decisions) -> None:
-        for d in decisions:
-            self._text(f"{d.user} {d.mode} {d.via} {d.contended}")
-            self._floats([d.snr_db, d.rate_mbps, d.direct_snr_db])
 
     def hexdigest(self) -> str:
         return self._digest.hexdigest()
@@ -145,7 +157,7 @@ def replay(workload_name: str, seed: int, ticks: int) -> Tuple[str, Fingerprint]
                     name="headset",
                 )
                 decisions = (bed.system.decide(radio, tick.occluders, t_s=tick.t_s),)
-            fingerprint.decisions(decisions)
+            fingerprint.tick_done(decisions)
     finally:
         undo()
     return installation, fingerprint

@@ -25,9 +25,16 @@ What does not depend on the receiver is kept between queries: the
 room's wall table with the convex hull of its wall ends, and per
 transmitter position the image tree (every mirror image of TX and its
 wall sequence).  A query only walks the bounce points back from its
-receiver, tests its legs against the walls they can cross (none on the
-hull when TX and RX lie inside it, see :func:`_hull_screen`) and cuts
-them with the occluders.
+receiver and tests its legs against the walls they can cross (none on
+the hull when TX and RX lie inside it, see :func:`_hull_screen`).
+
+Cutting the legs with the occluders is left pending: the set keeps its
+kept legs and occluders, and cuts its obstruction table the first time
+it is read, or, with other sets, in one joined pass
+(:meth:`PathSet.resolve_cuts`).  The link layer reads a tick's new sets
+together (:meth:`repro.phy.channel.MmWaveChannel.link_columns_many`),
+so a tick's cuts cost one pass over all its legs.  Either way each set
+gets the table it would get cut alone, row for row and float for float.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ import operator
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -116,6 +123,22 @@ class ObstructionTable(NamedTuple):
         )
         ints, floats = ints.reshape(-1, 2), floats.reshape(-1, 4)
         return cls(ints[:, 0], ints[:, 1], np.arange(len(records)), *floats.T)
+
+
+class _CutJob(NamedTuple):
+    """A pending obstruction table: what :func:`_cuts` cuts it from.
+
+    The legs of the set's paths, path by path: start points, end
+    points, start-to-end vectors and lengths, one row per leg; each
+    path's leg count; and the occluders the table's rows index.
+    """
+
+    starts: np.ndarray
+    ends: np.ndarray
+    legs: np.ndarray
+    lengths: np.ndarray
+    width: List[int]
+    occluders: Sequence[Occluder]
 
 
 class _ViewField:
@@ -265,9 +288,13 @@ class PathSet:
     ``cuts`` is the obstruction table and ``occluders`` the occluders
     its rows index.
 
-    A set the tracer built also keeps what its paths' objects are built
-    from when read (see :meth:`_views`).  A set gathered from path
-    objects (:meth:`of`) keeps only the arrays.
+    A set the tracer built leaves its table pending: it keeps the legs
+    and occluders the table is cut from, cuts it the first time
+    ``cuts`` is read, or with other sets in one pass
+    (:meth:`resolve_cuts`, which :meth:`concat` calls), then drops them.
+    It also keeps what its paths' objects are built from when read (see
+    :meth:`_views`).  A set gathered from path objects (:meth:`of`) or
+    joined from sets (:meth:`concat`) keeps only the arrays.
 
     ``columns_memo`` is the channel's memo on the set: the link columns
     :meth:`repro.phy.channel.MmWaveChannel.link_columns_many` built for
@@ -282,8 +309,9 @@ class PathSet:
         "arrival",
         "reflection_db",
         "penetration_db",
-        "cuts",
         "occluders",
+        "_cut_table",
+        "_cut_job",
         "_tx",
         "_rx",
         "_walls",
@@ -301,20 +329,47 @@ class PathSet:
         arrival: np.ndarray,
         reflection_db: np.ndarray,
         penetration_db: np.ndarray,
-        cuts: ObstructionTable,
+        cuts: Union[ObstructionTable, _CutJob],
         occluders: Sequence[Occluder],
     ) -> None:
+        """``cuts`` is the obstruction table, or the job it is cut from
+        when first read."""
         self.length = length
         self.departure = departure
         self.arrival = arrival
         self.reflection_db = reflection_db
         self.penetration_db = penetration_db
-        self.cuts = cuts
         self.occluders = occluders
+        pending = isinstance(cuts, _CutJob)
+        self._cut_table: Optional[ObstructionTable] = None if pending else cuts
+        self._cut_job: Optional[_CutJob] = cuts if pending else None
         self.columns_memo: Optional[Tuple[object, np.ndarray]] = None
 
     def __len__(self) -> int:
         return len(self.length)
+
+    @property
+    def cuts(self) -> ObstructionTable:
+        """The obstruction table, cut now if it is still pending."""
+        if self._cut_job is not None:
+            PathSet.resolve_cuts((self,))
+        return self._cut_table
+
+    @staticmethod
+    def resolve_cuts(sets: Iterable["PathSet"]) -> None:
+        """Cut the pending obstruction tables of ``sets`` in one pass
+        over all their legs (:func:`_cuts`); a set listed twice is cut
+        once.  Each set gets the table it would get cut alone, and drops
+        the legs it was cut from."""
+        pending: Dict[int, PathSet] = {}
+        for path_set in sets:
+            if path_set._cut_job is not None:
+                pending[id(path_set)] = path_set
+        if pending:
+            owners = list(pending.values())
+            tables = _cuts([path_set._cut_job for path_set in owners])
+            for path_set, table in zip(owners, tables):
+                path_set._cut_table, path_set._cut_job = table, None
 
     @classmethod
     def of(cls, paths: Sequence[PropagationPath]) -> "PathSet":
@@ -346,10 +401,12 @@ class PathSet:
     def concat(cls, sets: Sequence["PathSet"]) -> "PathSet":
         """One set holding the paths of ``sets`` in order: each set's
         obstruction rows follow its own, renumbered to the joined paths
-        and occluders.  The joined set keeps only the arrays; a single
-        set comes back as it is."""
+        and occluders.  The sets' pending tables are cut first, in one
+        pass (:meth:`resolve_cuts`).  The joined set keeps only the
+        arrays; a single set comes back as it is."""
         if len(sets) == 1:
             return sets[0]
+        cls.resolve_cuts(sets)
         path_offsets = np.cumsum([0] + [len(s) for s in sets[:-1]])
         occluder_offsets = np.cumsum([0] + [len(s.occluders) for s in sets[:-1]])
         cuts = ObstructionTable(
@@ -605,7 +662,9 @@ class RayTracer:
         penetrated.  When TX and RX lie in the hull of the walls, only
         the walls off the hull are tested: no leg crosses the others
         (:func:`_hull_screen`).  Paths come LOS first, then by bounce
-        count, then in room wall order.
+        count, then in room wall order.  The set's obstruction table is
+        left pending: it is cut from the kept paths' legs when read
+        (:meth:`PathSet.resolve_cuts`).
         """
         walls, table, same = self._room_tables()
         los = np.array([tx.as_tuple(), rx.as_tuple()], dtype=float)
@@ -662,26 +721,15 @@ class RayTracer:
             first = [a for c, a in enumerate(first) if c not in dropped]
             width = [w for c, w in enumerate(width) if c not in dropped]
 
-        # The obstruction table: the cuts of the kept paths' legs, which
-        # run path by path.
+        # The obstruction table, left pending: the kept paths' legs, path
+        # by path, and the occluders they are cut with when it is read.
         cuts = _NO_OBSTRUCTIONS
         if occluders:
             kept = (starts, ends, legs, lengths)
             if dropped:
                 rows = np.array([row for a, w in zip(first, width) for row in range(a, a + w)])
                 kept = tuple(column[rows] for column in kept)
-            cut, occluder, depth, clearance, along = _cuts(*kept, occluders)
-            path_start = np.array(list(accumulate(width[:-1], initial=0)))
-            path = np.searchsorted(path_start, cut, side="right") - 1
-            cuts = ObstructionTable(
-                path,
-                cut - path_start[path],
-                occluder,
-                depth,
-                clearance,
-                along,
-                kept[3][cut],
-            )
+            cuts = _CutJob(*kept, width, occluders)
 
         # Per path: length (legs summed in order, as Python sums them),
         # the reflection loss of the walls its legs start on after the
@@ -918,73 +966,104 @@ def _intersect(
 
 #: No leg rows: the crossings of a query that tests no wall.
 _NO_ROWS = np.empty(0, dtype=np.intp)
-#: :func:`_cuts` of no cut.
-_NO_CUTS = (np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),) * 3
-#: The obstruction table of a scene with no occluders.
+#: The obstruction table of no cut.
 _NO_OBSTRUCTIONS = ObstructionTable.of_records([])
+#: The screen row of the column past the union of occluders that pads a
+#: shorter occluder list in :func:`_cuts`: a box no leg's box overlaps.
+_PAD_ROW = (0.0, 0.0, 0.0, math.inf, math.inf, -math.inf, -math.inf)
 
 
-def _cuts(
-    starts: np.ndarray,
-    ends: np.ndarray,
-    legs: np.ndarray,
-    lengths: np.ndarray,
-    occluders: List[Occluder],
-) -> Tuple[np.ndarray, ...]:
-    """Every occluder cut of every leg, in (leg, occluder) order.
+@np.errstate(all="ignore")
+def _cuts(jobs: Sequence[_CutJob]) -> List[ObstructionTable]:
+    """The obstruction table of each job, cut in one pass over the legs
+    of every job.
 
-    Legs run from ``starts`` to ``ends`` along ``legs``.  Returns five
-    columns, one row per cut: leg row, occluder index, chord depth,
-    clearance and distance along the leg to the occluder centre;
-    clearance is the signed distance from the leg to the edge, for a box
-    minus half the depth.
+    Every occluder cut of every leg, with the leg's own job's
+    occluders.  A job's table lists its cuts in (leg, occluder) order,
+    which is path order since its legs run path by path: per cut its
+    path, leg along the path and occluder (indices within the job), chord
+    depth, clearance, distance along the leg to the occluder centre and
+    leg length.  Clearance is the signed distance from the leg to the
+    edge, for a box minus half the depth.
+
+    The legs of all jobs are stacked job by job, and screened against
+    the union of the jobs' occluders (by identity): each leg reads the
+    union columns of its job's occluders, in its job's order (so a list
+    may name one object twice), padded to the longest list with a column
+    no leg meets.  The slab and chord formulas then run once over every
+    candidate pair; they act entry by entry, so each job's rows and
+    floats are those it gets cut alone.
     """
-    if not occluders:
-        return _NO_CUTS
-    # Per occluder: centre, radius (0 for a box), and the box whose slab
-    # test screens it (its ``screen_row``).
-    table = np.array([occ.screen_row for occ in occluders], dtype=float)
+    members: Dict[int, Occluder] = {}
+    for job in jobs:
+        for occ in job.occluders:
+            members.setdefault(id(occ), occ)
+    union_column = {key: column for column, key in enumerate(members)}
+    widest = max((len(job.occluders) for job in jobs), default=0)
+    pad = len(members)
+    local = np.array(
+        [
+            [union_column[id(occ)] for occ in job.occluders]
+            + [pad] * (widest - len(job.occluders))
+            for job in jobs
+        ],
+        dtype=np.intp,
+    ).reshape(len(jobs), widest)
+    # Per union occluder, then the padding column, one array each:
+    # centre, radius (0 for a box), and the box whose slab test screens
+    # it (its ``screen_row``).  Per axis arrays keep every formula below
+    # on contiguous one-dimensional operands.
+    center_x, center_y, radius, lo_x, lo_y, hi_x, hi_y = np.array(
+        [occ.screen_row for occ in members.values()] + [_PAD_ROW]
+    ).T.copy()
+    counts = [len(job.lengths) for job in jobs]
+    starts, ends, legs, lengths = (_stack([job[c] for job in jobs]) for c in range(4))
+
     # Bounding boxes first: a leg whose box, padded by BOX_SCREEN_PAD_M,
     # misses the occluder's box cannot pass the slab test, whose
-    # rounding stays far inside the pad.
-    leg_lo = np.minimum(starts, ends) - BOX_SCREEN_PAD_M
-    leg_hi = np.maximum(starts, ends) + BOX_SCREEN_PAD_M
-    overlap = (leg_lo[:, None] <= table[:, 5:7]) & (leg_hi[:, None] >= table[:, 3:5])
-    row, k = np.nonzero(overlap[..., 0] & overlap[..., 1])
+    # rounding stays far inside the pad.  One row per union column, so
+    # each compare runs along the legs.
+    leg_lo = (np.minimum(starts, ends) - BOX_SCREEN_PAD_M).T.copy()
+    leg_hi = (np.maximum(starts, ends) + BOX_SCREEN_PAD_M).T.copy()
+    overlap = (leg_lo[0] <= hi_x[:, None]) & (leg_hi[0] >= lo_x[:, None])
+    overlap &= (leg_lo[1] <= hi_y[:, None]) & (leg_hi[1] >= lo_y[:, None])
+    # Per leg, the union column of each of its job's occluders.
+    columns = np.repeat(local, counts, axis=0)
+    legs_at = np.arange(len(lengths))[:, None]
+    row, k = np.nonzero(np.take(overlap, columns * len(lengths) + legs_at))
     if not row.size:
-        return _NO_CUTS
-    occ, a, v = table[k], starts[row], legs[row]
+        return [_NO_OBSTRUCTIONS] * len(jobs)
+    member = columns[row, k]
+    a_x, a_y = starts[row, 0], starts[row, 1]
+    v_x, v_y = legs[row, 0], legs[row, 1]
     # Slab method: per axis, the leg parameters where it enters and
     # leaves the box.  An axis the leg runs parallel to passes (0, 1) if
     # the leg lies between the box's sides on it and (1, 0) if not.
-    # (Two-element minima and maxima run as elementwise ufuncs, which
-    # round alike and cost far less than axis reductions.)
-    t = (occ[:, 3:].reshape(-1, 2, 2) - a[:, None]) / v[:, None]
-    near, far = np.minimum(t[:, 0], t[:, 1]), np.maximum(t[:, 0], t[:, 1])
-    parallel = np.abs(v) < EPSILON
-    beside = (near > 0.0) | (far < 0.0)
-    enter = np.where(parallel, beside, near)
-    leave = np.where(parallel, ~beside, far)
-    t_min = np.maximum(np.maximum(enter[:, 0], enter[:, 1]), 0.0)
-    t_max = np.minimum(np.minimum(leave[:, 0], leave[:, 1]), 1.0)
+    enter, leave = [], []
+    for a, v, lo, hi in ((a_x, v_x, lo_x, hi_x), (a_y, v_y, lo_y, hi_y)):
+        t_lo, t_hi = (lo[member] - a) / v, (hi[member] - a) / v
+        near, far = np.minimum(t_lo, t_hi), np.maximum(t_lo, t_hi)
+        parallel = np.abs(v) < EPSILON
+        beside = (near > 0.0) | (far < 0.0)
+        enter.append(np.where(parallel, beside, near))
+        leave.append(np.where(parallel, ~beside, far))
+    t_min = np.maximum(np.maximum(*enter), 0.0)
+    t_max = np.minimum(np.minimum(*leave), 1.0)
     hit = t_min < t_max
     if not hit.any():
-        return _NO_CUTS
-    row, k, occ, a, v = row[hit], k[hit], occ[hit], a[hit], v[hit]
+        return [_NO_OBSTRUCTIONS] * len(jobs)
+    row, k, member = row[hit], k[hit], member[hit]
+    a_x, a_y, v_x, v_y = a_x[hit], a_y[hit], v_x[hit], v_y[hit]
     length, box_span = lengths[row], (t_max - t_min)[hit]
 
     # Circle chords of the candidates: distance from the centre to the
     # leg, then the chord at that offset, clipped to the leg.
-    center, radius = occ[:, :2], occ[:, 2]
-    off = center - a
-    dot = off * v
-    dot = dot[:, 0] + dot[:, 1]
-    norm_sq = v * v
-    t = _clamp(dot / (norm_sq[:, 0] + norm_sq[:, 1]), 0.0, 1.0)
-    gap = center - (a + v * t[:, None])
-    dist = exactmath.hypot(gap[:, 0], gap[:, 1])
-    center_t = off * (v / length[:, None])
-    center_t = center_t[:, 0] + center_t[:, 1]
+    c_x, c_y, radius = center_x[member], center_y[member], radius[member]
+    off_x, off_y = c_x - a_x, c_y - a_y
+    dot = off_x * v_x + off_y * v_y
+    t = _clamp(dot / (v_x * v_x + v_y * v_y), 0.0, 1.0)
+    dist = exactmath.hypot(c_x - (a_x + v_x * t), c_y - (a_y + v_y * t))
+    center_t = off_x * (v_x / length) + off_y * (v_y / length)
     half = np.sqrt(radius * radius - dist * dist)
     lo, hi = center_t - half, center_t + half
     chord = np.where(hi < length, hi, length) - np.where(lo > 0.0, lo, 0.0)
@@ -994,4 +1073,27 @@ def _cuts(
     clearance = np.where(is_circle, dist - radius, -depth / 2.0)
     along = _clamp(dot / length, 0.0, length)
     cut = depth > 0.0
-    return row[cut], k[cut], depth[cut], clearance[cut], along[cut]
+    row, length = row[cut], length[cut]
+
+    # Each cut's path, numbered within its job, and leg along it: the
+    # paths of all jobs run one after another over the stacked legs.
+    widths = [w for job in jobs for w in job.width]
+    path_start = np.array(list(accumulate(widths[:-1], initial=0)))
+    path_number = np.array([p for job in jobs for p in range(len(job.width))])
+    path = np.searchsorted(path_start, row, side="right") - 1
+    found = (
+        path_number[path],
+        row - path_start[path],
+        k[cut],
+        depth[cut],
+        clearance[cut],
+        along[cut],
+        length,
+    )
+    # Split the rows job by job, at each job's first leg row.
+    firsts = np.searchsorted(row, list(accumulate(counts[:-1]))).tolist()
+    bounds = [0, *firsts, len(row)]
+    return [
+        ObstructionTable(*(column[lo:hi] for column in found))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]

@@ -165,15 +165,15 @@ class PhasedArray:
         """
         boresight = self.boresight_deg if boresight_deg is None else boresight_deg
         relative = angle_difference_deg_batch(azimuth_deg, boresight)
+        # The scalar wrap's edge: a difference that rounds to +180 is -180.
+        relative = np.where(relative == 180.0, -180.0, relative)
         relative = np.clip(relative, -self.config.max_scan_deg, self.config.max_scan_deg)
-        bits = self.config.phase_shifter_bits
-        if bits:
-            levels = 2 ** bits
-            span = math.sin(deg_to_rad(self.config.max_scan_deg))
-            step = 2.0 * span / levels
-            # np.round matches Python round() (banker's rounding).
-            s_q = np.clip(np.round(np.sin(np.radians(relative)) / step) * step, -span, span)
-            relative = np.degrees(np.arcsin(s_q))
+        if self.config.phase_shifter_bits:
+            # The scalar quantizer per command: its sines are math's.
+            quantized = map(self._quantize, relative.ravel().tolist())
+            relative = np.fromiter(quantized, dtype=float, count=relative.size).reshape(
+                relative.shape
+            )
         return boresight + relative
 
     def panel_for(self, steer_deg: float) -> "PhasedArray":

@@ -103,11 +103,6 @@ class BlockageModel:
         loss[shadowed] = 6.9 + 20.0 * exactmath.log10(edge)
         return loss
 
-    def absorption_loss_db(self, depth_m: float) -> float:
-        """Through-obstacle absorption over a chord of ``depth_m``."""
-        require_non_negative(depth_m, "depth_m")
-        return self.absorption_db_per_m * depth_m
-
     def path_blockage_db(self, obstructions: Sequence[Obstruction]) -> float:
         """Total blockage attenuation for one path's obstruction list:
         the one-path form of :meth:`path_blockages_db`."""

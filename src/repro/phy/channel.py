@@ -33,7 +33,9 @@ the blockage model, so the columns are a memo on the list's
 * :meth:`MmWaveChannel.link_columns_many` builds the sets that lack
   columns with one :meth:`~MmWaveChannel.unshadowed_gains_db` call over
   their joined set (``PathSet.concat``), so a tick's new scenes cost
-  one formula; a set listed twice is built once.
+  one formula; a set listed twice is built once.  Joining them cuts
+  their pending obstruction tables in one pass too
+  (``PathSet.resolve_cuts``).
 
 :meth:`MmWaveChannel.path_gains_db` adds one shadowing draw per path to
 the columns' gains; :meth:`MmWaveChannel.path_gain_db` is its one-path
@@ -188,7 +190,8 @@ class MmWaveChannel:
 
         The sets lacking columns under this carrier and blockage model
         get them from one :meth:`unshadowed_gains_db` call over their
-        joined set, each keeping its own slice.
+        joined set, each keeping its own slice; their pending
+        obstruction tables are cut in one pass as they are joined.
         """
         key = (self.carrier_hz, self.blockage_model)
         sets = [PathSet.of(paths) for paths in path_lists]

@@ -35,7 +35,10 @@ An entry is the list of paths its query returns: views of the trace's
 :class:`~repro.geometry.raytrace.PathSet`, whose points, walls and
 obstruction records are built only if a caller reads them
 (experiments, baselines, ``repro.viz``, a measurement's dominant
-path).  The cache holds geometry only.  The link columns every link
+path).  The set's obstruction table itself is cut when first read, or
+together with the other new sets of a link-column build in one joined
+pass (``PathSet.resolve_cuts``); a hit returns the entry as it is,
+pending or cut.  The cache holds geometry only.  The link columns every link
 evaluation reads (angles and unshadowed gains) are the channel's memo
 on the path set (:meth:`repro.phy.channel.MmWaveChannel.link_columns`),
 so they live as long as the set does, in the cache or out of it.

@@ -15,6 +15,7 @@ from repro.geometry.raytrace import (
     RayTracer,
     _clamp,
     _cuts,
+    _CutJob,
     _in_hull,
 )
 from repro.geometry.room import (
@@ -635,8 +636,13 @@ class TestOccluderScreen:
         starts, stops = ends[:, 0], ends[:, 1]
         legs = stops - starts
         lengths = _hypot(legs[:, 0], legs[:, 1])
+        # One path of every leg: a cut's leg along the path is its row.
+        job = _CutJob(starts, stops, legs, lengths, [len(legs)], occluders)
+        (table,) = _cuts([job])
+        assert table.path.tolist() == [0] * len(table.path)
+        assert table.leg_length.tolist() == lengths[table.leg].tolist()
+        got = list(zip(*(x.tolist() for x in table[1:6])))
         with np.errstate(all="ignore"):
-            got = list(zip(*(x.tolist() for x in _cuts(starts, stops, legs, lengths, occluders))))
             want = reference_cuts(starts, legs, lengths, occluders)
         assert got == want
 

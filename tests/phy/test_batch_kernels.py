@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
@@ -71,12 +71,29 @@ class TestPhasedArrayBatch:
                 assert grid[i, j] == array.gain_dbi(t, steer_override_deg=s)
 
     @given(st.floats(min_value=-180.0, max_value=180.0), angle_lists)
+    @example(-179.99999999999997, [-360.0])  # the difference rounds to +180
     @settings(max_examples=60, deadline=None)
     def test_steer_to_matches_scalar(self, boresight, targets):
         array = PhasedArray(MOVR_ARRAY, boresight_deg=boresight)
         batch = array.steer_to_batch(np.asarray(targets))
         for k, target in enumerate(targets):
             assert batch[k] == array.steer_to(target)
+
+    @pytest.mark.parametrize("bits", [3, 4, 5, 6])
+    def test_quantized_steering_matches_scalar(self, bits):
+        """Every quantization level of a 50-degree scan, and the
+        commands half way between levels, steer as ``steer_to`` does,
+        bit for bit."""
+        config = PhasedArrayConfig(max_scan_deg=50.0, phase_shifter_bits=bits)
+        levels = 2**bits
+        step = 2.0 * math.sin(math.radians(50.0)) / levels
+        sines = [j * step / 2.0 for j in range(-levels, levels + 1)]
+        targets = [math.degrees(math.asin(max(-1.0, min(1.0, s)))) for s in sines]
+        for boresight in (0.0, 37.5, -150.0):
+            array = PhasedArray(config, boresight_deg=boresight)
+            commands = [boresight + t for t in targets]
+            batch = array.steer_to_batch(np.asarray(commands)).tolist()
+            assert batch == [array.steer_to(c) for c in commands]
 
 
 KERNEL_CALLS = {

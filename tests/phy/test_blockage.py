@@ -44,7 +44,7 @@ def obstruction_loss_db(model, obstruction):
         obstruction.along_leg_m,
         obstruction.leg_length_m - obstruction.along_leg_m,
     )
-    through_db = model.absorption_loss_db(obstruction.depth_m)
+    through_db = model.absorption_db_per_m * obstruction.depth_m
     combined_db = -db_sum_powers([-around_db, -through_db])
     return min(model.max_blockage_db, combined_db)
 
@@ -127,9 +127,15 @@ class TestObstructionLoss:
         assert obstruction_loss_db(model, obs) <= model.max_blockage_db
 
     def test_absorption_scales_with_depth(self, model):
-        assert model.absorption_loss_db(0.1) == pytest.approx(40.0)
+        """Deep in the shadow, diffraction around the occluder is far
+        weaker than absorption through it, so a cut loses about
+        ``absorption_db_per_m`` per meter of chord."""
+        for depth in (0.01, 0.03, 0.05):
+            obs = make_obstruction(depth=depth, clearance=-10.0)
+            loss = model.path_blockage_db([obs])
+            assert loss == pytest.approx(400.0 * depth, abs=1e-3)
         with pytest.raises(ValueError):
-            model.absorption_loss_db(-0.1)
+            model.path_blockage_db([make_obstruction(depth=-0.1)])
 
     def test_thin_graze_small_loss(self, model):
         obs = make_obstruction(depth=0.005, clearance=-0.001)
