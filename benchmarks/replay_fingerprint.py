@@ -18,15 +18,19 @@ The serving digest is the last line printed.  The line before it,
 ``installation <digest>``, hashes the testbed's set-up: each
 reflector's gain-calibration result (final gain, knee, steps, gain and
 current traces) and the state of the testbed's random generator after
-set-up.  Neither digest may depend on ``PYTHONHASHSEED``: a digest
-that changes with it means set or dict ordering leaked into the traced
-path order.
+set-up.  The line before those names the Python and NumPy versions:
+the digests are pinned for CPython 3.10 and later (3.9's
+``math.hypot`` rounds differently), and NumPy's ``sin`` and ``log10``
+may round differently on another version or CPU.  Neither digest may
+depend on ``PYTHONHASHSEED``: a digest that changes with it means set
+or dict ordering leaked into the traced path order.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import platform
 import struct
 import sys
 from pathlib import Path
@@ -37,6 +41,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "src"))
 
 from workloads import WORKLOADS, build_inputs, build_testbed  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 from repro.core.multiuser import MultiUserSystem  # noqa: E402
 from repro.geometry.raytrace import PropagationPath, RayTracer  # noqa: E402
@@ -171,6 +177,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     installation, fingerprint = replay(args.workload, args.seed, args.ticks)
     print(f"{fingerprint.path_sets} traced path sets, {fingerprint.paths} paths")
+    print(f"python {platform.python_version()} numpy {np.__version__}")
     print(f"installation {installation}")
     print(fingerprint.hexdigest())
     return 0

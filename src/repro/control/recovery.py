@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from repro.utils.exactmath import left_sum
 from repro.utils.validation import require_non_negative, require_positive
 
 
@@ -61,7 +62,7 @@ class RetryPolicy:
     @property
     def worst_case_wait_s(self) -> float:
         """Total backoff if every allowed attempt is needed."""
-        return sum(
+        return left_sum(
             self.backoff_s(n) for n in range(1, self.max_reconnect_attempts + 1)
         )
 

@@ -15,6 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.link.beams import DEFAULT_PROBE_TIME_S
+from repro.utils.exactmath import left_sum
 from repro.utils.validation import require_non_negative, require_positive
 from repro.vr.traffic import DEFAULT_TRAFFIC, VrTrafficModel
 
@@ -245,7 +246,7 @@ class AirtimeScheduler:
         airtimes = [
             self.traffic.frame_airtime_s(rate) * guard for rate in user_rates_mbps
         ]
-        demand = probe_time + sum(a for a in airtimes if math.isfinite(a))
+        demand = probe_time + left_sum(a for a in airtimes if math.isfinite(a))
         order = sorted(range(n), key=lambda i: (airtimes[i], (i - priority_offset) % n))
         cursor = probe_time
         lost: List[int] = []

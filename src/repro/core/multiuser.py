@@ -46,6 +46,7 @@ from repro.geometry.room import Occluder
 from repro.link.radios import HEADSET_RADIO_CONFIG, Radio
 from repro.rate.adaptation import RateAdapter
 from repro.telemetry.slo import SERVING_MODE_CODES
+from repro.utils.exactmath import left_sum
 
 #: Probes one beam search costs when a user's serving path changes —
 #: the hierarchical search of the ablation study, not the exhaustive
@@ -349,7 +350,7 @@ class MultiUserSystem:
         window: SharedWindowImpact,
     ) -> None:
         telemetry.sample("users.worst.rate_mbps", t_s, min(rates))
-        telemetry.sample("users.mean.rate_mbps", t_s, sum(rates) / len(rates))
+        telemetry.sample("users.mean.rate_mbps", t_s, left_sum(rates) / len(rates))
         telemetry.sample(
             "users.frame_loss_fraction", t_s, window.frames_lost / window.num_users
         )

@@ -41,6 +41,7 @@ from repro.geometry.vectors import Vec2, bearing_deg
 from repro.link.beams import Codebook
 from repro.link.radios import DEFAULT_RADIO_CONFIG, HEADSET_RADIO_CONFIG, Radio
 from repro.phy.channel import MmWaveChannel
+from repro.utils.exactmath import left_sum
 from repro.utils.rng import RngLike, child_rng, make_rng
 
 #: Swept fault intensities: Poisson outage arrivals + exponential
@@ -114,7 +115,7 @@ def _one_trial(
     except ConnectionError:
         completed = False
         estimate = coordinator.angle_estimate_deg
-    downtime = sum(e.downtime_s for e in coordinator.recoveries)
+    downtime = left_sum(e.downtime_s for e in coordinator.recoveries)
     return {
         "completed": completed,
         "serving": coordinator.state is CoordinatorState.SERVING,

@@ -28,25 +28,28 @@ wall sequence).  A query only walks the bounce points back from its
 receiver and tests its legs against the walls they can cross (none on
 the hull when TX and RX lie inside it, see :func:`_hull_screen`).
 
-Cutting the legs with the occluders is left pending: the set keeps its
-kept legs and occluders, and cuts its obstruction table the first time
-it is read, or, with other sets, in one joined pass
-(:meth:`PathSet.resolve_cuts`).  The link layer reads a tick's new sets
-together (:meth:`repro.phy.channel.MmWaveChannel.link_columns_many`),
-so a tick's cuts cost one pass over all its legs.  Either way each set
-gets the table it would get cut alone, row for row and float for float.
+A query does only what fixes its path count: the walk, and the
+crossing test when there are walls to test.  The set it returns is a
+pending record of its chains (per bounce count their wall sequences,
+points and leg lengths); its per-path arrays and obstruction table are
+computed the first time one is read, or, with other pending sets, in
+one joined pass (:meth:`PathSet.resolve`) that stacks every set's legs,
+computes the per-path arrays over all of them and cuts them with their
+sets' occluders.  The link layer resolves a tick's new sets together
+(:meth:`repro.phy.channel.MmWaveChannel.link_columns_many`), so a
+tick's bookkeeping after the walk costs one pass.  Either way each set
+gets the arrays and table it would get resolved alone, float for float.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import operator
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -123,22 +126,6 @@ class ObstructionTable(NamedTuple):
         )
         ints, floats = ints.reshape(-1, 2), floats.reshape(-1, 4)
         return cls(ints[:, 0], ints[:, 1], np.arange(len(records)), *floats.T)
-
-
-class _CutJob(NamedTuple):
-    """A pending obstruction table: what :func:`_cuts` cuts it from.
-
-    The legs of the set's paths, path by path: start points, end
-    points, start-to-end vectors and lengths, one row per leg; each
-    path's leg count; and the occluders the table's rows index.
-    """
-
-    starts: np.ndarray
-    ends: np.ndarray
-    legs: np.ndarray
-    lengths: np.ndarray
-    width: List[int]
-    occluders: Sequence[Occluder]
 
 
 class _ViewField:
@@ -230,9 +217,9 @@ class PropagationPath:
     @property
     def total_length_m(self) -> float:
         """Total traveled distance in meters: ``Vec2.distance_to`` per
-        leg, summed, without building a ``Vec2``."""
+        leg, summed left to right, without building a ``Vec2``."""
         points = self.points
-        return sum(
+        return exactmath.left_sum(
             math.hypot(a.x - b.x, a.y - b.y) for a, b in zip(points, points[1:])
         )
 
@@ -252,13 +239,13 @@ class PropagationPath:
 
     @property
     def total_reflection_loss_db(self) -> float:
-        """Sum of per-bounce reflection losses in dB."""
-        return sum(w.material.reflection_loss_db for w in self.walls)
+        """Sum of per-bounce reflection losses in dB, left to right."""
+        return exactmath.left_sum(w.material.reflection_loss_db for w in self.walls)
 
     @property
     def total_penetration_loss_db(self) -> float:
-        """Sum of through-wall penetration losses in dB."""
-        return sum(w.material.penetration_loss_db for w in self.penetrated_walls)
+        """Sum of through-wall penetration losses in dB, left to right."""
+        return _penetration_db(self.penetrated_walls)
 
     @property
     def is_obstructed(self) -> bool:
@@ -277,6 +264,23 @@ class _TracedPaths(list):
     __slots__ = ("path_set",)
 
 
+class _Row:
+    """A per-path array of a :class:`PathSet`: one row of its columns,
+    computed first if the set is still pending."""
+
+    def __init__(self, row: int) -> None:
+        self.row = row
+
+    def __get__(self, path_set, owner=None):
+        if path_set is None:
+            return self
+        columns = path_set._columns
+        if columns is None:
+            PathSet.resolve((path_set,))
+            columns = path_set._columns
+        return columns[self.row]
+
+
 class PathSet:
     """The paths of one scene as a struct of arrays, one entry per path.
 
@@ -285,16 +289,18 @@ class PathSet:
     the :class:`PropagationPath` properties ``total_length_m``,
     ``departure_angle_deg``, ``arrival_angle_deg``,
     ``total_reflection_loss_db`` and ``total_penetration_loss_db`` give;
-    ``cuts`` is the obstruction table and ``occluders`` the occluders
-    its rows index.
+    they are the rows of one ``(5, P)`` array, in that order.  ``cuts``
+    is the obstruction table and ``occluders`` the occluders its rows
+    index.
 
-    A set the tracer built leaves its table pending: it keeps the legs
-    and occluders the table is cut from, cuts it the first time
-    ``cuts`` is read, or with other sets in one pass
-    (:meth:`resolve_cuts`, which :meth:`concat` calls), then drops them.
-    It also keeps what its paths' objects are built from when read (see
-    :meth:`_views`).  A set gathered from path objects (:meth:`of`) or
-    joined from sets (:meth:`concat`) keeps only the arrays.
+    A set the tracer built is pending: it holds its chains, and computes
+    its arrays and table the first time one is read, or with other
+    pending sets in one joined pass (:meth:`resolve`, which
+    :meth:`concat` calls).  After a joined pass its arrays are slices of
+    the pass's arrays, and its table is cut out of the pass's table the
+    first time it is read.  Its paths' objects are built from the chains
+    (see :meth:`_views`).  A set gathered from path objects (:meth:`of`)
+    or joined from sets (:meth:`concat`) holds only the arrays.
 
     ``columns_memo`` is the channel's memo on the set: the link columns
     :meth:`repro.phy.channel.MmWaveChannel.link_columns_many` built for
@@ -304,72 +310,119 @@ class PathSet:
 
     __slots__ = (
         "columns_memo",
-        "length",
-        "departure",
-        "arrival",
-        "reflection_db",
-        "penetration_db",
         "occluders",
+        "_count",
+        "_columns",
         "_cut_table",
-        "_cut_job",
+        "_joined",
         "_tx",
         "_rx",
+        "_distance",
         "_walls",
         "_penetrated",
-        "_leg_starts",
-        "_leg_walls",
-        "_first",
-        "_width",
+        "_chains",
     )
 
+    length = _Row(0)
+    departure = _Row(1)
+    arrival = _Row(2)
+    reflection_db = _Row(3)
+    penetration_db = _Row(4)
+
     def __init__(
-        self,
-        length: np.ndarray,
-        departure: np.ndarray,
-        arrival: np.ndarray,
-        reflection_db: np.ndarray,
-        penetration_db: np.ndarray,
-        cuts: Union[ObstructionTable, _CutJob],
-        occluders: Sequence[Occluder],
+        self, columns: np.ndarray, cuts: ObstructionTable, occluders: Sequence[Occluder]
     ) -> None:
-        """``cuts`` is the obstruction table, or the job it is cut from
-        when first read."""
-        self.length = length
-        self.departure = departure
-        self.arrival = arrival
-        self.reflection_db = reflection_db
-        self.penetration_db = penetration_db
+        """``columns`` holds the per-path arrays as rows: length,
+        departure, arrival, reflection loss and penetration loss."""
+        self._columns = columns
+        self._count = columns.shape[1]
+        self._cut_table: Optional[ObstructionTable] = cuts
+        self._joined: Optional[Tuple[ObstructionTable, int, int]] = None
         self.occluders = occluders
-        pending = isinstance(cuts, _CutJob)
-        self._cut_table: Optional[ObstructionTable] = None if pending else cuts
-        self._cut_job: Optional[_CutJob] = cuts if pending else None
         self.columns_memo: Optional[Tuple[object, np.ndarray]] = None
 
+    @classmethod
+    def _traced(
+        cls,
+        tx: Vec2,
+        rx: Vec2,
+        distance: float,
+        chains: List[tuple],
+        walls: Tuple[Wall, ...],
+        penetrated: Tuple[Wall, ...],
+        occluders: Sequence[Occluder],
+    ) -> "PathSet":
+        """The pending set of a trace: the endpoints and their distance,
+        the kept reflection chains per bounce count (wall sequences, legs
+        and reflection losses; see :func:`_reflection_chains`), the
+        room's walls, the walls the LOS penetrates and the occluders.
+        Its path count is fixed."""
+        path_set = cls.__new__(cls)
+        path_set._tx, path_set._rx, path_set._distance = tx, rx, distance
+        path_set._chains, path_set._walls, path_set._penetrated = chains, walls, penetrated
+        path_set.occluders = occluders
+        path_set._count = 1 + sum(len(seq) for seq, _, _ in chains)
+        path_set._columns = path_set._cut_table = path_set._joined = None
+        path_set.columns_memo = None
+        return path_set
+
     def __len__(self) -> int:
-        return len(self.length)
+        return self._count
 
     @property
     def cuts(self) -> ObstructionTable:
-        """The obstruction table, cut now if it is still pending."""
-        if self._cut_job is not None:
-            PathSet.resolve_cuts((self,))
-        return self._cut_table
+        """The obstruction table: computed now if the set is pending, or
+        cut out of its joined pass's table on first read."""
+        table = self._cut_table
+        if table is None:
+            if self._columns is None:
+                PathSet.resolve((self,))
+                return self._cut_table
+            joined, first, offset = self._joined
+            lo, hi = np.searchsorted(joined.path, (first, first + self._count)).tolist()
+            table = self._cut_table = ObstructionTable(
+                joined.path[lo:hi] - first,
+                joined.leg[lo:hi],
+                joined.occluder[lo:hi] - offset,
+                *(column[lo:hi] for column in joined[3:]),
+            )
+            self._joined = None
+        return table
 
     @staticmethod
-    def resolve_cuts(sets: Iterable["PathSet"]) -> None:
-        """Cut the pending obstruction tables of ``sets`` in one pass
-        over all their legs (:func:`_cuts`); a set listed twice is cut
-        once.  Each set gets the table it would get cut alone, and drops
-        the legs it was cut from."""
+    def resolve(sets: Iterable["PathSet"]) -> Optional["PathSet"]:
+        """Compute the arrays and obstruction tables of the pending sets
+        among ``sets`` in one pass over all their legs (:func:`_resolve`);
+        a set listed twice is resolved once.  Each set gets the arrays
+        and table it would get resolved alone.
+
+        Returns the set of the resolved sets' paths, in first-seen order:
+        the one set itself, or a new set of the pass's arrays and table,
+        of which each resolved set keeps slices.  None when no set was
+        pending.
+        """
         pending: Dict[int, PathSet] = {}
         for path_set in sets:
-            if path_set._cut_job is not None:
+            if path_set._columns is None:
                 pending[id(path_set)] = path_set
-        if pending:
-            owners = list(pending.values())
-            tables = _cuts([path_set._cut_job for path_set in owners])
-            for path_set, table in zip(owners, tables):
-                path_set._cut_table, path_set._cut_job = table, None
+        if not pending:
+            return None
+        owners = list(pending.values())
+        columns, table = _resolve(owners)
+        if len(owners) == 1:
+            (owner,) = owners
+            owner._columns, owner._cut_table = columns, table
+            return owner
+        first = offset = 0
+        for owner in owners:
+            owner._columns = columns[:, first : first + owner._count]
+            if len(table.path) and owner.occluders:
+                owner._joined = (table, first, offset)
+            else:
+                owner._cut_table = _NO_OBSTRUCTIONS
+            first += owner._count
+            offset += len(owner.occluders)
+        return PathSet(columns, table, [occ for owner in owners for occ in owner.occluders])
 
     @classmethod
     def of(cls, paths: Sequence[PropagationPath]) -> "PathSet":
@@ -387,26 +440,34 @@ class PathSet:
             else:
                 return whole
         records = [(i, o) for i, p in enumerate(paths) for o in p.obstructions]
-        return cls(
-            np.array([p.total_length_m for p in paths], dtype=float),
-            np.array([p.departure_angle_deg for p in paths], dtype=float),
-            np.array([p.arrival_angle_deg for p in paths], dtype=float),
-            np.array([p.total_reflection_loss_db for p in paths], dtype=float),
-            np.array([p.total_penetration_loss_db for p in paths], dtype=float),
-            ObstructionTable.of_records(records),
-            [o.occluder for _, o in records],
-        )
+        columns = np.array(
+            [
+                [p.total_length_m for p in paths],
+                [p.departure_angle_deg for p in paths],
+                [p.arrival_angle_deg for p in paths],
+                [p.total_reflection_loss_db for p in paths],
+                [p.total_penetration_loss_db for p in paths],
+            ],
+            dtype=float,
+        ).reshape(5, len(paths))
+        table = ObstructionTable.of_records(records)
+        return cls(columns, table, [o.occluder for _, o in records])
 
     @classmethod
     def concat(cls, sets: Sequence["PathSet"]) -> "PathSet":
         """One set holding the paths of ``sets`` in order: each set's
         obstruction rows follow its own, renumbered to the joined paths
-        and occluders.  The sets' pending tables are cut first, in one
-        pass (:meth:`resolve_cuts`).  The joined set keeps only the
-        arrays; a single set comes back as it is."""
+        and occluders.  The pending sets are resolved first, in one pass
+        (:meth:`resolve`); when that pass covered every set once, its set
+        is the answer, with nothing joined again.  A single set comes
+        back as it is."""
         if len(sets) == 1:
             return sets[0]
-        cls.resolve_cuts(sets)
+        joined = cls.resolve(sets)
+        # Every set holds a path, so the pass covered each set once
+        # exactly when it holds all their paths.
+        if joined is not None and len(joined) == sum(len(s) for s in sets):
+            return joined
         path_offsets = np.cumsum([0] + [len(s) for s in sets[:-1]])
         occluder_offsets = np.cumsum([0] + [len(s.occluders) for s in sets[:-1]])
         cuts = ObstructionTable(
@@ -417,9 +478,8 @@ class PathSet:
             ),
             *(np.concatenate([s.cuts[c] for s in sets]) for c in range(3, 7)),
         )
-        columns = ("length", "departure", "arrival", "reflection_db", "penetration_db")
         return cls(
-            *(np.concatenate([getattr(s, name) for s in sets]) for name in columns),
+            np.concatenate([s._columns for s in sets], axis=1),
             cuts,
             [o for s in sets for o in s.occluders],
         )
@@ -427,17 +487,27 @@ class PathSet:
     # -- the objects of one path, built when a view reads them -----------
 
     def points_of(self, index: int) -> Tuple[Vec2, ...]:
-        bounces = self._leg_starts[self._bounce_rows(index)].tolist()
-        return (self._tx, *(Vec2(x, y) for x, y in bounces), self._rx)
+        if not index:
+            return (self._tx, self._rx)
+        # The bounces are the starts of the legs after the first.
+        _, legs = self._chain(index)
+        return (self._tx, *(Vec2(x, y) for x, y in legs[1:, 0:2].tolist()), self._rx)
 
     def walls_of(self, index: int) -> Tuple[Wall, ...]:
+        if not index:
+            return ()
+        seq, _ = self._chain(index)
         walls = self._walls
-        return tuple(walls[w] for w in self._leg_walls[self._bounce_rows(index)].tolist())
+        return tuple(walls[w] for w in seq[1:].tolist())
 
-    def _bounce_rows(self, index: int) -> slice:
-        """The leg rows of path ``index`` that start at a bounce."""
-        first = self._first[index]
-        return slice(first + 1, first + self._width[index])
+    def _chain(self, index: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The wall sequence and legs of reflection path ``index``."""
+        row = index - 1
+        for seq, legs, _ in self._chains:
+            if row < len(seq):
+                return seq[row], legs[row]
+            row -= len(seq)
+        raise IndexError(f"path {index} of a set of {self._count}")
 
     def obstructions_of(self, index: int) -> Tuple[Obstruction, ...]:
         cuts, occluders = self.cuts, self.occluders
@@ -451,32 +521,12 @@ class PathSet:
     def penetrated_of(self, index: int) -> Tuple[Wall, ...]:
         return self._penetrated if index == 0 else ()
 
-    def _views(
-        self,
-        tx: Vec2,
-        rx: Vec2,
-        walls: Tuple[Wall, ...],
-        leg_starts: np.ndarray,
-        leg_walls: np.ndarray,
-        first: List[int],
-        width: List[int],
-        penetrated: Tuple[Wall, ...],
-    ) -> List[PropagationPath]:
-        """Keep what the paths' objects are built from and return one
-        view per path.
-
-        Besides the endpoints, the room's walls and the walls the LOS
-        crosses, that is the traced legs' start points and the walls
-        they start on (-1 at TX), and per path its first leg row and leg
-        count: a path's bounces are the starts of its legs after the
-        first.
-        """
-        self._tx, self._rx, self._walls, self._penetrated = tx, rx, walls, penetrated
-        self._leg_starts, self._leg_walls = leg_starts, leg_walls
-        self._first, self._width = first, width
+    def _views(self) -> List[PropagationPath]:
+        """One view per path, each building its objects from the set
+        when read."""
         views = _TracedPaths()
         views.path_set = self
-        for index in range(len(first)):
+        for index in range(self._count):
             # A view: no fields yet, each built from the set when read.
             path = object.__new__(PropagationPath)
             path._set, path._index = self, index
@@ -651,114 +701,33 @@ class RayTracer:
         occluders: List[Occluder],
     ) -> List[PropagationPath]:
         """The LOS, then every reflection path up to ``max_bounces``, as
-        views of one :class:`PathSet`; ``distance`` is the TX–RX
+        views of one pending :class:`PathSet`; ``distance`` is the TX–RX
         distance.
 
-        Chains come grouped by bounce count: wall indices after a
-        leading -1 for TX, points and leg lengths, one row per chain;
-        the LOS is the one chain of no walls.  A reflection chain is
-        dropped when a leg crosses any wall other than the ones it
-        bounces on; the LOS is kept and lists the walls it crosses as
-        penetrated.  When TX and RX lie in the hull of the walls, only
-        the walls off the hull are tested: no leg crosses the others
-        (:func:`_hull_screen`).  Paths come LOS first, then by bounce
-        count, then in room wall order.  The set's obstruction table is
-        left pending: it is cut from the kept paths' legs when read
-        (:meth:`PathSet.resolve_cuts`).
+        The reflection chains are kept grouped by bounce count (see
+        :func:`_reflection_chains`).  A reflection chain is dropped when
+        a leg crosses any wall other than the ones it bounces on; the LOS
+        is kept and lists the walls it crosses as penetrated.  When TX
+        and RX lie in the hull of the walls, only the walls off the hull
+        are tested: no leg crosses the others (:func:`_hull_screen`).
+        Paths come LOS first, then by bounce count, then in room wall
+        order.  That fixes the path count; the per-path arrays and the
+        obstruction table are left to :meth:`PathSet.resolve`.
         """
-        walls, table, same = self._room_tables()
-        los = np.array([tx.as_tuple(), rx.as_tuple()], dtype=float)
-        # The LOS chain: no wall, one leg, touching no wall (row -1).
-        levels = [(_LOS_SEQUENCE, los[None], np.array([[distance]]), same[-1:][None])]
+        walls, _, same = self._room_tables()
+        chains = []
         if max_bounces:
-            levels += _reflection_chains(self._image_tree(tx, max_bounces), los)
-
-        # Every leg of every chain, chain by chain: start, end, length
-        # and the wall it starts on (-1 at TX).
-        starts = _stack([points[:, :-1].reshape(-1, 2) for _, points, _, _ in levels])
-        ends = _stack([points[:, 1:].reshape(-1, 2) for _, points, _, _ in levels])
-        legs = ends - starts
-        lengths = _stack([n.ravel() for _, _, n, _ in levels])
-        start_wall = _stack([seq.ravel() for seq, _, _, _ in levels])
-        # The crossings of the walls a leg may cross, skipping the walls
-        # it touches at its ends, which it bounces on rather than
-        # crosses.
+            los = np.array([tx.as_tuple(), rx.as_tuple()], dtype=float)
+            chains = _reflection_chains(self._image_tree(tx, max_bounces), los)
         hull = self._hull
         inside = _in_hull(hull, tx.x, tx.y) and _in_hull(hull, rx.x, rx.y)
-        cross, cross_a, cross_r = self._interior if inside else self._every
-        leg = wall = _NO_ROWS
-        if cross.size:
-            touching = _stack([m.reshape(-1, len(walls)) for _, _, _, m in levels])
-            meets, t = _intersect(starts[:, None], legs[:, None], cross_a, cross_r)
-            leg, column = np.nonzero(meets & ~touching[:, cross])
-            wall = cross[column]
-            if leg.size:
-                # Endpoint grazes are ignored: a radio sits against a
-                # wall, not inside it.
-                t = _clamp(t[leg, column], 0.0, 1.0)
-                hits = starts[leg] + legs[leg] * t[:, None]
-                gaps = np.concatenate([hits - starts[leg], hits - ends[leg]])
-                through = exactmath.hypot(gaps[:, 0], gaps[:, 1]) > 1e-6
-                through = through[: len(leg)] & through[len(leg) :]
-                leg, wall = leg[through], wall[through]
-
-        # Per chain its first leg row and leg count.  There are a few
-        # dozen chains, few enough that lists beat arrays.
-        first: List[int] = []
-        width: List[int] = []
-        row = 0
-        for seq, _, _, _ in levels:
-            count, legs_per_chain = seq.shape
-            first += range(row, row + count * legs_per_chain, legs_per_chain)
-            width += [legs_per_chain] * count
-            row += count * legs_per_chain
-        # A crossing drops its chain, but the LOS (leg 0, the only leg of
-        # chain 0) penetrates the walls it crosses.
-        dropped = {bisect.bisect_right(first, r) - 1 for r in leg.tolist()}
-        dropped.discard(0)
-        penetrated = tuple(walls[w] for w in wall[leg == 0].tolist())
-        if dropped:
-            first = [a for c, a in enumerate(first) if c not in dropped]
-            width = [w for c, w in enumerate(width) if c not in dropped]
-
-        # The obstruction table, left pending: the kept paths' legs, path
-        # by path, and the occluders they are cut with when it is read.
-        cuts = _NO_OBSTRUCTIONS
-        if occluders:
-            kept = (starts, ends, legs, lengths)
-            if dropped:
-                rows = np.array([row for a, w in zip(first, width) for row in range(a, a + w)])
-                kept = tuple(column[rows] for column in kept)
-            cuts = _CutJob(*kept, width, occluders)
-
-        # Per path: length (legs summed in order, as Python sums them),
-        # the reflection loss of the walls its legs start on after the
-        # first, and the bearings of its first leg from TX and of its
-        # last leg back from RX.
-        leg_lengths = lengths.tolist()
-        wall_loss = table[start_wall, 6].tolist()
-        deltas = legs.tolist()
-        length, reflection, departure, arrival = [], [], [], []
-        for a, w in zip(first, width):
-            b = a + w
-            length.append(sum(leg_lengths[a:b]))
-            reflection.append(sum(wall_loss[a + 1 : b]))
-            departure.append(_bearing_deg(*deltas[a]))
-            dx, dy = deltas[b - 1]
-            arrival.append(_bearing_deg(-dx, -dy))
-        penetration = [0.0] * len(first)
-        penetration[0] = sum(w.material.penetration_loss_db for w in penetrated)
-
-        path_set = PathSet(
-            np.array(length),
-            np.array(departure),
-            np.array(arrival),
-            np.array(reflection, dtype=float),
-            np.array(penetration),
-            cuts,
-            occluders,
-        )
-        return path_set._views(tx, rx, walls, starts, start_wall, first, width, penetrated)
+        cross = self._interior if inside else self._every
+        penetrated: Tuple[Wall, ...] = ()
+        if cross[0].size:
+            chains, crossed = _crossings(tx, rx, distance, chains, same, cross)
+            penetrated = tuple(walls[w] for w in crossed)
+        path_set = PathSet._traced(tx, rx, distance, chains, walls, penetrated, occluders)
+        return path_set._views()
 
 
 @functools.lru_cache(maxsize=MAX_HULL_SCREENS)
@@ -856,10 +825,12 @@ def _build_image_tree(
     order.  One level per bounce count holds the chains' wall sequences
     (after a leading -1 for TX), their images (TX first), from the
     second-to-last bounce back to the first each bounce's index with the
-    start and start-to-end vector of its wall, and per leg the walls it
-    touches at its ends.  Every chain's last image and last wall (start,
-    start-to-end vector) are also stacked over all levels: a receiver's
-    walk back along the chains starts with those, all at once.
+    start and start-to-end vector of its wall, and each chain's
+    reflection loss: its walls' losses added in bounce order from 0.0,
+    as ``PropagationPath.total_reflection_loss_db`` adds them.  Every
+    chain's last image and last wall (start, start-to-end vector) are
+    also stacked over all levels: a receiver's walk back along the
+    chains starts with those, all at once.
     """
     wall_a, wall_r, wall_d = walls[:, 0:2], walls[:, 2:4], walls[:, 4:6]
     levels, last = [], []
@@ -876,17 +847,17 @@ def _build_image_tree(
             (j, wall_a[seq[:, j]], wall_r[seq[:, j]])
             for j in range(seq.shape[1] - 2, 0, -1)
         ]
-        # A leg starts on its chain's wall and ends on the next (the
-        # leading -1 rolls round to stand for RX).
-        touching = same[seq] | same[np.roll(seq, -1, axis=1)]
-        levels.append((seq, images, earlier, touching))
+        reflection = np.zeros(len(seq))
+        for j in range(1, seq.shape[1]):
+            reflection = reflection + walls[seq[:, j], 6]
+        levels.append((seq, images, earlier, reflection))
         last.append((images[:, -1], wall_a[wall], wall_r[wall]))
     return levels, tuple(np.concatenate(column) for column in zip(*last))
 
 
 def _reflection_chains(
     tree: tuple, los: np.ndarray
-) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The chains of an image tree whose bounces exist for ``los``.
 
     ``los`` holds TX and RX.  Walking back from RX, the line toward each
@@ -894,8 +865,9 @@ def _reflection_chains(
     chain first, then each level's earlier bounces.  A chain is dropped
     when its last image sits on RX, a bounce point misses its wall or a
     leg is shorter than the far-field limit.  Per bounce count: the wall
-    sequences, points, leg lengths and touched walls of the chains kept,
-    one row each.
+    sequences, legs and reflection losses of the chains kept, one row
+    each; a chain's legs are a ``(legs, 7)`` table of per leg its start,
+    end, start-to-end vector and length.
     """
     levels, (last_image, last_a, last_r) = tree
     src, dst = los
@@ -906,7 +878,7 @@ def _reflection_chains(
     alive &= meets
     chains = []
     row = 0
-    for seq, images, earlier, touching in levels:
+    for seq, images, earlier, reflection in levels:
         rows = slice(row, row + len(seq))
         row += len(seq)
         level_alive = alive[rows]
@@ -919,10 +891,71 @@ def _reflection_chains(
         legs = points[:, 1:] - points[:, :-1]
         lengths = exactmath.hypot(legs[..., 0], legs[..., 1])
         level_alive &= (lengths >= MIN_SEPARATION_M).all(axis=1)
-        chains.append(
-            (seq[level_alive], points[level_alive], lengths[level_alive], touching[level_alive])
+        legs = np.concatenate(
+            [points[:, :-1], points[:, 1:], legs, lengths[..., None]], axis=2
         )
+        chains.append((seq[level_alive], legs[level_alive], reflection[level_alive]))
     return chains
+
+
+def _crossings(
+    tx: Vec2,
+    rx: Vec2,
+    distance: float,
+    chains: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    same: np.ndarray,
+    cross: Tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> Tuple[List[Tuple[np.ndarray, np.ndarray, np.ndarray]], List[int]]:
+    """The reflection chains none of whose legs crosses a wall of
+    ``cross``, and the walls of ``cross`` the LOS crosses, in order.
+
+    ``cross`` holds the walls' indices, starts and start-to-end vectors;
+    ``same`` is the tracer's same-wall mask.  A leg crossing a wall it
+    touches at its ends bounces on it rather than crosses it, and one
+    meeting a wall within 1e-6 m of its own ends grazes it: a radio sits
+    against a wall, not inside it.
+    """
+    index, wall_a, wall_r = cross
+    # Every leg, the LOS first and then chain by chain, and the walls it
+    # touches at its ends: the wall it starts on and the next (the
+    # leading -1 rolls round to stand for RX).
+    legs = _stack([_los_legs([(tx, rx, distance)])] + [c[1].reshape(-1, 7) for c in chains])
+    sequences = [_LOS_SEQUENCE] + [seq for seq, _, _ in chains]
+    touching = _stack(
+        [(same[s] | same[np.roll(s, -1, axis=1)]).reshape(-1, same.shape[1]) for s in sequences]
+    )
+    starts, ends, vectors = legs[:, 0:2], legs[:, 2:4], legs[:, 4:6]
+    meets, t = _intersect(starts[:, None], vectors[:, None], wall_a, wall_r)
+    leg, column = np.nonzero(meets & ~touching[:, index])
+    wall = index[column]
+    if leg.size:
+        t = _clamp(t[leg, column], 0.0, 1.0)
+        hits = starts[leg] + vectors[leg] * t[:, None]
+        gaps = np.concatenate([hits - starts[leg], hits - ends[leg]])
+        through = exactmath.hypot(gaps[:, 0], gaps[:, 1]) > 1e-6
+        through = through[: len(leg)] & through[len(leg) :]
+        leg, wall = leg[through], wall[through]
+    # The LOS is leg 0; any other crossing drops its chain.
+    kept = []
+    row = 1
+    for chain in chains:
+        count, width = chain[0].shape
+        crossed = leg[(leg >= row) & (leg < row + count * width)]
+        if crossed.size:
+            keep = np.ones(count, dtype=bool)
+            keep[(crossed - row) // width] = False
+            chain = tuple(column[keep] for column in chain)
+        kept.append(chain)
+        row += count * width
+    return kept, wall[leg == 0].tolist()
+
+
+def _los_legs(endpoints: Iterable[Tuple[Vec2, Vec2, float]]) -> np.ndarray:
+    """The legs table (see :func:`_reflection_chains`) of LOS legs given
+    as TX, RX and their distance, one row each."""
+    return np.array(
+        [(a.x, a.y, b.x, b.y, b.x - a.x, b.y - a.y, d) for a, b, d in endpoints], dtype=float
+    ).reshape(-1, 7)
 
 
 def _stack(parts: List[np.ndarray]) -> np.ndarray:
@@ -930,11 +963,19 @@ def _stack(parts: List[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _bearing_deg(dx: float, dy: float) -> float:
-    """:func:`bearing_deg` of the direction ``(dx, dy)``: ``rad_to_deg``
-    and ``wrap_angle_deg`` inlined, in their operation order.  An
-    ``atan2`` in [-pi, pi] never reaches the wrap's 180-degree edge."""
-    return (math.atan2(dy, dx) * 180.0 / math.pi + 180.0) % 360.0 - 180.0
+def _penetration_db(walls: Iterable[Wall]) -> float:
+    """The walls' penetration losses, added left to right."""
+    return exactmath.left_sum(w.material.penetration_loss_db for w in walls)
+
+
+def _bearings_deg(dx: List[float], dy: List[float]) -> np.ndarray:
+    """:func:`bearing_deg` of each direction ``(dx, dy)``:
+    :func:`math.atan2` mapped over the lists, then ``rad_to_deg`` and
+    ``wrap_angle_deg`` in their operation order (NumPy's ``%`` on floats
+    is Python's).  An ``atan2`` in [-pi, pi] never reaches the wrap's
+    180-degree edge."""
+    angle = np.fromiter(map(math.atan2, dy, dx), dtype=float, count=len(dx))
+    return (angle * 180.0 / math.pi + 180.0) % 360.0 - 180.0
 
 
 def _clamp(t: np.ndarray, lo, hi) -> np.ndarray:
@@ -964,8 +1005,6 @@ def _intersect(
     return meets & (np.maximum(t, u) <= 1.0 + EPSILON), t
 
 
-#: No leg rows: the crossings of a query that tests no wall.
-_NO_ROWS = np.empty(0, dtype=np.intp)
 #: The obstruction table of no cut.
 _NO_OBSTRUCTIONS = ObstructionTable.of_records([])
 #: The screen row of the column past the union of occluders that pads a
@@ -974,41 +1013,132 @@ _PAD_ROW = (0.0, 0.0, 0.0, math.inf, math.inf, -math.inf, -math.inf)
 
 
 @np.errstate(all="ignore")
-def _cuts(jobs: Sequence[_CutJob]) -> List[ObstructionTable]:
-    """The obstruction table of each job, cut in one pass over the legs
-    of every job.
+def _resolve(sets: Sequence[PathSet]) -> Tuple[np.ndarray, ObstructionTable]:
+    """The per-path arrays and obstruction table of pending sets, in one
+    pass over all their legs.
 
-    Every occluder cut of every leg, with the leg's own job's
-    occluders.  A job's table lists its cuts in (leg, occluder) order,
-    which is path order since its legs run path by path: per cut its
-    path, leg along the path and occluder (indices within the job), chord
-    depth, clearance, distance along the leg to the occluder centre and
-    leg length.  Clearance is the signed distance from the leg to the
-    edge, for a box minus half the depth.
+    Returns the arrays as the rows of one ``(5, P)`` array (length,
+    departure, arrival, reflection loss, penetration loss) and one
+    table (:func:`_cuts`), both over the sets' paths set by set; the
+    table's occluders index the sets' occluder lists joined in order.
 
-    The legs of all jobs are stacked job by job, and screened against
-    the union of the jobs' occluders (by identity): each leg reads the
-    union columns of its job's occluders, in its job's order (so a list
-    may name one object twice), padded to the longest list with a column
-    no leg meets.  The slab and chord formulas then run once over every
-    candidate pair; they act entry by entry, so each job's rows and
-    floats are those it gets cut alone.
+    The paths of one leg count form a block: every set's LOS, then per
+    bounce count the chains of every set.  Each formula runs once per
+    block and acts path by path as the scalar code does: leg lengths
+    added left to right, the tree's reflection losses, and each bearing
+    from :func:`math.atan2` (:func:`_bearings_deg`); the LOS adds the
+    losses of the walls it penetrates left to right.  The blocks are
+    then put back in set order, path by path, and so are their legs,
+    which are cut with their own sets' occluders in one pass.
+    """
+    count = len(sets)
+    # Per block its legs (see :func:`_reflection_chains`), one row per
+    # path, and its reflection losses.
+    blocks = [
+        (
+            _los_legs([(s._tx, s._rx, s._distance) for s in sets]).reshape(count, 1, 7),
+            np.zeros(count),
+        )
+    ]
+    # Per set the block rows of its paths and of its legs, and its paths'
+    # leg counts.
+    path_rows: List[List[int]] = [[i] for i in range(count)]
+    leg_rows: List[List[int]] = [[i] for i in range(count)]
+    widths: List[List[int]] = [[1] for _ in range(count)]
+    path_row = leg_row = count
+    for level in range(max(len(s._chains) for s in sets)):
+        members = [(i, s._chains[level]) for i, s in enumerate(sets) if len(s._chains) > level]
+        for i, (seq, _, _) in members:
+            paths, width = seq.shape
+            path_rows[i] += range(path_row, path_row + paths)
+            leg_rows[i] += range(leg_row, leg_row + paths * width)
+            widths[i] += [width] * paths
+            path_row += paths
+            leg_row += paths * width
+        blocks.append(tuple(_stack([chain[c] for _, chain in members]) for c in (1, 2)))
+    paths = path_row
+
+    columns = np.empty((5, paths))
+    lengths, ends = [], []
+    for legs, _ in blocks:
+        total = legs[:, 0, 6]
+        for j in range(1, legs.shape[1]):
+            total = total + legs[:, j, 6]
+        lengths.append(total)
+        ends.append(legs[:, 0, 4:6])
+    columns[0] = _stack(lengths)
+    # A departure is the first leg's bearing from TX, an arrival the last
+    # leg's bearing back from RX.
+    ends += [-legs[:, -1, 4:6] for legs, _ in blocks]
+    dx, dy = np.concatenate(ends).T.tolist()
+    columns[1:3] = _bearings_deg(dx, dy).reshape(2, paths)
+    columns[3] = _stack([reflection for _, reflection in blocks])
+    columns[4] = 0.0
+    for i, s in enumerate(sets):
+        if s._penetrated:
+            columns[4, i] = _penetration_db(s._penetrated)
+    # The blocks are in set order unless two sets, one with reflection
+    # paths, share the pass.
+    reordered = count > 1 and len(blocks) > 1
+    if reordered:
+        columns = columns[:, [row for rows in path_rows for row in rows]]
+
+    if not any(s.occluders for s in sets):
+        return columns, _NO_OBSTRUCTIONS
+    legs = _stack([legs.reshape(-1, 7) for legs, _ in blocks])
+    if reordered:
+        legs = legs[[row for rows in leg_rows for row in rows]]
+    table = _cuts(
+        legs,
+        [w for set_widths in widths for w in set_widths],
+        [len(rows) for rows in leg_rows],
+        [s.occluders for s in sets],
+    )
+    return columns, table
+
+
+@np.errstate(all="ignore")
+def _cuts(
+    legs: np.ndarray,
+    widths: Sequence[int],
+    counts: Sequence[int],
+    occluder_lists: Sequence[Sequence[Occluder]],
+) -> ObstructionTable:
+    """Every occluder cut of every leg, each leg with its own set's
+    occluders, in one pass.
+
+    ``legs`` holds the legs of every set, set by set and path by path,
+    one row each: start, end, start-to-end vector and length.
+    ``widths`` gives each path's leg count and ``counts`` each set's,
+    and ``occluder_lists`` each set's occluders.  The table lists the
+    cuts in (leg, occluder) order, which is path order: per cut its path
+    and occluder, numbered over all sets (the occluders over the lists
+    joined in order), the leg along the path, chord depth, clearance,
+    distance along the leg to the occluder centre and leg length.
+    Clearance is the signed distance from the leg to the edge, for a box
+    minus half the depth.
+
+    The legs are screened against the union of the lists' occluders (by
+    identity): each leg reads the union columns of its set's occluders,
+    in its set's order (so a list may name one object twice), padded to
+    the longest list with a column no leg meets.  The slab and chord
+    formulas then run once over every candidate pair; they act entry by
+    entry, so each set's rows and floats are those it gets cut alone.
     """
     members: Dict[int, Occluder] = {}
-    for job in jobs:
-        for occ in job.occluders:
+    for occluders in occluder_lists:
+        for occ in occluders:
             members.setdefault(id(occ), occ)
     union_column = {key: column for column, key in enumerate(members)}
-    widest = max((len(job.occluders) for job in jobs), default=0)
+    widest = max(map(len, occluder_lists), default=0)
     pad = len(members)
     local = np.array(
         [
-            [union_column[id(occ)] for occ in job.occluders]
-            + [pad] * (widest - len(job.occluders))
-            for job in jobs
+            [union_column[id(occ)] for occ in occluders] + [pad] * (widest - len(occluders))
+            for occluders in occluder_lists
         ],
         dtype=np.intp,
-    ).reshape(len(jobs), widest)
+    ).reshape(len(occluder_lists), widest)
     # Per union occluder, then the padding column, one array each:
     # centre, radius (0 for a box), and the box whose slab test screens
     # it (its ``screen_row``).  Per axis arrays keep every formula below
@@ -1016,8 +1146,7 @@ def _cuts(jobs: Sequence[_CutJob]) -> List[ObstructionTable]:
     center_x, center_y, radius, lo_x, lo_y, hi_x, hi_y = np.array(
         [occ.screen_row for occ in members.values()] + [_PAD_ROW]
     ).T.copy()
-    counts = [len(job.lengths) for job in jobs]
-    starts, ends, legs, lengths = (_stack([job[c] for job in jobs]) for c in range(4))
+    starts, ends, lengths = legs[:, 0:2], legs[:, 2:4], legs[:, 6]
 
     # Bounding boxes first: a leg whose box, padded by BOX_SCREEN_PAD_M,
     # misses the occluder's box cannot pass the slab test, whose
@@ -1027,15 +1156,15 @@ def _cuts(jobs: Sequence[_CutJob]) -> List[ObstructionTable]:
     leg_hi = (np.maximum(starts, ends) + BOX_SCREEN_PAD_M).T.copy()
     overlap = (leg_lo[0] <= hi_x[:, None]) & (leg_hi[0] >= lo_x[:, None])
     overlap &= (leg_lo[1] <= hi_y[:, None]) & (leg_hi[1] >= lo_y[:, None])
-    # Per leg, the union column of each of its job's occluders.
+    # Per leg, the union column of each of its set's occluders.
     columns = np.repeat(local, counts, axis=0)
     legs_at = np.arange(len(lengths))[:, None]
     row, k = np.nonzero(np.take(overlap, columns * len(lengths) + legs_at))
     if not row.size:
-        return [_NO_OBSTRUCTIONS] * len(jobs)
+        return _NO_OBSTRUCTIONS
     member = columns[row, k]
-    a_x, a_y = starts[row, 0], starts[row, 1]
-    v_x, v_y = legs[row, 0], legs[row, 1]
+    a_x, a_y = legs[row, 0], legs[row, 1]
+    v_x, v_y = legs[row, 4], legs[row, 5]
     # Slab method: per axis, the leg parameters where it enters and
     # leaves the box.  An axis the leg runs parallel to passes (0, 1) if
     # the leg lies between the box's sides on it and (1, 0) if not.
@@ -1051,7 +1180,7 @@ def _cuts(jobs: Sequence[_CutJob]) -> List[ObstructionTable]:
     t_max = np.minimum(np.minimum(*leave), 1.0)
     hit = t_min < t_max
     if not hit.any():
-        return [_NO_OBSTRUCTIONS] * len(jobs)
+        return _NO_OBSTRUCTIONS
     row, k, member = row[hit], k[hit], member[hit]
     a_x, a_y, v_x, v_y = a_x[hit], a_y[hit], v_x[hit], v_y[hit]
     length, box_span = lengths[row], (t_max - t_min)[hit]
@@ -1073,27 +1202,21 @@ def _cuts(jobs: Sequence[_CutJob]) -> List[ObstructionTable]:
     clearance = np.where(is_circle, dist - radius, -depth / 2.0)
     along = _clamp(dot / length, 0.0, length)
     cut = depth > 0.0
-    row, length = row[cut], length[cut]
+    row, k = row[cut], k[cut]
 
-    # Each cut's path, numbered within its job, and leg along it: the
-    # paths of all jobs run one after another over the stacked legs.
-    widths = [w for job in jobs for w in job.width]
+    # Each cut's path and leg along it, and its occluder in the joined
+    # lists.
     path_start = np.array(list(accumulate(widths[:-1], initial=0)))
-    path_number = np.array([p for job in jobs for p in range(len(job.width))])
     path = np.searchsorted(path_start, row, side="right") - 1
-    found = (
-        path_number[path],
+    if len(occluder_lists) > 1:
+        first_occluder = list(accumulate(map(len, occluder_lists[:-1]), initial=0))
+        k = k + np.repeat(first_occluder, counts)[row]
+    return ObstructionTable(
+        path,
         row - path_start[path],
-        k[cut],
+        k,
         depth[cut],
         clearance[cut],
         along[cut],
-        length,
+        length[cut],
     )
-    # Split the rows job by job, at each job's first leg row.
-    firsts = np.searchsorted(row, list(accumulate(counts[:-1]))).tolist()
-    bounds = [0, *firsts, len(row)]
-    return [
-        ObstructionTable(*(column[lo:hi] for column in found))
-        for lo, hi in zip(bounds, bounds[1:])
-    ]

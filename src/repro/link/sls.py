@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.link.beams import Codebook, SweepMetric, single_sided_sweep
+from repro.utils.exactmath import left_sum
 from repro.utils.validation import require_positive
 
 #: An 802.11ad SSW frame takes ~15.8 us on the air (control PHY).
@@ -59,7 +60,7 @@ def sector_level_sweep(
     # Phase 1: initiator sweeps, responder quasi-omni (approximated as
     # the responder's central sector minus the omni penalty).
     responder_center = responder_codebook.nearest(
-        sum(responder_codebook.angles_deg) / len(responder_codebook)
+        left_sum(responder_codebook.angles_deg) / len(responder_codebook)
     )
     best_initiator, best_metric, frames1 = single_sided_sweep(
         initiator_codebook,
@@ -70,7 +71,7 @@ def sector_level_sweep(
     if not detected:
         # Nothing detected: fall back to the codebook center.
         best_initiator = initiator_codebook.nearest(
-            sum(initiator_codebook.angles_deg) / len(initiator_codebook)
+            left_sum(initiator_codebook.angles_deg) / len(initiator_codebook)
         )
     # Phase 2: responder sweeps with the initiator's winner fixed.
     best_responder, best_metric2, frames2 = single_sided_sweep(

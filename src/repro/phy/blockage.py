@@ -122,8 +122,9 @@ class BlockageModel:
         cluster's strongest cut counts.  Spatially separate obstacles (a
         hand near the headset plus a person mid-room) attenuate
         independently: a path's cluster maxima add, legs in order of
-        their first cut and clusters along the leg, summed as Python's
-        ``sum`` does.  Total loss is capped at ``2 * max_blockage_db``.
+        their first cut and clusters along the leg, summed left to right
+        (:func:`~repro.utils.exactmath.left_sum`).  Total loss is capped
+        at ``2 * max_blockage_db``.
         """
         totals = np.zeros(num_paths)
         if not len(cuts.path):
@@ -148,9 +149,8 @@ class BlockageModel:
         maxima = np.maximum.reduceat(loss[order], starts).tolist()
         path = cuts.path[order][starts]
         edges = np.flatnonzero(np.concatenate(([True], path[1:] != path[:-1]))).tolist()
-        totals[path[edges]] = [
-            sum(maxima[lo:hi]) for lo, hi in zip(edges, edges[1:] + [len(maxima)])
-        ]
+        bounds = zip(edges, edges[1:] + [len(maxima)])
+        totals[path[edges]] = [exactmath.left_sum(maxima[lo:hi]) for lo, hi in bounds]
         return _capped(totals, 2.0 * self.max_blockage_db)
 
     def _cut_losses_db(self, cuts: ObstructionTable) -> np.ndarray:

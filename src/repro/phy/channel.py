@@ -33,9 +33,10 @@ the blockage model, so the columns are a memo on the list's
 * :meth:`MmWaveChannel.link_columns_many` builds the sets that lack
   columns with one :meth:`~MmWaveChannel.unshadowed_gains_db` call over
   their joined set (``PathSet.concat``), so a tick's new scenes cost
-  one formula; a set listed twice is built once.  Joining them cuts
-  their pending obstruction tables in one pass too
-  (``PathSet.resolve_cuts``).
+  one formula; a set listed twice is built once.  Traced sets are
+  still pending then: joining them computes their per-path arrays and
+  obstruction tables in one pass (``PathSet.resolve``), whose joined
+  arrays and table the formula reads as they are.
 
 :meth:`MmWaveChannel.path_gains_db` adds one shadowing draw per path to
 the columns' gains; :meth:`MmWaveChannel.path_gain_db` is its one-path
@@ -190,8 +191,9 @@ class MmWaveChannel:
 
         The sets lacking columns under this carrier and blockage model
         get them from one :meth:`unshadowed_gains_db` call over their
-        joined set, each keeping its own slice; their pending
-        obstruction tables are cut in one pass as they are joined.
+        joined set, each keeping its own slice of one read-only array;
+        the pending among them are resolved in one pass as they are
+        joined (:meth:`PathSet.concat`).
         """
         key = (self.carrier_hz, self.blockage_model)
         sets = [PathSet.of(paths) for paths in path_lists]
@@ -203,15 +205,15 @@ class MmWaveChannel:
                 lacking[id(path_set)] = path_set
         if lacking:
             built = list(lacking.values())
-            gains = self.unshadowed_gains_db(PathSet.concat(built))
+            joined = PathSet.concat(built)
+            columns = np.empty((3, len(joined)))
+            columns[0], columns[1] = joined.departure, joined.arrival
+            columns[2] = self.unshadowed_gains_db(joined)
+            columns.flags.writeable = False
             start = 0
             for path_set in built:
                 stop = start + len(path_set)
-                columns = np.empty((3, len(path_set)))
-                columns[0], columns[1] = path_set.departure, path_set.arrival
-                columns[2] = gains[start:stop]
-                columns.flags.writeable = False
-                path_set.columns_memo = (key, columns)
+                path_set.columns_memo = (key, columns[:, start:stop])
                 start = stop
         return [path_set.columns_memo[1] for path_set in sets]
 

@@ -14,6 +14,8 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
+from repro.utils.exactmath import left_sum
+
 ArrayLike = Union[float, np.ndarray]
 
 #: Smallest linear power considered non-zero when converting to dB.
@@ -116,7 +118,7 @@ def db_mean_power(powers_db: Iterable[float]) -> float:
     finite = [10.0 ** (p / 10.0) for p in values if p != -math.inf]
     if not finite:
         return -math.inf
-    mean_linear = sum(finite) / len(values)
+    mean_linear = left_sum(finite) / len(values)
     if mean_linear <= 0.0:
         return -math.inf
     return 10.0 * math.log10(mean_linear)

@@ -13,6 +13,12 @@ A formula written once for floats and arrays takes its functions from
 :func:`ops`: these maps for an array, the scalar functions themselves
 for a float, so the float form costs what plain float arithmetic costs.
 
+Sums are the same hazard across interpreters: since CPython 3.12 the
+builtin :func:`sum` of floats is compensated, so it can differ in the
+last bit from the plain left-to-right sum that 3.9-3.11 compute.  A sum
+that reaches a path, a decision or a report is :func:`left_sum`, which
+adds left to right on every version.
+
 >>> import numpy as np
 >>> log10(np.array([1.0, 100.0])).tolist()
 [0.0, 2.0]
@@ -23,8 +29,11 @@ for a float, so the float form costs what plain float arithmetic costs.
 from __future__ import annotations
 
 import math
-from functools import partial
+import operator
+import sys
+from functools import partial, reduce
 from itertools import repeat
+from typing import Iterable
 from types import SimpleNamespace
 
 import numpy as np
@@ -57,6 +66,18 @@ def power(x: np.ndarray, exponent: float) -> np.ndarray:
 def square(x: np.ndarray) -> np.ndarray:
     """Elementwise ``x ** 2``."""
     return power(x, 2)
+
+
+def _added_left_to_right(values: Iterable):
+    """``0 + v0 + v1 + ...``, one addition at a time."""
+    return reduce(operator.add, values, 0)
+
+
+#: ``0 + v0 + v1 + ...``, added left to right on every version: the
+#: builtin :func:`sum` up to CPython 3.11, which adds so (and is the
+#: faster), and a plain reduction from 3.12 on, whose ``sum`` of floats
+#: is compensated.  ``left_sum([1.0, 1e100, 1.0, -1e100])`` is 0.0.
+left_sum = sum if sys.version_info < (3, 12) else _added_left_to_right
 
 
 #: The functions for arrays, and the scalar functions they map, by name.

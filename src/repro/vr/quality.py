@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
+from repro.utils.exactmath import left_sum
+
 
 @dataclass(frozen=True)
 class FrameOutcome:
@@ -92,7 +94,7 @@ class GlitchTracker:
         latencies = [o.latency_s for o in self.outcomes if o.delivered]
         if not latencies:
             raise ValueError("no delivered frames")
-        return sum(latencies) / len(latencies)
+        return left_sum(latencies) / len(latencies)
 
     def summary(self) -> dict:
         """All metrics, ready for the experiment report printers."""

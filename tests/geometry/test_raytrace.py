@@ -15,7 +15,6 @@ from repro.geometry.raytrace import (
     RayTracer,
     _clamp,
     _cuts,
-    _CutJob,
     _in_hull,
 )
 from repro.geometry.room import (
@@ -31,7 +30,7 @@ from repro.geometry.room import (
 from repro.geometry.shapes import EPSILON, AxisAlignedBox, Circle, Segment
 from repro.geometry.vectors import Vec2, bearing_deg
 from repro.sim.cache import SceneCache
-from repro.utils.exactmath import hypot as _hypot
+from repro.utils.exactmath import hypot as _hypot, left_sum
 
 interior = st.floats(min_value=0.5, max_value=4.5)
 interior_points = st.builds(Vec2, interior, interior)
@@ -637,8 +636,12 @@ class TestOccluderScreen:
         legs = stops - starts
         lengths = _hypot(legs[:, 0], legs[:, 1])
         # One path of every leg: a cut's leg along the path is its row.
-        job = _CutJob(starts, stops, legs, lengths, [len(legs)], occluders)
-        (table,) = _cuts([job])
+        table = _cuts(
+            np.column_stack([starts, stops, legs, lengths]),
+            [len(legs)],
+            [len(legs)],
+            [occluders],
+        )
         assert table.path.tolist() == [0] * len(table.path)
         assert table.leg_length.tolist() == lengths[table.leg].tolist()
         got = list(zip(*(x.tolist() for x in table[1:6])))
@@ -659,7 +662,7 @@ class TestPathGeometry:
         no bearing."""
         wall = Wall(Segment(Vec2(0.0, 0.0), Vec2(1.0, 0.0)))
         path = PropagationPath(points=tuple(points), walls=(wall,) * (len(points) - 2))
-        assert path.total_length_m == sum(
+        assert path.total_length_m == left_sum(
             a.distance_to(b) for a, b in zip(points, points[1:])
         )
         for angle, origin, target in (

@@ -28,6 +28,7 @@ from repro.phy.blockage import BlockageModel
 from repro.phy.channel import MmWaveChannel, atmospheric_loss_db
 from repro.sim import cache as cache_module
 from repro.utils.db import db_sum_powers
+from repro.utils.exactmath import left_sum
 from repro.utils.units import wavelength
 
 TX = Vec2(0.5, 0.5)
@@ -70,7 +71,7 @@ def scalar_path_blockage_db(model, obstructions):
                 clusters[-1].append(o)
             else:
                 clusters.append([o])
-    total = sum(max(scalar_obstruction_loss_db(model, o) for o in c) for c in clusters)
+    total = left_sum(max(scalar_obstruction_loss_db(model, o) for o in c) for c in clusters)
     return min(2.0 * model.max_blockage_db, total)
 
 

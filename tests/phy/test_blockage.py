@@ -22,6 +22,7 @@ from repro.geometry.shapes import Circle
 from repro.geometry.vectors import Vec2, bearing_deg
 from repro.phy.blockage import BlockageModel
 from repro.utils.db import db_sum_powers
+from repro.utils.exactmath import left_sum
 from repro.utils.units import wavelength
 
 
@@ -51,7 +52,8 @@ def obstruction_loss_db(model, obstruction):
 
 def path_blockage_db(model, obstructions, merge_distance_m=0.5):
     """Scalar reference: the strongest record of each cluster of records
-    within ``merge_distance_m`` along one leg, summed, then capped."""
+    within ``merge_distance_m`` along one leg, summed left to right,
+    then capped."""
     by_leg = {}
     for o in obstructions:
         by_leg.setdefault(o.leg_index, []).append(o)
@@ -66,7 +68,7 @@ def path_blockage_db(model, obstructions, merge_distance_m=0.5):
                 clusters.append(group)
                 group = [o]
         clusters.append(group)
-    total = sum(max(obstruction_loss_db(model, o) for o in group) for group in clusters)
+    total = left_sum(max(obstruction_loss_db(model, o) for o in group) for group in clusters)
     return min(2.0 * model.max_blockage_db, total)
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.telemetry import Histogram, TimeSeries
+from repro.utils.exactmath import left_sum
 
 finite_values = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
@@ -63,7 +64,7 @@ class TestDecimation:
         assert reservoir.count == len(values)
         assert reservoir.minimum == min(values)
         assert reservoir.maximum == max(values)
-        assert reservoir.total == sum(values)
+        assert reservoir.total == left_sum(values)
         assert reservoir.mean == pytest.approx(sum(values) / len(values))
         assert 0 < reservoir.retained < 16
         if kind is TimeSeries:
