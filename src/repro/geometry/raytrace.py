@@ -75,9 +75,6 @@ MAX_HULL_SCREENS = 16
 #: above the rounding of the slab test, far below any occluder.
 BOX_SCREEN_PAD_M = 1e-6
 
-#: The wall sequence of the LOS chain: TX, and no wall.
-_LOS_SEQUENCE = np.full((1, 1), -1)
-
 
 @dataclass(frozen=True)
 class Obstruction:
@@ -298,9 +295,12 @@ class PathSet:
     pending sets in one joined pass (:meth:`resolve`, which
     :meth:`concat` calls).  After a joined pass its arrays are slices of
     the pass's arrays, and its table is cut out of the pass's table the
-    first time it is read.  Its paths' objects are built from the chains
-    (see :meth:`_views`).  A set gathered from path objects (:meth:`of`)
-    or joined from sets (:meth:`concat`) holds only the arrays.
+    first time it is read.  Those slices, and the pass's table until
+    then, keep the whole pass's arrays in memory as long as the set
+    lives, whichever of its fellow sets are gone.  Its paths' objects
+    are built from the chains (see :meth:`_views`).  A set gathered from
+    path objects (:meth:`of`) or joined from sets (:meth:`concat`) holds
+    only the arrays.
 
     ``columns_memo`` is the channel's memo on the set: the link columns
     :meth:`repro.phy.channel.MmWaveChannel.link_columns_many` built for
@@ -715,16 +715,19 @@ class RayTracer:
         obstruction table are left to :meth:`PathSet.resolve`.
         """
         walls, _, same = self._room_tables()
-        chains = []
+        levels, chains, kept = (), [], []
         if max_bounces:
             los = np.array([tx.as_tuple(), rx.as_tuple()], dtype=float)
-            chains = _reflection_chains(self._image_tree(tx, max_bounces), los)
+            tree = self._image_tree(tx, max_bounces)
+            levels = tree[0]
+            chains, kept = _reflection_chains(tree, los)
         hull = self._hull
         inside = _in_hull(hull, tx.x, tx.y) and _in_hull(hull, rx.x, rx.y)
         cross = self._interior if inside else self._every
         penetrated: Tuple[Wall, ...] = ()
         if cross[0].size:
-            chains, crossed = _crossings(tx, rx, distance, chains, same, cross)
+            touching = [level[4][alive] for level, alive in zip(levels, kept)]
+            chains, crossed = _crossings(tx, rx, distance, chains, touching, same, cross)
             penetrated = tuple(walls[w] for w in crossed)
         path_set = PathSet._traced(tx, rx, distance, chains, walls, penetrated, occluders)
         return path_set._views()
@@ -825,9 +828,10 @@ def _build_image_tree(
     order.  One level per bounce count holds the chains' wall sequences
     (after a leading -1 for TX), their images (TX first), from the
     second-to-last bounce back to the first each bounce's index with the
-    start and start-to-end vector of its wall, and each chain's
-    reflection loss: its walls' losses added in bounce order from 0.0,
-    as ``PropagationPath.total_reflection_loss_db`` adds them.  Every
+    start and start-to-end vector of its wall, each chain's reflection
+    loss (its walls' losses added in bounce order from 0.0, as
+    ``PropagationPath.total_reflection_loss_db`` adds them), and per leg
+    the walls it touches at its ends (for :func:`_crossings`).  Every
     chain's last image and last wall (start, start-to-end vector) are
     also stacked over all levels: a receiver's walk back along the
     chains starts with those, all at once.
@@ -850,14 +854,17 @@ def _build_image_tree(
         reflection = np.zeros(len(seq))
         for j in range(1, seq.shape[1]):
             reflection = reflection + walls[seq[:, j], 6]
-        levels.append((seq, images, earlier, reflection))
+        # A leg starts on its chain's wall and ends on the next (the
+        # leading -1 rolls round to stand for RX).
+        touching = same[seq] | same[np.roll(seq, -1, axis=1)]
+        levels.append((seq, images, earlier, reflection, touching))
         last.append((images[:, -1], wall_a[wall], wall_r[wall]))
     return levels, tuple(np.concatenate(column) for column in zip(*last))
 
 
 def _reflection_chains(
     tree: tuple, los: np.ndarray
-) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> Tuple[List[Tuple[np.ndarray, np.ndarray, np.ndarray]], List[np.ndarray]]:
     """The chains of an image tree whose bounces exist for ``los``.
 
     ``los`` holds TX and RX.  Walking back from RX, the line toward each
@@ -867,7 +874,8 @@ def _reflection_chains(
     leg is shorter than the far-field limit.  Per bounce count: the wall
     sequences, legs and reflection losses of the chains kept, one row
     each; a chain's legs are a ``(legs, 7)`` table of per leg its start,
-    end, start-to-end vector and length.
+    end, start-to-end vector and length.  Also per bounce count, the
+    mask of the tree's chains kept.
     """
     levels, (last_image, last_a, last_r) = tree
     src, dst = los
@@ -876,9 +884,9 @@ def _reflection_chains(
     meets, t = _intersect(last_a, last_r, last_image, dst - last_image)
     last_bounce = last_a + last_r * _clamp(t, 0.0, 1.0)[:, None]
     alive &= meets
-    chains = []
+    chains, kept = [], []
     row = 0
-    for seq, images, earlier, reflection in levels:
+    for seq, images, earlier, reflection, _ in levels:
         rows = slice(row, row + len(seq))
         row += len(seq)
         level_alive = alive[rows]
@@ -895,7 +903,8 @@ def _reflection_chains(
             [points[:, :-1], points[:, 1:], legs, lengths[..., None]], axis=2
         )
         chains.append((seq[level_alive], legs[level_alive], reflection[level_alive]))
-    return chains
+        kept.append(level_alive)
+    return chains, kept
 
 
 def _crossings(
@@ -903,27 +912,26 @@ def _crossings(
     rx: Vec2,
     distance: float,
     chains: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    touching: List[np.ndarray],
     same: np.ndarray,
     cross: Tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> Tuple[List[Tuple[np.ndarray, np.ndarray, np.ndarray]], List[int]]:
     """The reflection chains none of whose legs crosses a wall of
     ``cross``, and the walls of ``cross`` the LOS crosses, in order.
 
-    ``cross`` holds the walls' indices, starts and start-to-end vectors;
-    ``same`` is the tracer's same-wall mask.  A leg crossing a wall it
-    touches at its ends bounces on it rather than crosses it, and one
-    meeting a wall within 1e-6 m of its own ends grazes it: a radio sits
-    against a wall, not inside it.
+    ``touching`` holds per bounce count the chains' image-tree masks of
+    the walls each leg touches at its ends, ``cross`` the walls'
+    indices, starts and start-to-end vectors, and ``same`` is the
+    tracer's same-wall mask.  A leg crossing a wall it touches at its
+    ends bounces on it rather than crosses it, and one meeting a wall
+    within 1e-6 m of its own ends grazes it: a radio sits against a
+    wall, not inside it.
     """
     index, wall_a, wall_r = cross
-    # Every leg, the LOS first and then chain by chain, and the walls it
-    # touches at its ends: the wall it starts on and the next (the
-    # leading -1 rolls round to stand for RX).
+    # Every leg, the LOS first (touching no wall: row -1 of ``same``)
+    # and then chain by chain.
     legs = _stack([_los_legs([(tx, rx, distance)])] + [c[1].reshape(-1, 7) for c in chains])
-    sequences = [_LOS_SEQUENCE] + [seq for seq, _, _ in chains]
-    touching = _stack(
-        [(same[s] | same[np.roll(s, -1, axis=1)]).reshape(-1, same.shape[1]) for s in sequences]
-    )
+    touching = _stack([same[-1:]] + [m.reshape(-1, same.shape[1]) for m in touching])
     starts, ends, vectors = legs[:, 0:2], legs[:, 2:4], legs[:, 4:6]
     meets, t = _intersect(starts[:, None], vectors[:, None], wall_a, wall_r)
     leg, column = np.nonzero(meets & ~touching[:, index])

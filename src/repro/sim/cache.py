@@ -44,6 +44,15 @@ evaluation reads (angles and unshadowed gains) are the channel's memo
 on the path set (:meth:`repro.phy.channel.MmWaveChannel.link_columns`),
 so they live as long as the set does, in the cache or out of it.
 
+A set resolved in a joined pass, and its link columns, are slices of
+that build's joined arrays, and until its own table is read it holds
+the build's joined table.  So while any one set of a build stays
+cached, the arrays of every set in that build stay in memory, evicted
+sets' included: :data:`MAX_PATHS` bounds the paths the entries hold,
+and each entry can keep one build's arrays besides its own (on the
+six-player serving benchmark, half the joined passes' arrays and
+tables take under 1 kB, the largest about 17 kB).
+
 All queries record into the active telemetry scope
 (``scene.cache.hits`` / ``scene.cache.misses`` / ``scene.tracer_calls``
 in :func:`repro.telemetry.metrics`), which experiment reports surface.

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from functools import partial, reduce
 from itertools import repeat
 from typing import Iterable
@@ -68,16 +67,12 @@ def square(x: np.ndarray) -> np.ndarray:
     return power(x, 2)
 
 
-def _added_left_to_right(values: Iterable):
-    """``0 + v0 + v1 + ...``, one addition at a time."""
+def left_sum(values: Iterable):
+    """``0 + v0 + v1 + ...``, one addition at a time, on every version:
+    what the builtin :func:`sum` gives up to CPython 3.11 (its ``sum`` of
+    floats is compensated from 3.12 on).  ``left_sum([])`` is the
+    integer 0; ``left_sum([1.0, 1e100, 1.0, -1e100])`` is 0.0."""
     return reduce(operator.add, values, 0)
-
-
-#: ``0 + v0 + v1 + ...``, added left to right on every version: the
-#: builtin :func:`sum` up to CPython 3.11, which adds so (and is the
-#: faster), and a plain reduction from 3.12 on, whose ``sum`` of floats
-#: is compensated.  ``left_sum([1.0, 1e100, 1.0, -1e100])`` is 0.0.
-left_sum = sum if sys.version_info < (3, 12) else _added_left_to_right
 
 
 #: The functions for arrays, and the scalar functions they map, by name.

@@ -16,7 +16,7 @@ from repro.geometry.room import standard_office
 from repro.geometry.shapes import Circle
 from repro.geometry.vectors import Vec2
 from repro.phy.blockage import BlockageModel
-from repro.utils.exactmath import _added_left_to_right, left_sum
+from repro.utils.exactmath import left_sum
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -30,18 +30,6 @@ def loop_sum(values):
 
 
 class TestLeftSum:
-    def test_the_reduction_adds_left_to_right(self):
-        # What ``left_sum`` is from 3.12 on, checked on every version.
-        assert _added_left_to_right([1.0, 1e100, 1.0, -1e100]) == 0.0
-        assert _added_left_to_right([0.1, 0.2, 0.3]) == 0.6000000000000001
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(finite, max_size=8))
-    def test_the_reduction_equals_the_explicit_loop(self, values):
-        total, expected = _added_left_to_right(values), loop_sum(values)
-        assert total == expected
-        assert math.copysign(1.0, total) == math.copysign(1.0, expected)
-
     def test_adds_left_to_right(self):
         # A compensated sum (3.12's builtin) gives 2.0 and 0.6.
         assert left_sum([1.0, 1e100, 1.0, -1e100]) == 0.0
